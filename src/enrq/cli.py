@@ -1,7 +1,8 @@
 """Command-line front end: series expansion, table emission, identity checks.
 
-Exit codes: 0 success, 1 failed check, 2 unknown series id, 3 insufficient
-truncation order for the requested tables.
+Exit codes: 0 success, 1 failed check, 2 usage error: unknown id or
+malformed argument (a one-line message on stderr, never a traceback),
+3 insufficient truncation order for the requested tables.
 """
 
 import argparse
@@ -9,11 +10,15 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
-from . import enriques, perverse
+from . import __version__, enriques, perverse
 from .checks import CHECKS, run_checks
+from .kernel import BACKEND
+from .ring import RATIONAL_BACKEND
 from .series import Window
 
 SERIES_IDS = (
@@ -28,23 +33,82 @@ SERIES_IDS = (
 )
 
 
+# flags whose value may start with "-", which argparse would take for an option
+SIGNED_FLAGS = ("--p-window", "--d", "--q-order")
+
+BettiFile = namedtuple("BettiFile", "sha256 records")
+
+
+class UsageError(Exception):
+    """Malformed command line; reported in one line with exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: error: {message}")
+
+
 def _parse_window(text):
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty window {text!r}: need LO <= HI")
+    return lo, hi
 
 
 def _parse_range(text):
     if ":" in text:
         lo, _, hi = text.partition(":")
-        return int(lo), int(hi)
-    d = int(text)
-    return d, d
+        lo, hi = int(lo), int(hi)
+    else:
+        lo = hi = int(text)
+    if not 0 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"bad degree range {text!r}: need 0 <= LO <= HI")
+    return lo, hi
+
+
+def _parse_order(text):
+    try:
+        q_order = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    if q_order <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return q_order
+
+
+def _read_betti_file(path):
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+    try:
+        records = json.loads(data)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{path!r} is not valid JSON: {exc}") from None
+    if not isinstance(records, list) or not all(
+        isinstance(r, dict) and "d" in r and isinstance(r.get("betti"), list) for r in records
+    ):
+        raise argparse.ArgumentTypeError(
+            f'{path!r}: expected a list of {{"d", "betti", "complete"}} records'
+        )
+    return BettiFile(hashlib.sha256(data).hexdigest(), records)
+
+
+def _join_signed_values(argv):
+    """``--p-window -6:6`` -> ``--p-window=-6:6``, so argparse sees a value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in SIGNED_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _betti(args):
     if getattr(args, "betti_file", None):
-        with open(args.betti_file, "r", encoding="utf-8") as fh:
-            return perverse.BettiTable.from_records(json.load(fh))
+        return perverse.BettiTable.from_records(args.betti_file.records)
     return perverse.BettiTable.default()
 
 
@@ -66,7 +130,7 @@ def _emit(text, args, filename):
 
 
 def _build_series(name, args):
-    q_order = Fraction(args.q_order)
+    q_order = args.q_order
     window = _window(args)
     if name == "pt-fiber":
         return enriques.pt_fiber_series(q_order)
@@ -95,13 +159,18 @@ def cmd_expand(args):
     cache_dir = os.environ.get("SERIES_CACHE_DIR")
     cache_path = None
     if cache_dir:
+        # content-addressed: the Betti input by its bytes, plus everything
+        # else that can change the emitted text
         key = hashlib.sha256(
             json.dumps(
                 {
                     "id": name,
                     "q_order": str(args.q_order),
                     "p_window": list(args.p_window),
-                    "betti_file": args.betti_file,
+                    "betti_sha256": args.betti_file and args.betti_file.sha256,
+                    "version": __version__,
+                    "kernel": BACKEND,
+                    "rational": RATIONAL_BACKEND,
                 },
                 sort_keys=True,
             ).encode()
@@ -112,14 +181,26 @@ def cmd_expand(args):
     else:
         text = _build_series(name, args).dumps(indent=2) + "\n"
         if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(text, encoding="utf-8")
+            _write_atomic(cache_path, text)
     _emit(text, args, f"{name}.json")
     return 0
 
 
+def _write_atomic(path, text):
+    """Write via a temp file in the same directory, so readers never see a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_tables(args):
-    q_order = Fraction(args.q_order)
+    q_order = args.q_order
     d_lo, d_hi = args.d
     if q_order < d_hi + 1:
         print(
@@ -162,7 +243,7 @@ def cmd_check(args):
     results = run_checks(
         names,
         betti=_betti(args),
-        q_order=Fraction(args.q_order),
+        q_order=args.q_order,
         eta_prefactor=not args.eta_no_prefactor,
     )
     report = {"passed": all(r["passed"] for r in results), "checks": results}
@@ -177,7 +258,12 @@ def cmd_check(args):
 
 
 def _add_common(parser):
-    parser.add_argument("--q-order", default="8", help="truncation order (rational, default 8)")
+    parser.add_argument(
+        "--q-order",
+        type=_parse_order,
+        default=Fraction(8),
+        help="truncation order (positive rational, default 8)",
+    )
     parser.add_argument(
         "--p-window",
         type=_parse_window,
@@ -185,12 +271,17 @@ def _add_common(parser):
         metavar="LO:HI",
         help="validity window for p exponents (default -10:10)",
     )
-    parser.add_argument("--betti-file", default=None, help="JSON file with Betti input records")
+    parser.add_argument(
+        "--betti-file",
+        type=_read_betti_file,
+        default=None,
+        help="JSON file with Betti input records",
+    )
     parser.add_argument("--out", default=None, help="output directory (default: stdout)")
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="enrq",
         description="Exact q-series engine for refined curve counting on Enriques Calabi-Yau threefolds",
     )
@@ -214,7 +305,13 @@ def main(argv=None):
     )
     _add_common(p_check)
 
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    try:
+        args = parser.parse_args(_join_signed_values(argv))
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.command == "expand":
         return cmd_expand(args)
     if args.command == "tables":

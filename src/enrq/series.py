@@ -13,7 +13,7 @@ Series are immutable values; all operations return new objects.
 
 import json
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .kernel import madd
 from .ring import LinExpr, coeff_from_json, coeff_to_json, is_rational, rat
@@ -884,49 +884,95 @@ def adams(f, k):
 
 
 def product_expand(frame, factors, q_order, window=None):
-    """Expand ``prod (1 - m)^e`` exactly to the given truncation order.
+    """Expand ``F = prod (1 - m)^e`` exactly to the given truncation order.
 
     ``factors`` yields pairs (monomial, integer exponent); monomials are
     {name: exponent} mappings or pre-scaled tuples, each of strictly
     positive weight.  Factors of weight >= q_order are skipped.
+
+    F is solved graded slice by graded slice with the weighted Euler operator
+    ``D = sum_i w_i x_i d/dx_i`` (weights in the frame's scaled units, so a
+    monomial of scaled weight W is an eigenvector with eigenvalue W).  With
+    ``A = log F = -sum e sum_k m^k / k`` the derivation property gives
+    ``D F = DA * F``, i.e. slice by slice
+
+        W * F_W = sum_{l <= W} (DA)_l * F_{W-l},    F_0 = 1,
+
+    where ``DA = -sum e * w(m) * sum_k m^k`` has integer coefficients, so
+    every division by W is exact (Brent and Kung, "Fast algorithms for
+    manipulating formal power series", J. ACM 25 (1978); Knuth, TAOCP vol. 2,
+    section 4.7).  Coefficients are returned as exact rationals.
+
+    Window contract: the only accepted p-window is ``Window(0, hi, True)``
+    with every kept factor of p-exponent >= 0.  All products then stay at
+    p >= 0, so dropping p > hi is exact and the window is returned as given.
+    Any other window raises :class:`WindowUnderflow`.
     """
     q_order = _as_order(q_order)
     if q_order is None:
         raise ValueError("product_expand needs a finite truncation order")
-    acc = Series.one(frame, q_order, window)
+    pi, hi = -1, 0
+    if window is not None:
+        if not window.floored or window.lo != 0:
+            raise WindowUnderflow(
+                f"product_expand needs a p-window floored at 0, got {window!r}"
+            )
+        pi, hi = frame.p_index, window.hi
+    bn, bd = _bounds(frame, q_order)
+    # DA grouped by scaled weight: {l: {exps: int}}
+    da = {}
+    kept = False
     for mono, e in factors:
         exps = mono if isinstance(mono, tuple) else frame.exps(mono)
         ws = frame.weight_scaled(exps)
         if ws <= 0:
             raise NonConvergentFactor(f"factor exponent {mono} has weight <= 0")
-        w = Fraction(ws, frame.wden)
-        if w >= q_order:
+        if ws * bd >= bn:
             continue
-        acc = acc * _binomial_factor(frame, exps, int(e), q_order, window)
-    return acc
-
-
-def _binomial_factor(frame, exps, e, q_order, window):
-    """(1 - m)^e truncated, for a monomial m of positive weight."""
-    w = frame.weight(exps)
-    jmax = int((q_order - Fraction(1, frame.wden)) / w) + 1
-    pi = frame.p_index if window is not None else -1
-    terms = {frame.zero_exp(): rat(1)}
-    if e >= 0:
-        top = min(e, jmax)
-    else:
-        top = jmax
-    for j in range(1, top + 1):
-        if j * w >= q_order:
-            break
-        ej = tuple(x * j for x in exps)
-        if pi >= 0 and (ej[pi] > window.hi or (not window.floored and ej[pi] < window.lo)):
-            continue
-        if e >= 0:
-            coef = rat((-1) ** j * comb(e, j))
-        else:
-            coef = rat(comb(j - e - 1, -e - 1))
-        terms[ej] = coef
+        kept = True
+        if pi >= 0 and exps[pi] < 0:
+            raise WindowUnderflow(
+                f"factor {mono} has a negative p-exponent under the floored window {window!r}"
+            )
+        c = -int(e) * ws
+        k = 1
+        while c and k * ws * bd < bn:
+            ek = tuple(x * k for x in exps)
+            if pi >= 0 and ek[pi] > hi:
+                break
+            slot = da.setdefault(k * ws, {})
+            v = slot.get(ek, 0) + c
+            if v:
+                slot[ek] = v
+            else:
+                del slot[ek]
+            k += 1
+    if not kept:
+        # the empty product, built exactly as Series.one builds it
+        return Series.one(frame, q_order, window)
+    if hi < 0:
+        # the window excludes p^0, so even the constant term is cut
+        return Series(frame, {}, q_order, window, _clean=True)
+    slices = {0: {frame.zero_exp(): 1}}
+    da_slices = sorted((l, t) for l, t in da.items() if t)
+    for W in range(1, (bn - 1) // bd + 1):
+        acc = {}
+        for l, dl in da_slices:
+            if l > W:
+                break
+            fs = slices.get(W - l)
+            if fs:
+                f, g = (dl, fs) if len(dl) <= len(fs) else (fs, dl)
+                madd(acc, f, g, frame.wnum, bn, bd, pi, 0, hi)
+        if acc:
+            out = {}
+            for e, c in acc.items():
+                quo, rem = divmod(c, W)
+                if rem:
+                    raise InexactDivision(f"Euler recurrence: {c} not divisible by weight {W}")
+                out[e] = quo
+            slices[W] = out
+    terms = {e: rat(c) for s in slices.values() for e, c in s.items()}
     return Series(frame, terms, q_order, window, _clean=True)
 
 

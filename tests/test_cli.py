@@ -2,8 +2,15 @@ import json
 import subprocess
 import sys
 
+from enrq import cli
 from enrq.cli import main
+from enrq.series import Series
 
+BETTI_RECORDS = [
+    {"d": 0, "betti": [1, 2, 1], "complete": True},
+    {"d": None, "betti": [1, 0, 11], "complete": False},
+    {"d": 1, "betti": [1, 0, 10, 23, 10, 0, 1], "complete": True},
+]
 EXPECTED_TABLE_D1 = """\
 | i\\j | -1 | 0 | 1 |
 | --- | --- | --- | --- |
@@ -60,6 +67,80 @@ class TestExpand:
         b = run(["expand", "ky-logZ", "--q-order", "4"], capsys)[1]
         assert a == b == stamp
 
+    def test_cache_follows_betti_file_content(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "betti.json"
+        argv = ["expand", "keyeq-rhs2", "--q-order", "4", "--betti-file", str(path)]
+        path.write_text(json.dumps(BETTI_RECORDS))
+        before = run(argv, capsys)[1]
+        edited = [dict(r) for r in BETTI_RECORDS]
+        edited[2]["betti"] = [1, 0, 10, 25, 10, 0, 1]
+        path.write_text(json.dumps(edited))
+        fresh = run(argv, capsys)[1]
+        assert fresh != before
+
+        monkeypatch.setenv("SERIES_CACHE_DIR", str(tmp_path / "cache"))
+        path.write_text(json.dumps(BETTI_RECORDS))
+        assert run(argv, capsys)[1] == before
+        path.write_text(json.dumps(edited))
+        assert run(argv, capsys)[1] == fresh
+        assert len(list((tmp_path / "cache").iterdir())) == 2
+
+        # a hit serves the stored text: nothing is built, dumped or parsed
+        def refuse(*args, **kwargs):
+            raise AssertionError("cache hit rebuilt the series")
+
+        monkeypatch.setattr(cli, "_build_series", refuse)
+        monkeypatch.setattr(Series, "dumps", refuse)
+        monkeypatch.setattr(Series, "loads", refuse)
+        assert run(argv, capsys)[1] == fresh
+
+    def test_negative_p_window_spellings(self, capsys):
+        spaced = run(["expand", "pt-fiber-full", "--q-order", "3", "--p-window", "-6:6"], capsys)
+        joined = run(["expand", "pt-fiber-full", "--q-order", "3", "--p-window=-6:6"], capsys)
+        assert spaced == joined and spaced[0] == 0
+
+
+class TestUsageErrors:
+    """Malformed input: exit 2 and one line on stderr, no traceback."""
+
+    def usage_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        return err
+
+    def test_q_order_not_a_number(self, capsys):
+        assert "not a rational number" in self.usage_error(
+            ["expand", "pt-fiber", "--q-order", "abc"], capsys
+        )
+
+    def test_q_order_below_minimum(self, capsys):
+        for order in ("0", "-1/2"):
+            assert "must be positive" in self.usage_error(
+                ["expand", "pt-fiber", "--q-order", order], capsys
+            )
+        self.usage_error(["tables", "--q-order", "0"], capsys)
+
+    def test_missing_betti_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        assert "cannot read" in self.usage_error(
+            ["expand", "keyeq-rhs2", "--betti-file", missing], capsys
+        )
+
+    def test_malformed_betti_file(self, tmp_path, capsys):
+        path = tmp_path / "betti.json"
+        for text in ("[{", '{"d": 1}', '[{"betti": [1]}]'):
+            path.write_text(text)
+            self.usage_error(["expand", "keyeq-rhs2", "--betti-file", str(path)], capsys)
+
+    def test_degree_range_spellings(self, capsys):
+        spaced = run(["tables", "--d", "0:1", "--q-order", "3"], capsys)
+        joined = run(["tables", "--d=0:1", "--q-order", "3"], capsys)
+        assert spaced == joined and spaced[0] == 0
+        assert self.usage_error(["tables", "--d", "-1:2"], capsys) == self.usage_error(
+            ["tables", "--d=-1:2"], capsys
+        )
+
 
 class TestTables:
     def test_degree_one_markdown(self, capsys):
@@ -100,13 +181,8 @@ class TestTables:
         assert unknown and all(e["i"] == 0 for e in unknown)
 
     def test_betti_file_override(self, tmp_path, capsys):
-        records = [
-            {"d": 0, "betti": [1, 2, 1], "complete": True},
-            {"d": None, "betti": [1, 0, 11], "complete": False},
-            {"d": 1, "betti": [1, 0, 10, 23, 10, 0, 1], "complete": True},
-        ]
         path = tmp_path / "betti.json"
-        path.write_text(json.dumps(records))
+        path.write_text(json.dumps(BETTI_RECORDS))
         code, out, _ = run(
             ["tables", "--d", "1:1", "--q-order", "4", "--betti-file", str(path)], capsys
         )

@@ -1,8 +1,13 @@
+from contextlib import contextmanager
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from conftest import assert_agree, random_series
+from enrq import enriques, perverse, qfunc
+from enrq.cli import SERIES_IDS
+from enrq.cli import main as cli_main
 from enrq.ring import betti_symbol, rat
 from enrq.series import (
     FRAME_PU,
@@ -277,6 +282,190 @@ class TestProductExpand:
     def test_nonconvergent(self):
         with pytest.raises(NonConvergentFactor):
             product_expand(FRAME_QPU, [({"u": 1}, -1)], 3)
+        with pytest.raises(NonConvergentFactor):
+            product_expand(FRAME_QPU, [({"q": 1}, -1), ({"q": -1, "p": 2}, 1)], 3)
+        with pytest.raises(NonConvergentFactor):
+            product_expand(FRAME_QP, [({"q": 1, "p": 1}, -1), ({"p": 1}, 2)], 3, Window(0, 8, True))
+
+
+def product_expand_oracle(frame, factors, q_order, window=None):
+    """Reference for product_expand: one windowed sparse product per factor.
+
+    This is the product-of-binomials loop the Euler recurrence replaced; it is
+    kept here only as the oracle the equivalence tests compare against.
+    """
+    q_order = Fraction(q_order)
+    acc = Series.one(frame, q_order, window)
+    for mono, e in factors:
+        exps = mono if isinstance(mono, tuple) else frame.exps(mono)
+        ws = frame.weight_scaled(exps)
+        if ws <= 0:
+            raise NonConvergentFactor(f"factor exponent {mono} has weight <= 0")
+        if Fraction(ws, frame.wden) >= q_order:
+            continue
+        acc = acc * _oracle_binomial(frame, exps, int(e), q_order, window)
+    return acc
+
+
+def _oracle_binomial(frame, exps, e, q_order, window):
+    """(1 - m)^e truncated, for a monomial m of positive weight."""
+    w = frame.weight(exps)
+    jmax = int((q_order - Fraction(1, frame.wden)) / w) + 1
+    pi = frame.p_index if window is not None else -1
+    terms = {frame.zero_exp(): rat(1)}
+    top = min(e, jmax) if e >= 0 else jmax
+    for j in range(1, top + 1):
+        if j * w >= q_order:
+            break
+        ej = tuple(x * j for x in exps)
+        if pi >= 0 and (ej[pi] > window.hi or (not window.floored and ej[pi] < window.lo)):
+            continue
+        coef = rat((-1) ** j * comb(e, j)) if e >= 0 else rat(comb(j - e - 1, -e - 1))
+        terms[ej] = coef
+    return Series(frame, terms, q_order, window, _clean=True)
+
+
+def assert_identical(a, b):
+    """Bit-identical series: terms, coefficient types, q_order and window."""
+    assert a.frame == b.frame
+    assert a.terms == b.terms
+    assert {e: type(c) for e, c in a.terms.items()} == {e: type(c) for e, c in b.terms.items()}
+    assert a.q_order == b.q_order and type(a.q_order) is type(b.q_order)
+    assert a.window == b.window and type(a.window) is type(b.window)
+
+
+@contextmanager
+def product_expand_checked_against_oracle():
+    """Route every library call of product_expand through an oracle comparison.
+
+    Yields the list of compared calls, so a test can assert it saw some.
+    """
+    calls = []
+
+    def twin(frame, factors, q_order, window=None):
+        factors = list(factors)
+        new = product_expand(frame, factors, q_order, window)
+        assert_identical(new, product_expand_oracle(frame, factors, q_order, window))
+        calls.append((frame, len(factors), q_order, window))
+        return new
+
+    mods = (qfunc, perverse, enriques)
+    saved = [m.product_expand for m in mods]
+    for m in mods:
+        m.product_expand = twin
+    try:
+        yield calls
+    finally:
+        for m, f in zip(mods, saved):
+            m.product_expand = f
+
+
+def _random_factors(rng, frame, q_order, n, p_nonnegative=False):
+    """Factors with exponents of both signs and zero, repeats, and some >= q_order."""
+    factors = []
+    for _ in range(n):
+        mono = {}
+        for name, den, w in zip(frame.names, frame.denoms, frame.weights):
+            if w:
+                mono[name] = Fraction(rng.randint(1, 2 * den * int(q_order)), den)
+            elif name == "p" and p_nonnegative:
+                mono[name] = Fraction(rng.randint(0, 4), den)
+            else:
+                mono[name] = Fraction(rng.randint(-3, 3), den)
+        factors.append((mono, rng.randint(-4, 4)))
+    factors += rng.choices(factors, k=3)
+    return factors
+
+
+class TestProductExpandOracle:
+    def test_random_factor_lists(self, rng):
+        for frame in (FRAME_Q, FRAME_QP, FRAME_QPU, FRAME_XY, FRAME_PU):
+            for _ in range(8):
+                q_order = Fraction(rng.randint(2, 6), rng.choice((1, 2)))
+                factors = _random_factors(rng, frame, q_order, rng.randint(1, 8))
+                assert_identical(
+                    product_expand(frame, factors, q_order),
+                    product_expand_oracle(frame, factors, q_order),
+                )
+
+    def test_random_factor_lists_floored_window(self, rng):
+        for frame in (FRAME_QP, FRAME_QPU, FRAME_QPUTS):
+            for hi in (0, 3, 8):
+                for _ in range(6):
+                    q_order = rng.randint(2, 5)
+                    factors = _random_factors(rng, frame, q_order, rng.randint(1, 8), p_nonnegative=True)
+                    window = Window(0, hi, True)
+                    assert_identical(
+                        product_expand(frame, factors, q_order, window),
+                        product_expand_oracle(frame, factors, q_order, window),
+                    )
+
+    def test_edge_cases(self):
+        cases = [
+            (FRAME_Q, [], 5, None),
+            (FRAME_Q, [({"q": 1}, 0), ({"q": 2}, 0)], 5, None),
+            (FRAME_Q, [({"q": 5}, -3), ({"q": 7}, 2)], 5, None),
+            (FRAME_Q, [({"q": 1}, 3), ({"q": 1}, -3)], 6, None),
+            (FRAME_Q, [({"q": 1}, -1)], 0, None),
+            (FRAME_Q, [({"q": 1}, -1)], -2, None),
+            (FRAME_Q, [((24,), -2), ({"q": Fraction(1, 24)}, 5)], Fraction(7, 3), None),
+            (FRAME_QP, [({"q": 1, "p": 1}, -2)], 4, Window(0, 0, True)),
+            (FRAME_QP, [({"q": 1, "p": 3}, -2)], 4, Window(0, 5, True)),
+            (FRAME_QP, [({"q": 1, "p": 1}, -2)], 4, Window(0, -2, True)),
+            (FRAME_QP, [({"q": 9, "p": -1}, -2)], 4, Window(0, 6, True)),
+        ]
+        for frame, factors, q_order, window in cases:
+            assert_identical(
+                product_expand(frame, factors, q_order, window),
+                product_expand_oracle(frame, factors, q_order, window),
+            )
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_qfunc_factor_lists(self, scale):
+        with product_expand_checked_against_oracle() as calls:
+            qfunc.eta(scale, 8)
+            qfunc.eta(scale, Fraction(17, 3))
+            qfunc.theta({"t": 1, "s": -1}, scale, 6, FRAME_QTS)
+            qfunc.theta_pair({"p": 1}, {"u": Fraction(1, 2)}, scale, 6, FRAME_QPU)
+            qfunc.inv_theta_pair({"p": 1}, {"u": Fraction(1, 2)}, scale, 6, FRAME_QPU,
+                                 Window(-12, 12, False))
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("q_order", [4, 5, 6])
+    @pytest.mark.parametrize("half_width", [12, 20])
+    def test_plethystic_exp_of_rank0_argument(self, q_order, half_width):
+        window = Window(-half_width, half_width, False)
+        f = enriques.rank0_exp_argument(q_order, window)
+        with product_expand_checked_against_oracle() as calls:
+            got = qfunc.plethystic_exp(f)
+        assert calls and got.window == Window(0, half_width, True)
+
+    def test_every_cli_series_id(self, capsys):
+        # The p-window only reaches pt-fiber-full.  On the default -10:10 the
+        # oracle needs about a minute at q = 8; -4:4 runs the same windowed
+        # path (the plethystic Exp of the rank-0 argument) in about a second.
+        for name in SERIES_IDS:
+            with product_expand_checked_against_oracle() as calls:
+                assert cli_main(["expand", name, "--q-order", "8", "--p-window=-4:4"]) == 0
+            assert calls, name
+        capsys.readouterr()
+
+
+class TestProductExpandWindows:
+    @pytest.mark.parametrize(
+        "window,factors",
+        [
+            (Window(-4, 4, False), [({"q": 1, "p": 1}, -1)]),
+            (Window(0, 4, False), [({"q": 1, "p": 1}, -1)]),
+            (Window(0, 4, False), []),
+            (Window(2, 8, True), [({"q": 1, "p": 1}, -1)]),
+            (Window(-2, 8, True), [({"q": 1, "p": 1}, -1)]),
+            (Window(0, 8, True), [({"q": 1, "p": 1}, -1), ({"q": 1, "p": -1}, -1)]),
+        ],
+    )
+    def test_rejected_windows(self, window, factors):
+        with pytest.raises(WindowUnderflow):
+            product_expand(FRAME_QP, factors, 4, window)
 
 
 class TestWeightedFrames:
