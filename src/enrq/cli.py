@@ -6,6 +6,7 @@ malformed argument (a one-line message on stderr, never a traceback),
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -280,7 +281,9 @@ def _add_common(parser):
     parser.add_argument("--out", default=None, help="output directory (default: stdout)")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and shared by later calls."""
     parser = _Parser(
         prog="enrq",
         description="Exact q-series engine for refined curve counting on Enriques Calabi-Yau threefolds",
@@ -304,11 +307,14 @@ def main(argv=None):
         help="negative control: drop the q^(scale/24) eta prefactor",
     )
     _add_common(p_check)
+    return parser
 
+
+def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_signed_values(argv))
+        args = _parser().parse_args(_join_signed_values(argv))
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2

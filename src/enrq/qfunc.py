@@ -74,14 +74,27 @@ def eta(scale, q_order, frame=FRAME_Q, prefactor=True):
     return out
 
 
+def _inverse(m):
+    """The monomial 1/m, as a {name: exponent} mapping."""
+    return {v: -e for v, e in m.items()}
+
+
+def _combine(a, b):
+    """The monomial product a*b, zero exponents dropped."""
+    out = dict(a)
+    for v, e in b.items():
+        out[v] = out.get(v, Fraction(0)) + e
+    return {v: e for v, e in out.items() if e}
+
+
 def theta(x, scale, q_order, frame):
     """Theta(x, q^scale) for a monomial x; x^(1/2) must lie on the lattice."""
     scale = int(scale)
     q_order = Fraction(q_order)
     x = {v: Fraction(e) for v, e in dict(x).items()}
     half = {v: e / 2 for v, e in x.items()}
-    xinv = {v: -e for v, e in x.items()}
-    zero_mode = Series.monomial(frame, half) - Series.monomial(frame, {v: -e for v, e in half.items()})
+    xinv = _inverse(x)
+    zero_mode = Series.monomial(frame, half) - Series.monomial(frame, _inverse(half))
     factors = []
     m = 1
     while Fraction(scale * m) < q_order:
@@ -103,28 +116,19 @@ def theta_pair(x, y, scale, q_order, frame):
     x = {v: Fraction(e) for v, e in dict(x).items()}
     y = {v: Fraction(e) for v, e in dict(y).items()}
 
-    def mono(m, inv=False):
-        return {v: (-e if inv else e) for v, e in m.items()}
-
-    def combine(a, b):
-        out = dict(a)
-        for v, e in b.items():
-            out[v] = out.get(v, Fraction(0)) + e
-        return {v: e for v, e in out.items() if e}
-
     zero_mode = (
         Series.monomial(frame, x)
         - Series.monomial(frame, y)
-        - Series.monomial(frame, mono(y, inv=True))
-        + Series.monomial(frame, mono(x, inv=True))
+        - Series.monomial(frame, _inverse(y))
+        + Series.monomial(frame, _inverse(x))
     )
     factors = []
     m = 1
     while Fraction(scale * m) < q_order:
         qm = {"q": Fraction(scale * m)}
-        for a in (x, mono(x, inv=True)):
-            for b in (y, mono(y, inv=True)):
-                factors.append((combine(combine(a, b), qm), 1))
+        for a in (x, _inverse(x)):
+            for b in (y, _inverse(y)):
+                factors.append((_combine(_combine(a, b), qm), 1))
         factors.append((qm, -4))
         m += 1
     return zero_mode * product_expand(frame, factors, q_order)
@@ -159,22 +163,13 @@ def inv_theta_pair(x, y, scale, q_order, frame, window):
         m += 1
     zm_inv = Series(frame, terms, q_order, window)
 
-    def mono(mn, inv=False):
-        return {v: (-e if inv else e) for v, e in mn.items()}
-
-    def combine(a, b):
-        out = dict(a)
-        for v, e in b.items():
-            out[v] = out.get(v, Fraction(0)) + e
-        return {v: e for v, e in out.items() if e}
-
     factors = []
     m = 1
     while Fraction(scale * m) < q_order:
         qm = {"q": Fraction(scale * m)}
-        for a in (x, mono(x, inv=True)):
-            for b in (y, mono(y, inv=True)):
-                factors.append((combine(combine(a, b), qm), -1))
+        for a in (x, _inverse(x)):
+            for b in (y, _inverse(y)):
+                factors.append((_combine(_combine(a, b), qm), -1))
         factors.append((qm, 4))
         m += 1
     return zm_inv * product_expand(frame, factors, q_order)

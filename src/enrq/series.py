@@ -429,7 +429,7 @@ class Series:
         return Series(self.frame, terms, q_order, window, _clean=True)
 
     def invert(self):
-        """Multiplicative inverse, solved graded slice by graded slice."""
+        """Multiplicative inverse: ``divide_exact(1, self)`` below a unit monomial lead."""
         if self.window is not None:
             raise WindowUnderflow("cannot invert a p-windowed series")
         if not self.terms:
@@ -442,26 +442,18 @@ class Series:
         (e0, c0), = lead
         if isinstance(c0, LinExpr):
             raise NonUnitLeadingTerm("leading coefficient carries symbols")
-        inv_mono = Series(
-            frame, {tuple(-x for x in e0): rat(1) / c0}, None, None, _clean=True
-        )
         if len(self.terms) == 1:
+            inv_mono = {tuple(-x for x in e0): rat(1) / c0}
             if self.q_order is None:
-                return inv_mono
+                return Series(frame, inv_mono, None, None, _clean=True)
             w0 = Fraction(w0s, frame.wden)
-            return Series(frame, inv_mono.terms, self.q_order - 2 * w0, None, _clean=True)
+            return Series(frame, inv_mono, self.q_order - 2 * w0, None, _clean=True)
         if self.q_order is None:
             raise NonUnitLeadingTerm(
                 "inverse of a non-monomial exact series is an infinite series; set a truncation order"
             )
-        h = self * inv_mono - 1
-        target = h.q_order
-        acc = Series.one(frame, target)
-        p = acc
-        while p.terms:
-            p = (p * (-h)).with_q_order(target)
-            acc = acc + p
-        return acc * inv_mono
+        # a rational 1, so an integer lead never divides into a float
+        return divide_exact(Series.const(frame, rat(1)), self)
 
     def specialize(self, mapping):
         """Substitute monomials (or 1) for variables, e.g. {"t": {"u": 1}, "s": {"u": 1}}."""
@@ -857,7 +849,33 @@ def exp_series(f):
 
 
 def log_series(f):
-    """Ordinary formal logarithm; the constant slice must be exactly 1."""
+    """Ordinary formal logarithm; the constant slice must be exactly 1.
+
+    ``L = log F`` is solved graded slice by graded slice with the weighted
+    Euler operator ``D = sum_i w_i x_i d/dx_i`` (weights in the frame's
+    scaled units).  The derivation property gives ``F * DL = DF``, and with
+    ``F_0 = 1`` that reads, slice by slice,
+
+        (DL)_W = W * F_W - sum_{wmin <= l <= W - wmin} (DL)_l * F_{W-l},
+        L_W = (DL)_W / W,
+
+    where wmin is the least weight of ``F - 1`` (Brent and Kung, "Fast
+    algorithms for manipulating formal power series", J. ACM 25 (1978);
+    Knuth, TAOCP vol. 2, section 4.7).  Coefficients are returned as exact
+    rationals and the truncation order is that of ``F``.
+
+    Window contract: an unfloored p-window raises :class:`WindowUnderflow`.
+    With no window or ``Window(0, hi, True)`` every product stays at
+    p >= 0, so dropping p > hi is exact and the window is returned as given.
+    A floor ``lo < 0`` lets each factor of ``F - 1`` lower p by up to |lo|:
+    with ``N`` the largest n such that ``n * wmin`` is below the truncation
+    order, every product is cut to ``[N*lo, hi]`` and the result declares
+    ``Window((N+1)*lo, hi + N*lo, True)``.  That is the window of the
+    windowed power series ``sum (-1)^(n+1) (F-1)^n / n`` whenever none of
+    its powers vanishes before the weight cut.  Where one does, the power
+    series stops early and claims a wider window, whose extra columns can
+    hold wrong zeros; this result agrees with it on the narrower window.
+    """
     frame = f.frame
     zero_exp = frame.zero_exp()
     lead = {e: c for e, c in f.terms.items() if frame.weight_scaled(e) <= 0}
@@ -866,17 +884,42 @@ def log_series(f):
     h = f - 1
     if h.terms and h.q_order is None:
         raise BadConstantTerm("log of an exact series is infinite; set a truncation order")
+    window = f.window
+    if window is not None and not window.floored:
+        raise WindowUnderflow("log of a p-windowed series needs a known floor")
     target = h.q_order
-    acc = Series.zero(f.frame, target, f.window)
-    term = Series.one(f.frame, target, f.window)
-    n = 1
-    while term.terms:
-        term = (term * h).with_q_order(target)
-        if not term.terms:
-            break
-        acc = acc + term * rat((-1) ** (n + 1), n)
-        n += 1
-    return acc
+    if not h.terms:
+        return Series.zero(frame, target, window)
+    # F - 1 grouped by scaled weight, every weight > 0
+    hs = {}
+    for e, c in h.terms.items():
+        hs.setdefault(frame.weight_scaled(e), {})[e] = c
+    wmin = min(hs)
+    bn, bd = _bounds(frame, target)
+    pi, lo, hi = -1, 0, 0
+    if window is not None:
+        # at most n factors of F - 1 fit below the truncation order
+        n = (bn - 1) // (wmin * bd)
+        pi, lo, hi = frame.p_index, n * window.lo, window.hi
+        window = Window(lo + window.lo, hi + lo, True)
+    neg_dl = []  # (l, -(DL)_l) for every nonempty slice, ascending in l
+    terms = {}
+    for W in range(wmin, (bn - 1) // bd + 1):
+        acc = {e: W * c for e, c in hs.get(W, {}).items()}
+        for l, dl in neg_dl:
+            if l > W - wmin:
+                break
+            fs = hs.get(W - l)
+            if fs:
+                a, b = (dl, fs) if len(dl) <= len(fs) else (fs, dl)
+                madd(acc, a, b, frame.wnum, bn, bd, pi, lo, hi)
+        if acc:
+            neg_dl.append((W, {e: -c for e, c in acc.items()}))
+            inv = rat(1, W)
+            for e, c in acc.items():
+                if pi < 0 or e[pi] <= window.hi:
+                    terms[e] = c * inv
+    return Series(frame, terms, target, window, _clean=True)
 
 
 def adams(f, k):

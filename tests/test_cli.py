@@ -3,7 +3,8 @@ import subprocess
 import sys
 
 from enrq import cli
-from enrq.cli import main
+from enrq.cli import SERIES_IDS, main
+from enrq.ring import LinExpr, is_rational
 from enrq.series import Series
 
 BETTI_RECORDS = [
@@ -46,8 +47,6 @@ class TestExpand:
         assert code == 2 and "unknown series id" in err
 
     def test_every_series_id_expands(self, capsys):
-        from enrq.cli import SERIES_IDS
-
         for name in SERIES_IDS:
             code, out, _ = run(["expand", name, "--q-order", "4"], capsys)
             assert code == 0
@@ -94,10 +93,53 @@ class TestExpand:
         monkeypatch.setattr(Series, "loads", refuse)
         assert run(argv, capsys)[1] == fresh
 
+    def test_no_float_reaches_a_coefficient(self, capsys, monkeypatch):
+        built = []
+        build = cli._build_series
+
+        def keep(name, args):
+            built.append(build(name, args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_build_series", keep)
+        for name in SERIES_IDS:
+            assert run(["expand", name, "--q-order", "3"], capsys)[0] == 0
+        assert len(built) == len(SERIES_IDS)
+        for series in built:
+            for c in series.terms.values():
+                parts = [c.const, *c.terms.values()] if isinstance(c, LinExpr) else [c]
+                for x in parts:
+                    assert is_rational(x), (series, c)
+
     def test_negative_p_window_spellings(self, capsys):
         spaced = run(["expand", "pt-fiber-full", "--q-order", "3", "--p-window", "-6:6"], capsys)
         joined = run(["expand", "pt-fiber-full", "--q-order", "3", "--p-window=-6:6"], capsys)
         assert spaced == joined and spaced[0] == 0
+
+
+class TestParserReuse:
+    SESSION = [
+        ["expand", "pt-fiber", "--q-order", "3"],
+        ["tables", "--d", "0:1", "--q-order", "3", "--format", "csv"],
+        ["expand", "pt-fiber-full", "--q-order", "2", "--p-window", "-4:4"],
+        ["check", "--checks", "toda-vs-prop", "--q-order", "4"],
+        ["expand", "bogus-id"],
+        ["tables", "--d", "-1:2"],
+        ["expand", "ky-logZ", "--q-order", "1/2"],
+        ["tables", "--format", "json", "--d", "1", "--q-order", "2"],
+        ["check", "--checks", "nope"],
+        ["expand", "pt-fiber", "--q-order", "abc"],
+        ["expand", "keyeq-rhs1", "--q-order", "3"],
+    ]
+
+    def test_shared_parser_matches_fresh_parser(self, capsys):
+        shared = [run(argv, capsys) for argv in self.SESSION]
+        fresh = []
+        for argv in self.SESSION:
+            cli._parser.cache_clear()
+            fresh.append(run(argv, capsys))
+        assert shared == fresh
+        assert {code for code, _, _ in shared} == {0, 2}
 
 
 class TestUsageErrors:

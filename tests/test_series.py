@@ -25,9 +25,11 @@ from enrq.series import (
     OffLattice,
     OutsideValidWindow,
     Series,
+    SeriesError,
     TruncationLoss,
     Window,
     WindowUnderflow,
+    agree,
     divide_exact,
     exp_series,
     log_series,
@@ -134,6 +136,35 @@ class TestInvert:
             f = f + rng.choice((1, 2, -1))
             inv = f.invert()
             assert_agree(f * inv, Series.one(FRAME_QP, q_order=inv.q_order))
+            if len(f.terms) > 1:
+                assert_identical(inv, invert_oracle(f))
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    @pytest.mark.parametrize("q_order", [8, 16, 24])
+    def test_eta_power_matches_oracle(self, scale, q_order):
+        f = qfunc.eta(scale, q_order) ** 4
+        assert_identical(f.invert(), invert_oracle(f))
+
+
+def invert_oracle(f):
+    """Reference for Series.invert on a non-monomial unit-led truncated series.
+
+    This is the Neumann loop ``sum (-h)^n`` with ``h = f/lead - 1`` that
+    ``divide_exact`` replaced; it is kept here only as the oracle the
+    equivalence tests compare against.
+    """
+    frame = f.frame
+    w0s = min(map(frame.weight_scaled, f.terms))
+    (e0, c0), = [(e, c) for e, c in f.terms.items() if frame.weight_scaled(e) == w0s]
+    inv_mono = Series(frame, {tuple(-x for x in e0): rat(1) / c0}, None, None, _clean=True)
+    h = f * inv_mono - 1
+    target = h.q_order
+    acc = Series.one(frame, target)
+    p = acc
+    while p.terms:
+        p = (p * (-h)).with_q_order(target)
+        acc = acc + p
+    return acc * inv_mono
 
 
 class TestDivideExact:
@@ -466,6 +497,181 @@ class TestProductExpandWindows:
     def test_rejected_windows(self, window, factors):
         with pytest.raises(WindowUnderflow):
             product_expand(FRAME_QP, factors, 4, window)
+
+
+def log_series_oracle(f):
+    """Reference for log_series: the power series ``sum (-1)^(n+1) h^n / n``, h = F - 1.
+
+    This is the loop of windowed sparse products the Euler recurrence
+    replaced; it is kept here only as the oracle the equivalence tests
+    compare against.
+    """
+    frame = f.frame
+    zero_exp = frame.zero_exp()
+    lead = {e: c for e, c in f.terms.items() if frame.weight_scaled(e) <= 0}
+    if lead != {zero_exp: rat(1)} and lead != {zero_exp: 1}:
+        raise BadConstantTerm("log argument must have constant slice 1")
+    h = f - 1
+    if h.terms and h.q_order is None:
+        raise BadConstantTerm("log of an exact series is infinite; set a truncation order")
+    target = h.q_order
+    acc = Series.zero(f.frame, target, f.window)
+    term = Series.one(f.frame, target, f.window)
+    n = 1
+    while term.terms:
+        term = (term * h).with_q_order(target)
+        if not term.terms:
+            break
+        acc = acc + term * rat((-1) ** (n + 1), n)
+        n += 1
+    return acc
+
+
+def _random_log_argument(rng, frame, window=None):
+    """1 + random terms of positive weight: half-integer q, rational and int coefficients."""
+    q_order = Fraction(rng.randint(3, 8), 2)
+    terms = {frame.zero_exp(): rng.choice((1, rat(1)))}
+    for _ in range(rng.randint(1, 6)):
+        e = []
+        for name, den in zip(frame.names, frame.denoms):
+            if name == "q":
+                e.append(12 * rng.randint(1, int(2 * q_order) - 1))
+            elif name == "p" and window is not None:
+                e.append(rng.randint(window.lo, window.hi + 2))
+            else:
+                e.append(rng.randint(-3, 3))
+        c = rng.choice((rng.randint(-3, 3), rat(rng.randint(-4, 4), rng.choice((2, 3)))))
+        if c:
+            terms[tuple(e)] = c
+    return Series(frame, terms, q_order, window)
+
+
+def _smooth_curve_log_argument():
+    """The floored lo < 0 input of the smooth-curve GV extraction (genus 2)."""
+    g, order = 2, 12
+    C = enriques.smooth_curve_pt_series(g, order)
+    terms = {(24, ep, eu): c for (ep, eu), c in C.terms.items()}
+    terms[(0, 0, 0)] = rat(1)
+    return Series(FRAME_QPU, terms, 2, Window(2 * (1 - g), 2 * (order - g), True))
+
+
+class TestLogSeriesOracle:
+    def test_random_inputs(self, rng):
+        for frame in (FRAME_QP, FRAME_QPU):
+            for window in (None, Window(0, 0, True), Window(0, 3, True), Window(0, 8, True)):
+                for _ in range(15):
+                    f = _random_log_argument(rng, frame, window)
+                    assert_identical(log_series(f), log_series_oracle(f))
+
+    def test_edge_cases(self):
+        q = mono(FRAME_QP, {"q": 1})
+        cases = [
+            Series.one(FRAME_QP),
+            Series.one(FRAME_QP, q_order=3),
+            Series.one(FRAME_QP, q_order=3, window=Window(-4, 6, True)),
+            Series.one(FRAME_QP, window=Window(0, 6, True)),
+            (1 + q).with_q_order(1),
+            (1 + q).with_q_order(Fraction(7, 3)),
+            (1 + mono(FRAME_QP, {"q": 3})).with_q_order(3),
+        ]
+        for f in cases:
+            assert_identical(log_series(f), log_series_oracle(f))
+
+    def test_symbol_carrying_inputs(self):
+        b, c = betti_symbol(1, 2), betti_symbol(2, 3)
+        cases = [
+            1 + mono(FRAME_QPU, {"q": 1}) + Series.const(FRAME_QPU, b) * mono(FRAME_QPU, {"q": 2}),
+            1
+            + mono(FRAME_QPU, {"q": 1, "p": 1}, rat(1, 2))
+            + mono(FRAME_QPU, {"q": 2, "u": -1}, 3)
+            + Series.const(FRAME_QPU, 2 + b - c) * mono(FRAME_QPU, {"q": Fraction(5, 2), "u": 1}),
+        ]
+        for f in cases:
+            for window in (None, Window(0, 4, True)):
+                f = Series(f.frame, f.terms, 3, window)
+                got = log_series(f)
+                assert got.has_symbols()
+                assert_identical(got, log_series_oracle(f))
+
+    @pytest.mark.parametrize("q_order", [4, 5, 6])
+    def test_betti_realized_fiber_series(self, q_order):
+        Z = enriques.pt_fiber_full(q_order, Window(-20, 20, False))
+        Zb = enriques.betti_realization(Z)
+        assert_identical(log_series(Zb), log_series_oracle(Zb))
+
+    @pytest.mark.parametrize("q_order", [4, 5])
+    def test_fiber_series(self, q_order):
+        Z = enriques.pt_fiber_full(q_order, Window(-20, 20, False))
+        assert_identical(log_series(Z), log_series_oracle(Z))
+
+    def test_smooth_curve_input(self):
+        f = _smooth_curve_log_argument()
+        assert_identical(log_series(f), log_series_oracle(f))
+
+    def test_floors_below_zero(self, rng):
+        identical = narrowed = 0
+        for frame in (FRAME_QP, FRAME_QPU):
+            for lo in (-2, -4):
+                for _ in range(25):
+                    f = _random_log_argument(rng, frame, Window(lo, rng.randint(0, 8), True))
+                    got, ref = log_series(f), log_series_oracle(f)
+                    if got.terms == ref.terms and got.window == ref.window:
+                        assert_identical(got, ref)
+                        identical += 1
+                        continue
+                    # a windowed power vanished early: the loop kept a wider window
+                    assert got.q_order == ref.q_order and got.window.floored
+                    assert got.window.lo <= ref.window.lo and got.window.hi < ref.window.hi
+                    assert_agree(got, ref)
+                    narrowed += 1
+        assert identical and narrowed
+
+    def test_widening_agrees(self, rng):
+        for frame in (FRAME_QP, FRAME_QPU):
+            for lo in (0, -2, -4):
+                for _ in range(10):
+                    hi = rng.randint(0, 8)
+                    wide = _random_log_argument(rng, frame, Window(lo, hi + 8, True))
+                    narrow = wide.with_window(Window(lo, hi, True))
+                    got, ref = log_series(narrow), log_series(wide)
+                    if lo == 0:
+                        assert got.window == Window(0, hi, True)
+                    assert_agree(got, ref)
+
+    def test_early_vanishing_power_narrows_the_window(self):
+        # log(1 + q p^(1/2)) = q p^(1/2) - q^2 p / 2 + ...; on the floor
+        # [-2, 4] the square is cut at p <= 0, so the loop stops after one
+        # power and claims a window up to p^1, where it misses -q^2 p / 2.
+        f = Series(FRAME_QP, {(0, 0): rat(1), (24, 1): rat(1)}, 3, Window(-2, 4, True))
+        got = log_series(f)
+        assert got.window == Window(-6, 0, True) and not got.terms
+        truth = log_series(Series(FRAME_QP, f.terms, 3))
+        assert truth.terms[(48, 2)] == rat(-1, 2)
+        wide = log_series(Series(FRAME_QP, f.terms, 3, Window(-2, 12, True)))
+        assert wide.window == Window(-6, 8, True)
+        assert_agree(got, truth)
+        assert_agree(wide, truth)
+        assert log_series_oracle(f).window == Window(-4, 2, True)
+        assert not agree(log_series_oracle(f), truth)[0]
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            mono(FRAME_Q, {"q": 1}, q_order=3),
+            Series.const(FRAME_Q, 2, q_order=3) + mono(FRAME_Q, {"q": 1}),
+            Series.one(FRAME_QP, q_order=3) + mono(FRAME_QP, {"p": 1}),
+            Series.one(FRAME_Q, q_order=3) + mono(FRAME_Q, {"q": -1}),
+            Series.one(FRAME_Q) + mono(FRAME_Q, {"q": 1}),
+            Series(FRAME_QP, {(0, 0): rat(1), (24, 2): rat(1)}, 3, Window(-4, 4, False)),
+            Series.one(FRAME_QP, q_order=3, window=Window(-4, 4, False)),
+            Series.one(FRAME_QP, q_order=3, window=Window(0, 4, False)),
+        ],
+    )
+    def test_rejected_inputs(self, f):
+        with pytest.raises(SeriesError) as ref:
+            log_series_oracle(f)
+        with pytest.raises(type(ref.value)):
+            log_series(f)
 
 
 class TestWeightedFrames:
