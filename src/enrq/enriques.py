@@ -15,7 +15,7 @@ from math import comb, gcd
 
 from .config import hodge_inputs, parse_hodge
 from .qfunc import plethystic_exp, plethystic_log, quantum_integer
-from .ring import rat
+from .ring import qdiv, rat
 from .series import (
     FRAME_P0,
     FRAME_PU,
@@ -95,7 +95,7 @@ def hodge_chi(hodge, frame=FRAME_TS):
     acc = {}
     for (p, q), h in hodge.items():
         e = frame.exps({"t": p, "s": q})
-        acc[e] = acc.get(e, rat(0)) + rat((-1) ** (p + q) * h)
+        acc[e] = acc.get(e, 0) + (-1) ** ((p + q) % 2) * h
     return Series(frame, acc)
 
 
@@ -105,7 +105,7 @@ def chi_vir(hodge, dim, frame=FRAME_TS):
     The sign is (-(ts)^(1/2))^(-dim), the Hodge realization of the canonical
     square root of the Lefschetz motive.
     """
-    shift = Series.monomial(frame, {"t": Fraction(-dim, 2), "s": Fraction(-dim, 2)}, rat((-1) ** dim))
+    shift = Series.monomial(frame, {"t": Fraction(-dim, 2), "s": Fraction(-dim, 2)}, (-1) ** (dim % 2))
     return hodge_chi(hodge, frame) * shift
 
 
@@ -259,7 +259,7 @@ class DTValue:
     def euler(self):
         num = self.num.specialize({"t": 1, "s": 1}).coeff({})
         den = self.den.specialize({"t": 1, "s": 1}).coeff({})
-        return num / den
+        return qdiv(num, den)
 
     def same_as(self, other):
         return self.num * other.den == other.num * self.den
@@ -281,13 +281,13 @@ def dt_fiber(r, d):
     if d % r:
         return DTValue(Series.zero(FRAME_TS))
     if r % 2:
-        return DTValue(Series.const(FRAME_TS, rat(8, r)), quantum_integer(r))
+        return DTValue(Series.const(FRAME_TS, qdiv(8, r)), quantum_integer(r))
     half = Fraction(r, 2)
     num = (
         Series.monomial(FRAME_TS, {"t": -half, "s": -half})
         - 2
         + Series.monomial(FRAME_TS, {"t": half, "s": half})
-    ) * rat(-2, r)
+    ) * qdiv(-2, r)
     return DTValue(num, quantum_integer(r))
 
 
@@ -316,7 +316,7 @@ def bps_to_dt(omega_table, key):
         if sub not in omega_table:
             raise MissingDivisor(f"no Omega value for {sub}")
         om = omega_table[sub]
-        term = DTValue(om.num.adams(k), om.den.adams(k) * quantum_integer(k) * rat(k))
+        term = DTValue(om.num.adams(k), om.den.adams(k) * quantum_integer(k) * k)
         acc = acc + term
     return acc
 
@@ -358,7 +358,7 @@ def assemble_pt_from_dt(dt_table, q_order, window=None, frame=FRAME_QPUTS, euler
             factor = val.cleared(Series.const(val.num.frame, n + r))
         else:
             factor = val.cleared(quantum_integer(n + r))
-        factor = factor * rat((-1) ** (r - 1))
+        factor = factor * (-1) ** ((r - 1) % 2)
         factor = factor.embed(frame)
         exps = [n] if (n == 0 or r == 0) else [n, -n]
         for pexp in exps:
@@ -389,13 +389,13 @@ def quantum_sum_prefactor(q_order, window, frame=FRAME_QPUTS, euler=False):
         base = [0] * frame.nvars
         base[pi] = 2 * m
         if euler:
-            terms[tuple(base)] = rat(-m)
+            terms[tuple(base)] = -m
         else:
             it, ist = frame.index["t"], frame.index["s"]
             for j in range(m):
                 e = list(base)
                 e[it] = e[ist] = 2 * j - (m - 1)
-                terms[tuple(e)] = rat(-1)
+                terms[tuple(e)] = -1
         m += 1
     return Series(frame, terms, q_order, Window(2, window.hi, True), _clean=True)
 
@@ -418,7 +418,7 @@ def rank0_dt(d, n, euler=False):
     for k in _divisors(gcd(d, n)):
         dk = d // k
         prim = e_vir * 8 if dk % 2 else q_vir
-        den = quantum_integer(k) * rat(k) if not euler else Series.const(FRAME_TS, k * k)
+        den = quantum_integer(k) * k if not euler else Series.const(FRAME_TS, k * k)
         acc = acc + DTValue(prim.adams(k), den)
     return acc
 
@@ -556,18 +556,18 @@ def gv_fiber_closed(d):
     -u^2 p - u^2/p - 8u - 2p + 24 - 2/p - 8/u - p/u^2 - 1/(p u^2).
     """
     if d % 2:
-        terms = {(-2, 0): rat(-8), (0, 0): rat(16), (2, 0): rat(-8)}
+        terms = {(-2, 0): -8, (0, 0): 16, (2, 0): -8}
     else:
         terms = {
-            (2, 4): rat(-1),
-            (-2, 4): rat(-1),
-            (0, 2): rat(-8),
-            (2, 0): rat(-2),
-            (0, 0): rat(24),
-            (-2, 0): rat(-2),
-            (0, -2): rat(-8),
-            (2, -4): rat(-1),
-            (-2, -4): rat(-1),
+            (2, 4): -1,
+            (-2, 4): -1,
+            (0, 2): -8,
+            (2, 0): -2,
+            (0, 0): 24,
+            (-2, 0): -2,
+            (0, -2): -8,
+            (2, -4): -1,
+            (-2, -4): -1,
         }
     return GVPolynomial(Series(FRAME_PU0, terms))
 
@@ -579,7 +579,7 @@ def gv_to_ph_grid(gv):
         if ep % 2 or eu % 2:
             raise ValueError("grid extraction needs integer exponents")
         i, j = ep // 2, eu // 2
-        grid[(i, j)] = rat((-1) ** (i + j)) * c
+        grid[(i, j)] = (-1) ** ((i + j) % 2) * c
     return grid
 
 
@@ -592,7 +592,7 @@ def _gv_basis(g):
     """(-p)^{-g} (1-p)^{2g} as a Series in p alone."""
     terms = {}
     for j in range(2 * g + 1):
-        terms[(2 * (j - g),)] = rat((-1) ** ((g + j) % 2) * comb(2 * g, j))
+        terms[(2 * (j - g),)] = (-1) ** ((g + j) % 2) * comb(2 * g, j)
     return Series(FRAME_P0, terms)
 
 
@@ -614,18 +614,18 @@ def ng_from_gv(poly, basis="standard"):
     coeffs = {}
     gmax = max((abs(e[0]) // 2 for e in rem), default=0)
     for g in range(gmax, 0, -1):
-        c = rem.get((-2 * g,), rat(0)) * rat((-1) ** (g % 2))
+        c = rem.get((-2 * g,), 0) * (-1) ** (g % 2)
         if c:
             coeffs[g] = c
             for e, bc in _gv_basis(g).terms.items():
-                v = rem.get(e, rat(0)) - c * bc
+                v = rem.get(e, 0) - c * bc
                 if v:
                     rem[e] = v
                 else:
                     rem.pop(e, None)
     if set(rem) - {(0,)}:
         raise NotInBasisSpan("nonconstant remainder after extracting every genus")
-    c0 = rem.get((0,), rat(0))
+    c0 = rem.get((0,), 0)
     if basis == "standard":
         if c0:
             coeffs[0] = c0
@@ -633,7 +633,7 @@ def ng_from_gv(poly, basis="standard"):
     if basis == "logz":
         shifted = {g + 1: c for g, c in coeffs.items()}
         if c0:
-            shifted[1] = shifted.get(1, rat(0)) + c0
+            shifted[1] = shifted.get(1, 0) + c0
         return {g: c for g, c in shifted.items() if c}
     raise ValueError(f"unknown basis {basis!r}")
 
@@ -689,7 +689,7 @@ def smooth_curve_pt_series(g, order):
     order = int(order)
     frame = FRAME_PU
     q_order = Fraction(1 - g + order)
-    sign = rat((-1) ** ((1 - g) % 2))
+    sign = (-1) ** ((1 - g) % 2)
     terms = {}
     for n in range(order):
         bet = [0] * (2 * n + 1)
@@ -700,9 +700,9 @@ def smooth_curve_pt_series(g, order):
         for k, bk in enumerate(bet):
             if not bk:
                 continue
-            coeff = sign * rat((-1) ** (k % 2) * bk)
+            coeff = sign * (-1) ** (k % 2) * bk
             e = frame.exps({"p": 1 - g + n, "u": k - n})
-            terms[e] = terms.get(e, rat(0)) + coeff
+            terms[e] = terms.get(e, 0) + coeff
     return Series(frame, {e: c for e, c in terms.items() if c}, q_order)
 
 
@@ -716,7 +716,7 @@ def smooth_curve_pt_closed(g, order):
         [({"p": 1}, 2 * g), ({"p": 1, "u": -1}, -1), ({"p": 1, "u": 1}, -1)],
         Fraction(order) + 1,
     )
-    mono = Series.monomial(frame, {"p": 1 - g}, rat((-1) ** ((1 - g) % 2)))
+    mono = Series.monomial(frame, {"p": 1 - g}, (-1) ** ((1 - g) % 2))
     return (inner * mono).with_q_order(q_order)
 
 

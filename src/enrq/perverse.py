@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .config import betti_defaults
 from .qfunc import eta, inv_theta_pair, quantum_integer, theta, theta_pair
-from .ring import LinExpr, betti_symbol, coeff_to_json, rat
+from .ring import LinExpr, betti_symbol, coeff_to_json, qdiv, rat
 from .series import (
     FRAME_Q,
     FRAME_QPU,
@@ -61,9 +61,9 @@ class BettiTable:
     """
 
     def __init__(self, complete=None, prefixes=None):
-        self.complete = {int(d): [rat(b) for b in v] for d, v in (complete or {}).items()}
+        self.complete = {int(d): [_exact(b) for b in v] for d, v in (complete or {}).items()}
         self.prefixes = {
-            (None if d is None else int(d)): [rat(b) for b in v]
+            (None if d is None else int(d)): [_exact(b) for b in v]
             for d, v in (prefixes or {}).items()
         }
         for d, vec in self.complete.items():
@@ -92,7 +92,7 @@ class BettiTable:
     def entry(self, d, i):
         """b_i of the degree-d space: a rational or a symbol (duality applied)."""
         if i < 0 or i > 4 * d + 2:
-            return rat(0)
+            return 0
         ii = min(i, 4 * d + 2 - i)
         if d in self.complete:
             return self.complete[d][i]
@@ -112,7 +112,7 @@ class BettiTable:
         terms = {}
         for i in range(4 * d + 3):
             b = self.entry(d, i)
-            c = b * rat((-1) ** (i % 2))
+            c = -b if i % 2 else b
             if not c:
                 continue
             e = [0] * frame.nvars
@@ -121,6 +121,12 @@ class BettiTable:
             prev = terms.get(key)
             terms[key] = c if prev is None else prev + c
         return Series(frame, terms, None, None, _clean=True)
+
+
+def _exact(b):
+    """A Betti number as an int when integral, else an exact rational."""
+    b = rat(b)
+    return int(b) if b.denominator == 1 else b
 
 
 def _betti_q_sum(betti, q_order, frame):
@@ -138,21 +144,25 @@ def _betti_q_sum(betti, q_order, frame):
 
 # -- the two terms of the central identity -----------------------------------
 
+def _main_prefactor(frame):
+    """(1-p/u)(1-up)/(-p) = -1/p + u + 1/u - p."""
+    return Series(
+        frame,
+        {
+            frame.exps({"p": -1}): -1,
+            frame.exps({"u": 1}): 1,
+            frame.exps({"u": -1}): 1,
+            frame.exps({"p": 1}): -1,
+        },
+        _clean=True,
+    )
+
+
 def ph_main_term(q_order, frame=FRAME_QPU):
     """(1-p/u)(1-up)/(-p) prod_m (1-q^m)^{-8}
     prod_{m odd} [(1-u^{-2}q^m)(1-u^2 q^m)(1-upq^m)(1-up^{-1}q^m)
                   (1-u^{-1}pq^m)(1-u^{-1}p^{-1}q^m)(1-q^m)^2]^{-1}."""
     q_order = Fraction(q_order)
-    pref = Series(
-        frame,
-        {
-            frame.exps({"p": -1}): rat(-1),
-            frame.exps({"u": 1}): rat(1),
-            frame.exps({"u": -1}): rat(1),
-            frame.exps({"p": 1}): rat(-1),
-        },
-        _clean=True,
-    )
     factors = []
     m = 1
     while m < q_order:
@@ -166,7 +176,7 @@ def ph_main_term(q_order, frame=FRAME_QPU):
             factors.append(({"q": m, "u": -1, "p": -1}, -1))
             factors.append(({"q": m}, -2))
         m += 1
-    return pref * product_expand(frame, factors, q_order)
+    return _main_prefactor(frame) * product_expand(frame, factors, q_order)
 
 
 def _jacobi_core(q_order, frame, eta_prefactor=True):
@@ -190,17 +200,8 @@ def ph_main_term_jacobi(q_order, frame=FRAME_QPU, eta_prefactor=True):
     inexact division on the way) signals a wrong theta/eta convention.
     """
     q_order = Fraction(q_order)
-    pref = Series(
-        frame,
-        {
-            frame.exps({"p": -1}): rat(-1),
-            frame.exps({"u": 1}): rat(1),
-            frame.exps({"u": -1}): rat(1),
-            frame.exps({"p": 1}): rat(-1),
-        },
-        _clean=True,
-    )
-    return (pref * _jacobi_core(q_order, frame, eta_prefactor)).with_q_order(q_order)
+    core = _jacobi_core(q_order, frame, eta_prefactor)
+    return (_main_prefactor(frame) * core).with_q_order(q_order)
 
 
 def ph_betti_term(betti, q_order, frame=FRAME_QPU):
@@ -232,7 +233,7 @@ class PerverseTable:
         self.entries = dict(entries)
 
     def entry(self, i, j):
-        return self.entries.get((i, j), rat(0))
+        return self.entries.get((i, j), 0)
 
     def is_unknown(self, i, j):
         return isinstance(self.entry(i, j), LinExpr)
@@ -292,7 +293,7 @@ def grid_to_markdown(entries, rows, cols):
     lines = ["| i\\j | " + " | ".join(str(j) for j in cols) + " |"]
     lines.append("| --- |" + " --- |" * len(list(cols)))
     for i in rows:
-        cells = [_cell(entries.get((i, j), rat(0))) for j in cols]
+        cells = [_cell(entries.get((i, j), 0)) for j in cols]
         lines.append(f"| {i} | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
@@ -301,12 +302,28 @@ def grid_to_csv(entries, rows, cols):
     lines = ["i,j,value"]
     for i in rows:
         for j in cols:
-            v = entries.get((i, j), rat(0))
+            v = entries.get((i, j), 0)
             if isinstance(v, LinExpr):
                 lines.append(f"{i},{j},?")
             elif v:
                 lines.append(f"{i},{j},{v}")
     return "\n".join(lines) + "\n"
+
+
+def _identity_terms(betti, q_order, main, second):
+    """Betti table, main term and Betti term, each built only when not given."""
+    betti = betti or BettiTable.default()
+    if main is None:
+        main = ph_main_term(q_order)
+    if second is None:
+        second = ph_betti_term(betti, q_order)
+    return betti, main, second
+
+
+def _degree_slice(d, betti, q_order, main, second):
+    """The q^d slice of main - second, taken from each term before subtracting."""
+    _, main, second = _identity_terms(betti, q_order, main, second)
+    return main.coefficient({"q": d}) - second.coefficient({"q": d})
 
 
 def perverse_table(d, betti=None, q_order=None, main=None, second=None):
@@ -315,25 +332,18 @@ def perverse_table(d, betti=None, q_order=None, main=None, second=None):
     entry(i, j) = (-1)^{i+j} [coefficient of p^i u^j q^d in main - second];
     cells are Determined exactly when no Betti symbol survives.
     """
-    betti = betti or BettiTable.default()
     if q_order is None:
         q_order = d + 1
     if Fraction(q_order) <= d:
         raise ValueError(f"q_order {q_order} does not cover degree {d}")
-    if main is None:
-        main = ph_main_term(q_order)
-    if second is None:
-        second = ph_betti_term(betti, q_order)
-    diff = (main - second).coefficient({"q": d})
+    diff = _degree_slice(d, betti, q_order, main, second)
     entries = {}
     for (ep, eu), c in diff.terms.items():
         if ep % 2 or eu % 2:
             raise ValueError("stray fractional exponent in a table slice")
         i, j = ep // 2, eu // 2
         if abs(i) <= d + 1 and abs(j) <= d:
-            v = rat((-1) ** ((i + j) % 2)) * c
-            if v:
-                entries[(i, j)] = v
+            entries[(i, j)] = -c if (i + j) % 2 else c
     return PerverseTable(d, entries)
 
 
@@ -344,14 +354,9 @@ def support_report(d, betti=None, q_order=None, main=None, second=None):
     reported as an implied constraint: consistency of the identity forces the
     symbol to the value making the cell vanish.
     """
-    betti = betti or BettiTable.default()
     if q_order is None:
         q_order = d + 1
-    if main is None:
-        main = ph_main_term(q_order)
-    if second is None:
-        second = ph_betti_term(betti, q_order)
-    diff = (main - second).coefficient({"q": d})
+    diff = _degree_slice(d, betti, q_order, main, second)
     violations = []
     implied = {}
     conflicts = []
@@ -362,7 +367,7 @@ def support_report(d, betti=None, q_order=None, main=None, second=None):
         if isinstance(c, LinExpr):
             if len(c.terms) == 1:
                 (sym, coef), = c.terms.items()
-                value = -c.const / coef
+                value = qdiv(-c.const, coef)
                 if sym in implied and implied[sym] != value:
                     conflicts.append((sym, implied[sym], value))
                 implied[sym] = value
@@ -386,50 +391,37 @@ def omega_half_integral_series(q_order, frame=FRAME_QPUTS):
         factors.append(({"q": n, "t": 1, "s": 1}, -1))
         n += 1
     prod = product_expand(frame, factors, inner_order)
-    return prod * Series.monomial(frame, {"q": Fraction(-1, 2)}, rat(8))
+    return prod * Series.monomial(frame, {"q": Fraction(-1, 2)}, 8)
 
 
 def omega_integral_series(betti, q_order, frame=FRAME_QPUTS):
     """sum_d Omega_d q^d with Omega_d = 8 (-u)^{-(2d+1)} sum_i b_{i,d} (-u)^i."""
-    return _betti_q_sum(betti, q_order, frame) * rat(-8)
+    return _betti_q_sum(betti, q_order, frame) * -8
 
 
 def _qi(n, frame):
     return quantum_integer(n).embed(frame)
 
 
-def _bracket_odd(q_order_ext, frame):
-    """sum_{r odd} ([r] q^{r^2/2} + sum_{n>=1} [n+r](p^n + p^{-n}) q^{rn+r^2/2})."""
-    acc = Series.zero(frame, q_order_ext)
-    r = 1
-    while Fraction(r * r, 2) < q_order_ext:
-        acc = acc + _qi(r, frame) * Series.monomial(
-            frame, {"q": Fraction(r * r, 2)}, q_order=q_order_ext
-        )
-        n = 1
-        while Fraction(r * r, 2) + r * n < q_order_ext:
-            mono = Series.monomial(frame, {"q": Fraction(r * r, 2) + r * n, "p": n}, q_order=q_order_ext)
-            mono = mono + Series.monomial(
-                frame, {"q": Fraction(r * r, 2) + r * n, "p": -n}, q_order=q_order_ext
-            )
-            acc = acc + _qi(n + r, frame) * mono
-            n += 1
-        r += 2
-    return acc
+def _bracket(parity, q_order_ext, frame, window=None):
+    """sum_{r>=1, r = parity mod 2} ([r] q^{r^2/2} + sum_{n>=1} [n+r](p^n + p^{-n}) q^{rn+r^2/2}).
 
-
-def _bracket_even(q_order_ext, window, frame):
-    """sum_{n>=1} [n] p^n + sum_{r even >= 2} ([r] q^{r^2/2} + sum_n [n+r](p^n+p^{-n}) q^{rn+r^2/2})."""
-    terms = {}
-    it, ist, ip = frame.index["t"], frame.index["s"], frame.index["p"]
-    for n in range(1, window.hi // 2 + 1):
-        for j in range(n):
-            e = [0] * frame.nvars
-            e[ip] = 2 * n
-            e[it] = e[ist] = 2 * j - (n - 1)
-            terms[tuple(e)] = rat(1)
-    acc = Series(frame, terms, q_order_ext, Window(2, window.hi, True), _clean=True)
-    r = 2
+    The even bracket (parity 0) starts from the head sum_{n>=1} [n] p^n,
+    cut at the p-window, which makes it p-windowed with support floor p^1.
+    """
+    if parity:
+        acc = Series.zero(frame, q_order_ext)
+    else:
+        terms = {}
+        it, ist, ip = frame.index["t"], frame.index["s"], frame.index["p"]
+        for n in range(1, window.hi // 2 + 1):
+            for j in range(n):
+                e = [0] * frame.nvars
+                e[ip] = 2 * n
+                e[it] = e[ist] = 2 * j - (n - 1)
+                terms[tuple(e)] = 1
+        acc = Series(frame, terms, q_order_ext, Window(2, window.hi, True), _clean=True)
+    r = 2 - parity
     while Fraction(r * r, 2) < q_order_ext:
         acc = acc + _qi(r, frame) * Series.monomial(
             frame, {"q": Fraction(r * r, 2)}, q_order=q_order_ext
@@ -461,7 +453,7 @@ def primitive_pt_forms(betti, q_order, window, frame=FRAME_QPUTS, eta_prefactor=
     oh = omega_half_integral_series(q_order, frame)
     oi = omega_integral_series(betti, q_order, frame)
 
-    form1 = oh * _bracket_odd(ext, frame) - oi * _bracket_even(ext, window, frame)
+    form1 = oh * _bracket(1, ext, frame) - oi * _bracket(0, ext, frame, window)
 
     y = {"t": Fraction(1, 2), "s": Fraction(1, 2)}
     x = {"p": 1}
@@ -480,7 +472,7 @@ def primitive_pt_forms(betti, q_order, window, frame=FRAME_QPUTS, eta_prefactor=
     form2 = oh * th_ts_ratio * first_block - second_term
 
     t3den = (e1**12) * theta({"t": 1, "s": 1}, 1, pad, frame)
-    f3_head = divide_exact(theta({"t": 1, "s": 1}, 2, pad, frame), t3den) * rat(8)
+    f3_head = divide_exact(theta({"t": 1, "s": 1}, 2, pad, frame), t3den) * 8
     form3 = f3_head * first_block - second_term
 
     # truncated(), not with_q_order(): with a tampered eta convention the
@@ -502,7 +494,7 @@ def primitive_betti_display(betti, q_order, window, frame=FRAME_QPU, eta_prefact
     """
     q_order = Fraction(q_order)
     pad = q_order + 1
-    first = _jacobi_core(q_order, frame, eta_prefactor) * rat(8)
+    first = _jacobi_core(q_order, frame, eta_prefactor) * 8
     zm = Series.monomial(frame, {"u": 1}) - Series.monomial(frame, {"u": -1})
     th_ratio = divide_exact(theta({"u": 2}, 2, pad, frame), zm)
     ip2 = inv_theta_pair({"p": 1}, {"u": 1}, 2, q_order, frame, window)
@@ -573,12 +565,8 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
     (c) the main term's shifted coefficients stabilize in d beyond 3(i+j)/4
         and their limits again match the asymptotic series.
     """
-    betti = betti or BettiTable.default()
     q_order = d_hi + 1
-    if main is None:
-        main = ph_main_term(q_order)
-    if second is None:
-        second = ph_betti_term(betti, q_order)
+    betti, main, second = _identity_terms(betti, q_order, main, second)
     diff = main - second
     gf = asymptotic_ph_gf(q_order)
     report = {"shifted": [], "vanishing": [], "stable": [], "ok": True}
@@ -595,7 +583,7 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
                     report["ok"] = False
                     report["shifted"].append({"d": d, "i": i, "j": j, "error": "symbolic"})
                     continue
-                got = rat((-1) ** ((i + j + 1) % 2)) * c
+                got = c if (i + j + 1) % 2 == 0 else -c
                 want = gf.coeff({"x": i, "y": j})
                 ok = got == want
                 report["ok"] &= ok
@@ -623,7 +611,7 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
             vals = []
             for d in range(d_start, d_hi + 1):
                 c = main.coeff({"q": d, "p": i - d - 1, "u": j - d})
-                vals.append(rat((-1) ** ((i + j + 1) % 2)) * c)
+                vals.append(c if (i + j + 1) % 2 == 0 else -c)
             stable = len(set(map(str, vals))) == 1
             match = stable and vals[0] == gf.coeff({"x": i, "y": j})
             report["ok"] &= match
@@ -639,19 +627,15 @@ def extremal_report(d_max, betti=None, main=None, second=None):
     The conjectured pattern for shifted entries (i~, 0) is 1 at even i~ in
     [0, 2d+2] and 0 otherwise.  Unknown cells are reported, never judged.
     """
-    betti = betti or BettiTable.default()
     q_order = d_max + 1
-    if main is None:
-        main = ph_main_term(q_order)
-    if second is None:
-        second = ph_betti_term(betti, q_order)
+    betti, main, second = _identity_terms(betti, q_order, main, second)
     records = []
     for d in range(d_max + 1):
         table = perverse_table(d, betti, q_order, main, second)
         for i in table.rows():
             shifted = i + d + 1
             v = table.entry(i, -d)
-            want = rat(1) if shifted % 2 == 0 else rat(0)
+            want = 1 if shifted % 2 == 0 else 0
             if isinstance(v, LinExpr):
                 status = "unknown"
             else:

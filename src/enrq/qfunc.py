@@ -49,7 +49,7 @@ def quantum_integer(n, frame=FRAME_TS):
     for j in range(n):
         e = [0] * frame.nvars
         e[it] = e[ist] = 2 * j - (n - 1)
-        terms[tuple(e)] = rat(1)
+        terms[tuple(e)] = 1
     return Series(frame, terms, None, None, _clean=True)
 
 
@@ -159,7 +159,7 @@ def inv_theta_pair(x, y, scale, q_order, frame, window):
         for a in range(m):
             b = m - 1 - a
             e = tuple(base[i] + (a - b) * ey[i] for i in range(frame.nvars))
-            terms[e] = terms.get(e, rat(0)) + 1
+            terms[e] = terms.get(e, 0) + 1
         m += 1
     zm_inv = Series(frame, terms, q_order, window)
 

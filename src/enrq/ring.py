@@ -1,11 +1,15 @@
 """Exact coefficient arithmetic for the series engine.
 
-Coefficients are exact rationals (gmpy2.mpq when available, ``Fraction``
-otherwise), optionally extended by formal symbols ``b(d, i)`` standing for
-still-unknown Betti numbers of the degree-``d`` sheaf moduli space.  Only
-affine-linear expressions in the symbols are supported: every identity in
-scope is linear in the unknown Betti numbers, so a genuinely quadratic
-product signals a pipeline bug and raises :class:`SymbolDegreeOverflow`.
+A coefficient is a Python ``int`` while it is integral and an exact rational
+otherwise (gmpy2.mpq when available, ``Fraction`` otherwise), optionally
+extended by formal symbols ``b(d, i)`` standing for still-unknown Betti
+numbers of the degree-``d`` sheaf moduli space.  It is never a float.
+:func:`qdiv` is the only coefficient division: it keeps an exact integer
+quotient an ``int`` and turns an inexact one into a rational, where ``/``
+would give a float.  Only affine-linear expressions in the symbols are
+supported: every identity in scope is linear in the unknown Betti numbers,
+so a genuinely quadratic product signals a pipeline bug and raises
+:class:`SymbolDegreeOverflow`.
 """
 
 from fractions import Fraction
@@ -16,6 +20,7 @@ __all__ = [
     "BettiSymbol",
     "LinExpr",
     "rat",
+    "qdiv",
     "is_rational",
     "as_fraction",
     "betti_symbol",
@@ -50,8 +55,25 @@ def rat(num=0, den=None):
     return _mpq(num)
 
 
-ZERO = rat(0)
-ONE = rat(1)
+def qdiv(a, b):
+    """Exact quotient ``a / b``, never a float.
+
+    Two ints give an ``int`` when ``b`` divides ``a`` and ``rat(a, b)``
+    otherwise.  ``a`` may also be a rational or a :class:`LinExpr` (divided
+    term by term); ``b`` a rational or a symbol-free :class:`LinExpr`.
+    """
+    if isinstance(b, LinExpr):
+        if b.terms:
+            raise SymbolDegreeOverflow("division by a symbol-carrying expression")
+        b = b.const
+    elif not is_rational(b):
+        b = rat(b)
+    if isinstance(a, LinExpr):
+        return _make(qdiv(a.const, b), {s: qdiv(c, b) for s, c in a.terms.items()})
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        return rat(a, b) if rem else quo
+    return a / b
 
 
 def is_rational(x):
@@ -133,7 +155,7 @@ class LinExpr:
         if isinstance(other, LinExpr):
             t = dict(self.terms)
             for s, c in other.terms.items():
-                v = t.get(s, ZERO) + c
+                v = t.get(s, 0) + c
                 if v:
                     t[s] = v
                 else:
@@ -166,17 +188,13 @@ class LinExpr:
         elif not is_rational(other):
             return NotImplemented
         if not other:
-            return ZERO
+            return 0
         return _make(self.const * other, {s: c * other for s, c in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, LinExpr):
-            if other.terms:
-                raise SymbolDegreeOverflow("division by a symbol-carrying expression")
-            other = other.const
-        return self * (ONE / rat(other))
+        return qdiv(self, other)
 
     def substitute(self, values):
         """Evaluate with concrete rationals for every symbol present."""
@@ -205,7 +223,7 @@ class LinExpr:
 
 def betti_symbol(d, i):
     """The symbol b(d, i) as a LinExpr."""
-    return LinExpr(0, {BettiSymbol(d, i): ONE})
+    return LinExpr(0, {BettiSymbol(d, i): 1})
 
 
 def lin_add(a, b):

@@ -1,5 +1,9 @@
 """Truncated multivariate Laurent series over exact coefficients.
 
+Coefficients follow :mod:`enrq.ring`: an ``int`` while integral, otherwise a
+``Fraction``/mpq or a ``LinExpr`` over those, never a float; every
+coefficient division goes through :func:`enrq.ring.qdiv`.
+
 Exponents live on a fixed fractional lattice: each variable has an integer
 denominator (q carries 1/24 steps for eta prefactors, the others 1/2 steps
 for half-integer powers) and exponents are stored scaled by it.  Truncation
@@ -16,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .kernel import madd
-from .ring import LinExpr, coeff_from_json, coeff_to_json, is_rational, rat
+from .ring import LinExpr, coeff_from_json, coeff_to_json, is_rational, qdiv, rat
 
 __all__ = [
     "Frame",
@@ -317,7 +321,7 @@ class Series:
             pe = e[self.frame.p_index]
             if pe > self.window.hi or (not self.window.floored and pe < self.window.lo):
                 raise OutsideValidWindow(f"p-exponent of {mono} outside {self.window!r}")
-        return self.terms.get(e, rat(0))
+        return self.terms.get(e, 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -390,7 +394,10 @@ class Series:
     def __truediv__(self, other):
         if isinstance(other, Series):
             return divide_exact(self, other)
-        return self * (rat(1) / rat(other))
+        other = _coerce_coeff(other)
+        if not other:
+            raise ZeroDivisionError("series divided by zero")
+        return self.map_coeffs(lambda c: qdiv(c, other))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -429,7 +436,13 @@ class Series:
         return Series(self.frame, terms, q_order, window, _clean=True)
 
     def invert(self):
-        """Multiplicative inverse: ``divide_exact(1, self)`` below a unit monomial lead."""
+        """Multiplicative inverse: ``divide_exact(1, self)`` below a unit monomial lead.
+
+        Each coefficient is an ``int`` while integral and otherwise a
+        ``Fraction``/mpq (or a ``LinExpr`` over those), never a float: the
+        inverse of an integer series with lead coefficient +-1, such as
+        ``eta(q)**4``, has only ``int`` coefficients.
+        """
         if self.window is not None:
             raise WindowUnderflow("cannot invert a p-windowed series")
         if not self.terms:
@@ -443,7 +456,7 @@ class Series:
         if isinstance(c0, LinExpr):
             raise NonUnitLeadingTerm("leading coefficient carries symbols")
         if len(self.terms) == 1:
-            inv_mono = {tuple(-x for x in e0): rat(1) / c0}
+            inv_mono = {tuple(-x for x in e0): qdiv(1, c0)}
             if self.q_order is None:
                 return Series(frame, inv_mono, None, None, _clean=True)
             w0 = Fraction(w0s, frame.wden)
@@ -452,8 +465,7 @@ class Series:
             raise NonUnitLeadingTerm(
                 "inverse of a non-monomial exact series is an infinite series; set a truncation order"
             )
-        # a rational 1, so an integer lead never divides into a float
-        return divide_exact(Series.const(frame, rat(1)), self)
+        return divide_exact(Series.one(frame), self)
 
     def specialize(self, mapping):
         """Substitute monomials (or 1) for variables, e.g. {"t": {"u": 1}, "s": {"u": 1}}."""
@@ -778,7 +790,7 @@ def _divide_slice(nslice, dslice, frame):
     if len(dslice) == 1:
         out = {}
         for e, c in nslice.items():
-            out[tuple(e[i] - e0[i] for i in range(frame.nvars))] = c / c0
+            out[tuple(e[i] - e0[i] for i in range(frame.nvars))] = qdiv(c, c0)
         return out
     exps = sorted(dslice)
     e0 = exps[0]
@@ -814,7 +826,7 @@ def _divide_slice(nslice, dslice, frame):
             m = km - kd_max
             if m < m_min:
                 raise InexactDivision("nonzero remainder in an exact variable")
-            qc = nuni[km] / lead
+            qc = qdiv(nuni[km], lead)
             quo[m] = qc
             for k, dcf in duni.items():
                 pos = m + k
@@ -830,7 +842,15 @@ def _divide_slice(nslice, dslice, frame):
 
 
 def exp_series(f):
-    """Ordinary formal exponential; the argument needs strictly positive weights."""
+    """Ordinary formal exponential; the argument needs strictly positive weights.
+
+    Window contract: a floor ``lo < 0`` lets each power of ``f`` lower p by
+    up to |lo|.  With ``N`` the largest n such that ``n * wmin(f)`` is below
+    the truncation order, the result declares ``Window((N+1)*lo, hi + N*lo,
+    True)``, as :func:`log_series` does.  That is the window the power loop
+    reaches at the weight cut; where a windowed power vanishes earlier, the
+    wider window the loop had reached could claim wrong zeros.
+    """
     if f.terms and (f.wmin() or 0) <= 0:
         raise BadConstantTerm("exp argument must have strictly positive weight")
     if f.terms and f.q_order is None:
@@ -845,6 +865,13 @@ def exp_series(f):
             break
         acc = acc + term
         n += 1
+    window = f.window
+    if f.terms and window is not None and window.floored and window.lo < 0:
+        bn, bd = _bounds(f.frame, target)
+        # at most N factors of f fit below the truncation order
+        N = (bn - 1) // (min(map(f.frame.weight_scaled, f.terms)) * bd)
+        window = Window((N + 1) * window.lo, window.hi + N * window.lo, True)
+        acc = Series(f.frame, acc.terms, target, window)
     return acc
 
 
@@ -944,7 +971,7 @@ def product_expand(frame, factors, q_order, window=None):
     where ``DA = -sum e * w(m) * sum_k m^k`` has integer coefficients, so
     every division by W is exact (Brent and Kung, "Fast algorithms for
     manipulating formal power series", J. ACM 25 (1978); Knuth, TAOCP vol. 2,
-    section 4.7).  Coefficients are returned as exact rationals.
+    section 4.7).  Every coefficient of the result is an ``int``.
 
     Window contract: the only accepted p-window is ``Window(0, hi, True)``
     with every kept factor of p-exponent >= 0.  All products then stay at
@@ -1015,7 +1042,7 @@ def product_expand(frame, factors, q_order, window=None):
                     raise InexactDivision(f"Euler recurrence: {c} not divisible by weight {W}")
                 out[e] = quo
             slices[W] = out
-    terms = {e: rat(c) for s in slices.values() for e, c in s.items()}
+    terms = {e: c for s in slices.values() for e, c in s.items()}
     return Series(frame, terms, q_order, window, _clean=True)
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import assert_agree
 from enrq.enriques import (
     DTKey,
+    DTValue,
     MissingDivisor,
     NotInBasisSpan,
     UnstableWindow,
@@ -163,6 +164,13 @@ class TestDTValues:
     def test_missing_divisor(self):
         with pytest.raises(MissingDivisor):
             bps_to_dt({}, DTKey(2, 2, 0))
+
+    def test_euler_value_is_exact(self):
+        # integer numerator and denominator whose quotient is not an integer
+        v = DTValue(Series.const(FRAME_TS, 3), Series.const(FRAME_TS, 2))
+        assert v.euler() == rat(3, 2) and type(v.euler()) is type(rat(3, 2))
+        assert dt_fiber(3, 3).euler() == rat(8, 9)
+        assert dt_fiber(1, 1).euler() == 8 and type(dt_fiber(1, 1).euler()) is int
 
     def test_key_metadata(self):
         k = DTKey(2, 4, 1)

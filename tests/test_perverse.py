@@ -182,6 +182,18 @@ class TestSupport:
         assert not rep["violations"] and not rep["conflicts"]
         assert rep["implied_betti"] == {BettiSymbol(3, 3): 0}
 
+    def test_slicing_before_subtracting_changes_nothing(self, betti):
+        # main - second as the main term and a zero Betti term gives the
+        # old expression (main - second).coefficient({"q": d})
+        main, second = ph_main_term(8), ph_betti_term(betti, 8)
+        diff = main - second
+        zero = Series.zero(FRAME_QPU)
+        for d in range(8):
+            new = perverse_table(d, betti, 8, main, second)
+            old = perverse_table(d, betti, 8, diff, zero)
+            assert new.to_json_dict() == old.to_json_dict()
+            assert support_report(d, betti, 8, main, second) == support_report(d, betti, 8, diff, zero)
+
     def test_structural_p_bound(self, betti, main5, second5):
         diff = main5 - second5
         for d in range(5):

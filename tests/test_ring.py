@@ -13,6 +13,7 @@ from enrq.ring import (
     coeff_to_json,
     lin_add,
     lin_mul,
+    qdiv,
     rat,
 )
 
@@ -21,6 +22,22 @@ def test_rat_construction():
     assert rat(3, 2) == rat("3/2") == rat(Fraction(3, 2))
     assert str(rat(6, 4)) == "3/2"
     assert rat("-7") == -7
+
+
+def test_qdiv_keeps_exact_integer_quotients_int():
+    assert qdiv(6, 3) == 2 and type(qdiv(6, 3)) is int
+    assert qdiv(-6, 4) == rat(-3, 2) and type(qdiv(-6, 4)) is type(rat(1, 2))
+    assert qdiv(rat(3, 2), 3) == rat(1, 2)
+    assert qdiv(3, rat(3, 2)) == 2
+    b = betti_symbol(1, 2)
+    got = qdiv(4 + 6 * b, 2)
+    assert got == 2 + 3 * b and type(got.const) is int and type(got.terms[BettiSymbol(1, 2)]) is int
+    assert qdiv(1 + b, LinExpr(2)) == LinExpr(rat(1, 2), {BettiSymbol(1, 2): rat(1, 2)})
+    assert (3 * b) / 2 == qdiv(3 * b, 2)
+    with pytest.raises(SymbolDegreeOverflow):
+        qdiv(1, 1 + b)
+    with pytest.raises(ZeroDivisionError):
+        qdiv(1, 0)
 
 
 def test_betti_symbol_range():

@@ -8,7 +8,7 @@ from conftest import assert_agree, random_series
 from enrq import enriques, perverse, qfunc
 from enrq.cli import SERIES_IDS
 from enrq.cli import main as cli_main
-from enrq.ring import betti_symbol, rat
+from enrq.ring import LinExpr, betti_symbol, is_rational, rat
 from enrq.series import (
     FRAME_PU,
     FRAME_Q,
@@ -137,13 +137,13 @@ class TestInvert:
             inv = f.invert()
             assert_agree(f * inv, Series.one(FRAME_QP, q_order=inv.q_order))
             if len(f.terms) > 1:
-                assert_identical(inv, invert_oracle(f))
+                assert_equivalent(inv, invert_oracle(f))
 
     @pytest.mark.parametrize("scale", [1, 2])
     @pytest.mark.parametrize("q_order", [8, 16, 24])
     def test_eta_power_matches_oracle(self, scale, q_order):
         f = qfunc.eta(scale, q_order) ** 4
-        assert_identical(f.invert(), invert_oracle(f))
+        assert_integral_equivalent(f.invert(), invert_oracle(f))
 
 
 def invert_oracle(f):
@@ -171,7 +171,29 @@ class TestDivideExact:
     def test_u_binomial(self):
         num = mono(FRAME_QPU, {"u": 2}) - mono(FRAME_QPU, {"u": -2})
         den = mono(FRAME_QPU, {"u": 1}) - mono(FRAME_QPU, {"u": -1})
-        assert divide_exact(num, den) == mono(FRAME_QPU, {"u": 1}) + mono(FRAME_QPU, {"u": -1})
+        got = divide_exact(num, den)
+        assert got == mono(FRAME_QPU, {"u": 1}) + mono(FRAME_QPU, {"u": -1})
+        assert not any(isinstance(c, float) for c in got.terms.values())
+
+    def test_integer_quotient_stays_int(self):
+        num = Series.monomial(FRAME_QPU, {"u": 2}) - Series.monomial(FRAME_QPU, {"u": -2})
+        den = Series.monomial(FRAME_QPU, {"u": 1}) - Series.monomial(FRAME_QPU, {"u": -1})
+        got = divide_exact(num, den)
+        assert got.terms == {(0, 0, 2): 1, (0, 0, -2): 1}
+        assert all(type(c) is int for c in got.terms.values())
+
+    def test_inexact_integer_quotient_is_rational(self):
+        got = divide_exact(mono(FRAME_Q, {"q": 1}, 3), Series.const(FRAME_Q, 2))
+        (c,) = got.terms.values()
+        assert c == rat(3, 2) and type(c) is type(rat(3, 2))
+
+    def test_scalar_division(self):
+        f = mono(FRAME_Q, {"q": 1}, 4) + mono(FRAME_Q, {"q": 2}, 3)
+        got = f / 2
+        assert got.terms == {(24,): 2, (48,): rat(3, 2)}
+        assert type(got.terms[(24,)]) is int and type(got.terms[(48,)]) is type(rat(3, 2))
+        with pytest.raises(ZeroDivisionError):
+            Series.zero(FRAME_Q) / 0
 
     def test_inexact(self):
         num = Series.one(FRAME_QPU) + mono(FRAME_QPU, {"q": 1})
@@ -288,6 +310,20 @@ class TestExpLog:
         with pytest.raises(BadConstantTerm):
             log_series(mono(FRAME_Q, {"q": 1}, q_order=3))
 
+    def test_early_vanishing_power_narrows_the_window(self):
+        # exp(q p^(1/2)) = 1 + q p^(1/2) + q^2 p / 2 + ...; on the floor
+        # [-2, 4] the square is cut at p <= 0, so the power loop stops after
+        # one power; the window must be the one reached at the weight cut.
+        f = Series(FRAME_QP, {(24, 1): 1}, 3, Window(-2, 4, True))
+        got = exp_series(f)
+        assert got.window == Window(-6, 0, True) and got.terms == {(0, 0): 1}
+        truth = exp_series(Series(FRAME_QP, f.terms, 3))
+        assert truth.terms[(48, 2)] == rat(1, 2)
+        assert_agree(got, truth)
+        wide = exp_series(Series(FRAME_QP, f.terms, 3, Window(-2, 12, True)))
+        assert wide.window == Window(-6, 8, True)
+        assert_agree(wide, truth)
+
     def test_exp_homomorphism(self, rng):
         for _ in range(20):
             f = random_series(rng, FRAME_QP, 4, min_weight=1)
@@ -356,13 +392,33 @@ def _oracle_binomial(frame, exps, e, q_order, window):
     return Series(frame, terms, q_order, window, _clean=True)
 
 
-def assert_identical(a, b):
-    """Bit-identical series: terms, coefficient types, q_order and window."""
+def assert_exact(f):
+    """Every coefficient is an int, a rational or a LinExpr over those; never a float."""
+    for c in f.terms.values():
+        parts = [c.const, *c.terms.values()] if isinstance(c, LinExpr) else [c]
+        assert all(is_rational(x) for x in parts), c
+
+
+def assert_equivalent(a, b):
+    """Same coefficient values, q_order and window; no float coefficient on either side."""
     assert a.frame == b.frame
     assert a.terms == b.terms
-    assert {e: type(c) for e, c in a.terms.items()} == {e: type(c) for e, c in b.terms.items()}
+    assert_exact(a)
+    assert_exact(b)
     assert a.q_order == b.q_order and type(a.q_order) is type(b.q_order)
     assert a.window == b.window and type(a.window) is type(b.window)
+
+
+def assert_integral_equivalent(a, b):
+    """assert_equivalent, and every coefficient of ``a`` is an int."""
+    assert_equivalent(a, b)
+    assert all(type(c) is int for c in a.terms.values())
+
+
+def assert_identical(a, b):
+    """Bit-identical series: assert_equivalent plus equal coefficient types."""
+    assert_equivalent(a, b)
+    assert {e: type(c) for e, c in a.terms.items()} == {e: type(c) for e, c in b.terms.items()}
 
 
 @contextmanager
@@ -376,7 +432,7 @@ def product_expand_checked_against_oracle():
     def twin(frame, factors, q_order, window=None):
         factors = list(factors)
         new = product_expand(frame, factors, q_order, window)
-        assert_identical(new, product_expand_oracle(frame, factors, q_order, window))
+        assert_integral_equivalent(new, product_expand_oracle(frame, factors, q_order, window))
         calls.append((frame, len(factors), q_order, window))
         return new
 
@@ -414,7 +470,7 @@ class TestProductExpandOracle:
             for _ in range(8):
                 q_order = Fraction(rng.randint(2, 6), rng.choice((1, 2)))
                 factors = _random_factors(rng, frame, q_order, rng.randint(1, 8))
-                assert_identical(
+                assert_integral_equivalent(
                     product_expand(frame, factors, q_order),
                     product_expand_oracle(frame, factors, q_order),
                 )
@@ -426,7 +482,7 @@ class TestProductExpandOracle:
                     q_order = rng.randint(2, 5)
                     factors = _random_factors(rng, frame, q_order, rng.randint(1, 8), p_nonnegative=True)
                     window = Window(0, hi, True)
-                    assert_identical(
+                    assert_integral_equivalent(
                         product_expand(frame, factors, q_order, window),
                         product_expand_oracle(frame, factors, q_order, window),
                     )
@@ -446,7 +502,7 @@ class TestProductExpandOracle:
             (FRAME_QP, [({"q": 9, "p": -1}, -2)], 4, Window(0, 6, True)),
         ]
         for frame, factors, q_order, window in cases:
-            assert_identical(
+            assert_integral_equivalent(
                 product_expand(frame, factors, q_order, window),
                 product_expand_oracle(frame, factors, q_order, window),
             )
