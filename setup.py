@@ -1,19 +1,3 @@
-import os
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-# The compiled kernel is optional: enrq.kernel falls back to the pure-Python
-# twin when the extension is absent.  Set ENRQ_NO_EXT=1 to skip the build.
-ext_modules = []
-if os.environ.get("ENRQ_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("enrq._ckernel", ["src/enrq/_ckernel.pyx"])],
-            compiler_directives={"language_level": "3", "boundscheck": False},
-        )
-    except ImportError:
-        pass
-
-setup(ext_modules=ext_modules)
+setup()

@@ -21,6 +21,7 @@ from .series import (
     FRAME_X,
     FRAME_XY,
     BadConstantTerm,
+    FieldOverflow,
     Frame,
     InexactDivision,
     NonConvergentFactor,

@@ -251,12 +251,19 @@ def coeff_to_json(c):
     return str(c)
 
 
+def _number_from_json(text):
+    # an int while integral, as the coefficient was before it was written
+    v = rat(text)
+    return int(v) if v.denominator == 1 else v
+
+
 def coeff_from_json(obj):
+    """Inverse of :func:`coeff_to_json`; integral values (also in a LinExpr) come back as ints."""
     if isinstance(obj, str):
-        return rat(obj)
+        return _number_from_json(obj)
     terms = {}
     for t in obj.get("terms", ()):
-        v = rat(t["coef"])
+        v = _number_from_json(t["coef"])
         if v:
             terms[BettiSymbol(t["d"], t["i"])] = v
-    return _make(rat(obj["const"]), terms)
+    return _make(_number_from_json(obj["const"]), terms)

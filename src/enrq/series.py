@@ -13,13 +13,29 @@ box-counting variable ``p``, when it carries weight 0, may instead have a
 per-slice validity window for geometric directions (see :class:`Window`).
 
 Series are immutable values; all operations return new objects.
+``Series.terms`` maps exponent tuples to coefficients.
+
+Products and the graded solves (``Series.__mul__``, :func:`divide_exact`,
+:func:`product_expand`, :func:`log_series`) run on packed keys: each
+operand is split into weight slices and packed once, every step multiplies
+one weight slice by one weight slice with :func:`enrq.kernel.madd` into the
+accumulator of their summed weight (the truncation cut is the loop bound),
+and the result is unpacked once.  A key is one int of fixed-width biased
+fields with ``p`` most significant (layout in :mod:`enrq.kernel`), so a
+p-window is a key range.  Field guard: before the kernel runs, every
+variable's exponent is bounded a priori -- by the sum of the operand maxima
+for a product, and for a solve by the number of factors that fit under the
+weight cut times the largest factor exponent (see :func:`_cut_bounds` and
+:func:`divide_exact`) -- and :class:`FieldOverflow` is raised when a bound
+reaches ``BIAS``, so a field never wraps into its neighbour.
 """
 
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul
 
-from .kernel import madd
+from .kernel import BIAS, FIELD_BITS, FIELD_MASK, PackedSlice, madd
 from .ring import LinExpr, coeff_from_json, coeff_to_json, is_rational, qdiv, rat
 
 __all__ = [
@@ -35,6 +51,7 @@ __all__ = [
     "TruncationLoss",
     "OutsideValidWindow",
     "OffLattice",
+    "FieldOverflow",
     "divide_exact",
     "exp_series",
     "log_series",
@@ -91,6 +108,10 @@ class OffLattice(SeriesError):
     """Exponent does not lie on the fixed fractional lattice."""
 
 
+class FieldOverflow(SeriesError):
+    """An exponent of a packed operation could leave its fixed-width key field."""
+
+
 class Window(tuple):
     """p-exponent validity window, in scaled units.
 
@@ -129,7 +150,10 @@ class Window(tuple):
 class Frame:
     """Variable layout: names, exponent denominators and truncation weights."""
 
-    __slots__ = ("names", "denoms", "weights", "nvars", "index", "p_index", "wden", "wnum", "_key")
+    __slots__ = (
+        "names", "denoms", "weights", "nvars", "index", "p_index", "wden", "wnum", "shifts", "base",
+        "_key",
+    )
 
     def __init__(self, names, denoms, weights):
         self.names = tuple(names)
@@ -153,6 +177,15 @@ class Frame:
         # windowing applies to an unweighted variable named p
         i = self.index.get("p")
         self.p_index = i if (i is not None and self.weights[i] == 0) else -1
+        # packed keys: p in the most significant field, the rest below in tuple order
+        order = [j for j in range(self.nvars) if j != self.p_index]
+        if self.p_index >= 0:
+            order.append(self.p_index)
+        shifts = [0] * self.nvars
+        for pos, j in enumerate(order):
+            shifts[j] = pos * FIELD_BITS
+        self.shifts = tuple(shifts)
+        self.base = sum(BIAS << sh for sh in shifts)
         self._key = (self.names, self.denoms, self.weights)
 
     def __eq__(self, other):
@@ -227,6 +260,87 @@ def _bounds(frame, q_order):
     if q_order is None:
         return 0, 0
     return q_order.numerator * frame.wden, q_order.denominator
+
+
+def _top(frame, q_order):
+    """Largest scaled weight below the truncation order, or None without one."""
+    bn, bd = _bounds(frame, q_order)
+    return (bn - 1) // bd if bd else None
+
+
+def _offset(frame, e):
+    """``key(e) - frame.base``: linear in ``e``, so ``key(k*e) = base + k*_offset(e)``."""
+    return sum(x << sh for x, sh in zip(e, frame.shifts))
+
+
+def _pack(frame, terms, graded=True):
+    """Tuple-keyed terms as ``{scaled weight: {packed key: coefficient}}``.
+
+    Ungraded, every term lands in the bucket of weight 0.
+    """
+    base, wnum = frame.base, frame.wnum
+    out = {}
+    for e, c in terms.items():
+        k = base + _offset(frame, e)
+        w = sum(map(mul, wnum, e)) if graded else 0
+        bucket = out.get(w)
+        if bucket is None:
+            out[w] = {k: c}
+        else:
+            bucket[k] = c
+    return out
+
+
+def _unpack(frame, packed):
+    """Tuple-keyed terms from one ``{packed key: coefficient}`` dict."""
+    if not frame.nvars:
+        return {(): c for c in packed.values()}
+    keys = list(packed)
+    cols = [[((k >> sh) & FIELD_MASK) - BIAS for k in keys] for sh in frame.shifts]
+    return dict(zip(zip(*cols), packed.values()))
+
+
+def _slices(frame, terms, graded):
+    """``(weight, PackedSlice)`` pairs in ascending weight."""
+    return [(w, PackedSlice(t)) for w, t in sorted(_pack(frame, terms, graded).items())]
+
+
+def _p_keys(frame, lo, hi):
+    """Packed-key range ``[lo_key, hi_key)`` of the terms with ``lo <= p <= hi``."""
+    sh = frame.shifts[frame.p_index]
+    return (lo + BIAS) << sh, (hi + 1 + BIAS) << sh
+
+
+def _amax(terms):
+    """Largest |scaled exponent| of each variable over tuple-keyed ``terms``."""
+    return [max(map(abs, col)) for col in zip(*terms)]
+
+
+def _cut_bounds(frame, factors, top):
+    """Per-variable bound on any product of ``factors`` of total weight <= ``top``.
+
+    ``factors`` yields (scaled exponents, scaled weight > 0).  A factor ``t``
+    has ``|e_i(t)| <= r_i * w(t)`` with ``r_i`` the largest ratio
+    ``|e_i| / w`` over the factors, so a product under the cut has
+    ``|e_i| <= r_i * top``: never more than (number of factors under the
+    cut) x (largest factor exponent).
+    """
+    bounds = [0] * frame.nvars
+    for e, w in factors:
+        for i, x in enumerate(e):
+            b = top * abs(x) // w
+            if b > bounds[i]:
+                bounds[i] = b
+    return bounds
+
+
+def _guard(frame, bounds, op):
+    """Raise :class:`FieldOverflow` unless every per-variable bound fits a field."""
+    for name, b in zip(frame.names, bounds):
+        if b >= BIAS:
+            raise FieldOverflow(
+                f"{op}: scaled exponent of {name} may reach {b}; a packed field holds |e| < {BIAS}"
+            )
 
 
 class Series:
@@ -368,16 +482,25 @@ class Series:
             frame = self.frame
             if not self.terms or not other.terms:
                 return Series(frame, {}, q_order, window, _clean=True)
-            f, g = self.terms, other.terms
-            if len(g) < len(f):
-                f, g = g, f
-            out = {}
-            bn, bd = _bounds(frame, q_order)
+            _guard(frame, map(add, _amax(self.terms), _amax(other.terms)), "product")
+            top = _top(frame, q_order)
+            fs = _slices(frame, self.terms, top is not None)
+            gs = _slices(frame, other.terms, top is not None)
+            lo = hi = None
             if window is not None:
-                madd(out, f, g, frame.wnum, bn, bd, frame.p_index, window.lo, window.hi)
-            else:
-                madd(out, f, g, frame.wnum, bn, bd, -1, 0, 0)
-            return Series(frame, out, q_order, window, _clean=True)
+                lo, hi = _p_keys(frame, window.lo, window.hi)
+            acc = {}
+            for wf, sf in fs:
+                for wg, sg in gs:
+                    w = wf + wg
+                    if top is not None and w > top:
+                        break
+                    a, b = (sf, sg) if len(sf) <= len(sg) else (sg, sf)
+                    madd(acc.setdefault(w, {}), a, b, frame.base, lo, hi)
+            terms = {}
+            for out in acc.values():
+                terms.update(out)
+            return Series(frame, _unpack(frame, terms), q_order, window, _clean=True)
         if is_rational(other) or isinstance(other, LinExpr):
             if not other:
                 return Series.zero(self.frame, self.q_order, self.window)
@@ -738,6 +861,20 @@ def divide_exact(num, den):
     leading slice must be symbol-free and supported on a line in exponent
     space (monomials, binomials such as u - 1/u, quantum integers, theta
     zero-modes all qualify).
+
+    With ``D_l`` the weight-``l`` slice of ``den`` and ``wd`` its least weight,
+    slice ``W`` of ``num = den * g`` reads
+
+        D_wd * g_{W-wd} = num_W - sum_{l > wd} D_l * g_{W-l},
+
+    solved for ascending W on packed keys.  Field guard: every exponent of
+    the solve is at most ``A_num + A_0 + J * (A_den + A_0)`` in each variable,
+    with ``A`` the operand maxima (``A_0`` over ``D_wd``) and ``J`` the
+    number of steps of ``den``'s weight gap that fit in the quotient's weight
+    range; for a non-monomial ``D_wd`` the class labels of the line division
+    move a variable by up to ``(M + 1) * span``, with ``span`` the extent of
+    ``D_wd`` in that variable and ``M`` the largest bound over the variables
+    that ``D_wd`` spans.
     """
     if isinstance(den, Series) and isinstance(num, Series):
         num._check_frame(den)
@@ -757,41 +894,71 @@ def divide_exact(num, den):
     if den.q_order is not None:
         cands.append(den.q_order - 2 * wd + (num.wmin() or 0))
     q_out = min(cands) if cands else None
+    if not num.terms:
+        return Series(frame, {}, q_out, None, _clean=True)
     bound = None if q_out is None else q_out + wd  # keep remainder below this weight
+    ns = _pack(frame, num.terms)
+    wmin_num = min(ns)
     # With two exact operands the quotient must itself be finite: its top
     # weight cannot exceed wmax(num) - wmax(den), so anything deeper means a
-    # nonterminating (hence inexact) division.
+    # nonterminating (hence inexact) division, and no remainder slice lies
+    # above wmax(num).
     exact_top = None
     if bound is None:
-        wmax_num = max(map(frame.weight_scaled, num.terms)) if num.terms else 0
-        wmax_den = max(map(frame.weight_scaled, den.terms))
-        exact_top = Fraction(wmax_num - wmax_den, frame.wden)
-    bn, bd = _bounds(frame, bound)
+        wtop = max(ns)
+        exact_top = wtop - max(map(frame.weight_scaled, den.terms))
+    else:
+        wtop = _top(frame, bound)
+    neg = [(w, PackedSlice({k: -c for k, c in t.items()}))
+           for w, t in sorted(_pack(frame, den.terms).items()) if w != wds]
 
-    r = dict(num.terms)
-    g = {}
-    neg_den = {e: -c for e, c in den.terms.items()}
-    while r:
-        wrs = min(map(frame.weight_scaled, r))
-        if bound is not None and Fraction(wrs, frame.wden) >= bound:
-            break
-        if exact_top is not None and Fraction(wrs, frame.wden) - wd > exact_top:
-            raise InexactDivision("quotient of exact series does not terminate")
-        rslice = {e: c for e, c in r.items() if frame.weight_scaled(e) == wrs}
-        qslice = _divide_slice(rslice, d0, frame)
-        g.update(qslice)
-        madd(r, qslice, neg_den, frame.wnum, bn, bd, -1, 0, 0)
-    return Series(frame, g, q_out, None, _clean=True)
+    a_num, a_den, a_0 = _amax(num.terms), _amax(den.terms), _amax(d0)
+    steps = max(0, wtop - wmin_num) // (neg[0][0] - wds) if neg else 0
+    bounds = [n + z + steps * (d + z) for n, d, z in zip(a_num, a_den, a_0)]
+    if len(d0) > 1:
+        # a class label moves each variable by m * delta_i, |m| <= M + 1 and
+        # |delta_i| <= the span of D_wd in that variable
+        span = [max(col) - min(col) for col in zip(*d0)]
+        m = max(b for b, w in zip(bounds, span) if w) + 1
+        bounds = [b + m * w for b, w in zip(bounds, span)]
+    _guard(frame, map(max, bounds, a_den), "division")
+
+    base = frame.base
+    quo = {}  # quotient slices by weight
+    terms = {}
+    divide = None
+    for w in range(wmin_num, wtop + 1):
+        rhs = ns.get(w, {})
+        for l, dl in neg:
+            gs = quo.get(w - l)
+            if gs:
+                a, b = (gs, dl) if len(gs) <= len(dl) else (dl, gs)
+                madd(rhs, a, b, base, None, None)
+        if rhs:
+            if exact_top is not None and w - wds > exact_top:
+                raise InexactDivision("quotient of exact series does not terminate")
+            if divide is None:
+                divide = _slice_divider(frame, d0)
+            q = divide(rhs)
+            terms.update(q)
+            quo[w - wds] = PackedSlice(q)
+    return Series(frame, _unpack(frame, terms), q_out, None, _clean=True)
 
 
-def _divide_slice(nslice, dslice, frame):
-    """Exact division of finite Laurent slices; divisor must be line-supported."""
-    (e0, c0) = next(iter(dslice.items()))
+def _slice_divider(frame, dslice):
+    """Exact division of packed slices by a line-supported tuple-keyed slice.
+
+    Returns ``divide(nslice) -> quotient``, both ``{packed key: coefficient}``.
+    Writing the divisor as ``sum_k d_k x^(e0 + k*delta)``, each numerator
+    term falls in the class of ``e - m*delta`` with ``m = floor(e_c / delta_c)``
+    (``c`` the first variable that ``delta`` moves); on packed keys that
+    label is ``key - m * key(delta)``, and each class is a univariate long
+    division from its top down.
+    """
     if len(dslice) == 1:
-        out = {}
-        for e, c in nslice.items():
-            out[tuple(e[i] - e0[i] for i in range(frame.nvars))] = qdiv(c, c0)
-        return out
+        ((e0, c0),) = dslice.items()
+        k0 = _offset(frame, e0)
+        return lambda nslice: {k - k0: qdiv(c, c0) for k, c in nslice.items()}
     exps = sorted(dslice)
     e0 = exps[0]
     delta = tuple(exps[1][i] - e0[i] for i in range(frame.nvars))
@@ -809,36 +976,38 @@ def _divide_slice(nslice, dslice, frame):
         if rem or tuple(e0[i] + k * delta[i] for i in range(frame.nvars)) != e:
             raise InexactDivision("divisor leading slice is not supported on a line")
         duni[k] = dslice[e]
-    classes = {}
-    for e, coef in nslice.items():
-        m = e[c] // dc
-        rep = tuple(e[i] - m * delta[i] for i in range(frame.nvars))
-        k = (e[c] - rep[c]) // dc
-        classes.setdefault(rep, {})[k] = coef
-    out = {}
     kd_max, kd_min = max(duni), min(duni)
     lead = duni[kd_max]
-    for rep, nuni in classes.items():
-        m_min = min(nuni) - kd_min
-        quo = {}
-        while nuni:
-            km = max(nuni)
-            m = km - kd_max
-            if m < m_min:
-                raise InexactDivision("nonzero remainder in an exact variable")
-            qc = qdiv(nuni[km], lead)
-            quo[m] = qc
-            for k, dcf in duni.items():
-                pos = m + k
-                v = nuni.get(pos, 0) - qc * dcf
-                if v:
-                    nuni[pos] = v
-                else:
-                    nuni.pop(pos, None)
-        for m, qc in quo.items():
-            e = tuple(rep[i] - e0[i] + m * delta[i] for i in range(frame.nvars))
-            out[e] = qc
-    return out
+    k0, kdelta, sc = _offset(frame, e0), _offset(frame, delta), frame.shifts[c]
+
+    def divide(nslice):
+        classes = {}
+        for kn, coef in nslice.items():
+            m = (((kn >> sc) & FIELD_MASK) - BIAS) // dc
+            classes.setdefault(kn - m * kdelta, {})[m] = coef
+        out = {}
+        for rep, nuni in classes.items():
+            m_min = min(nuni) - kd_min
+            quo = {}
+            while nuni:
+                km = max(nuni)
+                m = km - kd_max
+                if m < m_min:
+                    raise InexactDivision("nonzero remainder in an exact variable")
+                qc = qdiv(nuni[km], lead)
+                quo[m] = qc
+                for k, dcf in duni.items():
+                    pos = m + k
+                    v = nuni.get(pos, 0) - qc * dcf
+                    if v:
+                        nuni[pos] = v
+                    else:
+                        nuni.pop(pos, None)
+            for m, qc in quo.items():
+                out[rep - k0 + m * kdelta] = qc
+        return out
+
+    return divide
 
 
 def exp_series(f):
@@ -917,36 +1086,37 @@ def log_series(f):
     target = h.q_order
     if not h.terms:
         return Series.zero(frame, target, window)
+    top = _top(frame, target)
+    _guard(frame, _cut_bounds(frame, ((e, frame.weight_scaled(e)) for e in h.terms), top), "log")
     # F - 1 grouped by scaled weight, every weight > 0
-    hs = {}
-    for e, c in h.terms.items():
-        hs.setdefault(frame.weight_scaled(e), {})[e] = c
+    hs = {w: PackedSlice(t) for w, t in _pack(frame, h.terms).items()}
     wmin = min(hs)
-    bn, bd = _bounds(frame, target)
-    pi, lo, hi = -1, 0, 0
+    lo_key = hi_key = keep = None
     if window is not None:
         # at most n factors of F - 1 fit below the truncation order
-        n = (bn - 1) // (wmin * bd)
-        pi, lo, hi = frame.p_index, n * window.lo, window.hi
+        lo, hi = (top // wmin) * window.lo, window.hi
         window = Window(lo + window.lo, hi + lo, True)
+        lo_key, hi_key = _p_keys(frame, lo, hi)
+        keep = _p_keys(frame, lo, window.hi)[1]
+    base = frame.base
     neg_dl = []  # (l, -(DL)_l) for every nonempty slice, ascending in l
     terms = {}
-    for W in range(wmin, (bn - 1) // bd + 1):
-        acc = {e: W * c for e, c in hs.get(W, {}).items()}
+    for W in range(wmin, top + 1):
+        acc = {k: W * c for k, c in hs[W].items} if W in hs else {}
         for l, dl in neg_dl:
             if l > W - wmin:
                 break
             fs = hs.get(W - l)
             if fs:
                 a, b = (dl, fs) if len(dl) <= len(fs) else (fs, dl)
-                madd(acc, a, b, frame.wnum, bn, bd, pi, lo, hi)
+                madd(acc, a, b, base, lo_key, hi_key)
         if acc:
-            neg_dl.append((W, {e: -c for e, c in acc.items()}))
+            neg_dl.append((W, PackedSlice({k: -c for k, c in acc.items()})))
             inv = rat(1, W)
-            for e, c in acc.items():
-                if pi < 0 or e[pi] <= window.hi:
-                    terms[e] = c * inv
-    return Series(frame, terms, target, window, _clean=True)
+            for k, c in acc.items():
+                if keep is None or k < keep:
+                    terms[k] = c * inv
+    return Series(frame, _unpack(frame, terms), target, window, _clean=True)
 
 
 def adams(f, k):
@@ -988,44 +1158,51 @@ def product_expand(frame, factors, q_order, window=None):
                 f"product_expand needs a p-window floored at 0, got {window!r}"
             )
         pi, hi = frame.p_index, window.hi
-    bn, bd = _bounds(frame, q_order)
-    # DA grouped by scaled weight: {l: {exps: int}}
-    da = {}
-    kept = False
+    top = _top(frame, q_order)
+    kept = []  # (scaled exponents, scaled weight, exponent) below the cut
     for mono, e in factors:
         exps = mono if isinstance(mono, tuple) else frame.exps(mono)
         ws = frame.weight_scaled(exps)
         if ws <= 0:
             raise NonConvergentFactor(f"factor exponent {mono} has weight <= 0")
-        if ws * bd >= bn:
+        if ws > top:
             continue
-        kept = True
         if pi >= 0 and exps[pi] < 0:
             raise WindowUnderflow(
                 f"factor {mono} has a negative p-exponent under the floored window {window!r}"
             )
-        c = -int(e) * ws
-        k = 1
-        while c and k * ws * bd < bn:
-            ek = tuple(x * k for x in exps)
-            if pi >= 0 and ek[pi] > hi:
-                break
-            slot = da.setdefault(k * ws, {})
-            v = slot.get(ek, 0) + c
-            if v:
-                slot[ek] = v
-            else:
-                del slot[ek]
-            k += 1
+        kept.append((exps, ws, int(e)))
     if not kept:
         # the empty product, built exactly as Series.one builds it
         return Series.one(frame, q_order, window)
     if hi < 0:
         # the window excludes p^0, so even the constant term is cut
         return Series(frame, {}, q_order, window, _clean=True)
-    slices = {0: {frame.zero_exp(): 1}}
-    da_slices = sorted((l, t) for l, t in da.items() if t)
-    for W in range(1, (bn - 1) // bd + 1):
+    _guard(frame, _cut_bounds(frame, ((x, ws) for x, ws, e in kept if e), top), "product_expand")
+    base = frame.base
+    # DA grouped by scaled weight: {l: {packed key: int}}
+    da = {}
+    for exps, ws, e in kept:
+        c = -e * ws
+        step = _offset(frame, exps)
+        k = 1
+        while c and k * ws <= top:
+            if pi >= 0 and k * exps[pi] > hi:
+                break
+            slot = da.setdefault(k * ws, {})
+            ek = base + k * step
+            v = slot.get(ek, 0) + c
+            if v:
+                slot[ek] = v
+            else:
+                del slot[ek]
+            k += 1
+    lo_key = hi_key = None
+    if pi >= 0:
+        lo_key, hi_key = _p_keys(frame, 0, hi)
+    slices = {0: PackedSlice({base: 1})}
+    da_slices = [(l, PackedSlice(t)) for l, t in sorted(da.items()) if t]
+    for W in range(1, top + 1):
         acc = {}
         for l, dl in da_slices:
             if l > W:
@@ -1033,16 +1210,16 @@ def product_expand(frame, factors, q_order, window=None):
             fs = slices.get(W - l)
             if fs:
                 f, g = (dl, fs) if len(dl) <= len(fs) else (fs, dl)
-                madd(acc, f, g, frame.wnum, bn, bd, pi, 0, hi)
+                madd(acc, f, g, base, lo_key, hi_key)
         if acc:
             out = {}
-            for e, c in acc.items():
+            for k, c in acc.items():
                 quo, rem = divmod(c, W)
                 if rem:
                     raise InexactDivision(f"Euler recurrence: {c} not divisible by weight {W}")
-                out[e] = quo
-            slices[W] = out
-    terms = {e: c for s in slices.values() for e, c in s.items()}
+                out[k] = quo
+            slices[W] = PackedSlice(out)
+    terms = _unpack(frame, {k: c for s in slices.values() for k, c in s.items})
     return Series(frame, terms, q_order, window, _clean=True)
 
 

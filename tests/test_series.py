@@ -5,9 +5,11 @@ from math import comb
 import pytest
 
 from conftest import assert_agree, random_series
-from enrq import enriques, perverse, qfunc
+from oracles import divide_exact_oracle, mul_oracle
+from enrq import cli, enriques, perverse, qfunc
 from enrq.cli import SERIES_IDS
 from enrq.cli import main as cli_main
+from enrq.kernel import BIAS
 from enrq.ring import LinExpr, betti_symbol, is_rational, rat
 from enrq.series import (
     FRAME_PU,
@@ -19,6 +21,7 @@ from enrq.series import (
     FRAME_TS,
     FRAME_XY,
     BadConstantTerm,
+    FieldOverflow,
     InexactDivision,
     NonConvergentFactor,
     NonUnitLeadingTerm,
@@ -151,20 +154,20 @@ def invert_oracle(f):
 
     This is the Neumann loop ``sum (-h)^n`` with ``h = f/lead - 1`` that
     ``divide_exact`` replaced; it is kept here only as the oracle the
-    equivalence tests compare against.
+    equivalence tests compare against.  Its products run on the tuple kernel.
     """
     frame = f.frame
     w0s = min(map(frame.weight_scaled, f.terms))
     (e0, c0), = [(e, c) for e, c in f.terms.items() if frame.weight_scaled(e) == w0s]
     inv_mono = Series(frame, {tuple(-x for x in e0): rat(1) / c0}, None, None, _clean=True)
-    h = f * inv_mono - 1
+    h = mul_oracle(f, inv_mono) - 1
     target = h.q_order
     acc = Series.one(frame, target)
     p = acc
     while p.terms:
-        p = (p * (-h)).with_q_order(target)
+        p = mul_oracle(p, -h).with_q_order(target)
         acc = acc + p
-    return acc * inv_mono
+    return mul_oracle(acc, inv_mono)
 
 
 class TestDivideExact:
@@ -218,6 +221,223 @@ class TestDivideExact:
         for _ in range(25):
             g = random_series(rng, FRAME_QP, 4)
             assert_agree(divide_exact(g * den, den), g)
+
+
+# -- the packed-key kernel against the tuple kernel ------------------------------
+
+KINDS = ("int", "rat", "lin_int", "lin_rat")
+
+
+def _random_coeff(rng, kind):
+    """A nonzero coefficient whose rational parts are all ints or all rationals.
+
+    For two such operands every term product then has one rational type, so
+    the coefficient types of a sum do not depend on the order of accumulation.
+    """
+    n = rng.choice((-3, -2, -1, 1, 2, 3))
+    if kind == "int":
+        return n
+    d = rng.choice((1, 2, 3))
+    if kind == "rat":
+        return rat(n, d)
+    sym = betti_symbol(1, rng.randint(0, 6))
+    if kind == "lin_int":
+        return n + rng.randint(-2, 2) * sym
+    return rat(n, d) + sym * rat(rng.randint(-2, 2), rng.choice((1, 2)))
+
+
+def _random_operand(rng, frame, kind, q_order=None, window=None, max_terms=8):
+    """Random terms with exponents of both signs; p mostly inside a window, never below a floor."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = []
+        for i, (den, w) in enumerate(zip(frame.denoms, frame.weights)):
+            if w:
+                e.append(rng.randint(-den, 3 * den))
+            elif i == frame.p_index and window is not None:
+                e.append(rng.randint(window.lo - (0 if window.floored else 1), window.hi + 1))
+            else:
+                e.append(rng.randint(-4, 4))
+        terms[tuple(e)] = _random_coeff(rng, kind)
+    return Series(frame, terms, q_order, window)
+
+
+def _random_order(rng):
+    return rng.choice((None, Fraction(rng.randint(1, 8), 2), rng.randint(1, 4)))
+
+
+def _random_window(rng, kind):
+    lo = rng.randint(-4, 2)
+    if kind is None:
+        return None
+    return Window(lo, lo + rng.randint(0, 10), kind == "floored")
+
+
+def assert_same_outcome(new, old, *args):
+    """``new(*args)`` and ``old(*args)`` give identical series or raise the same class."""
+    try:
+        ref = old(*args)
+    except SeriesError as exc:
+        with pytest.raises(type(exc)):
+            new(*args)
+        return None
+    got = new(*args)
+    assert_identical(got, ref)
+    return got
+
+
+class TestPackedKernelOracle:
+    FRAMES = (FRAME_Q, FRAME_QP, FRAME_QPU, FRAME_QPUTS, FRAME_XY, FRAME_PU, FRAME_TS)
+
+    @staticmethod
+    def _kinds(rng):
+        a = rng.choice(KINDS)
+        b = rng.choice(("int", "rat") if a.startswith("lin") else KINDS)
+        return (a, b) if rng.random() < 0.5 else (b, a)
+
+    def test_products_without_window(self, rng):
+        seen = 0
+        for frame in self.FRAMES:
+            for _ in range(60):
+                ka, kb = self._kinds(rng)
+                size = rng.choice((4, 8, 30))
+                a = _random_operand(rng, frame, ka, _random_order(rng), max_terms=size)
+                b = _random_operand(rng, frame, kb, _random_order(rng), max_terms=size)
+                got = assert_same_outcome(Series.__mul__, mul_oracle, a, b)
+                seen += got is not None and bool(got.terms)
+        assert seen > 300
+
+    @pytest.mark.parametrize("kinds", [("floored", "floored"), (None, "floored"),
+                                       ("floored", None), (None, "unfloored"),
+                                       ("unfloored", None), ("floored", "unfloored"),
+                                       ("unfloored", "unfloored")])
+    def test_windowed_products(self, rng, kinds):
+        for frame in (FRAME_QP, FRAME_QPU, FRAME_QPUTS):
+            for _ in range(30):
+                ka, kb = self._kinds(rng)
+                wa, wb = (_random_window(rng, k) for k in kinds)
+                oa = _random_order(rng) if wa is None else rng.randint(1, 4)
+                ob = _random_order(rng) if wb is None else rng.randint(1, 4)
+                a = _random_operand(rng, frame, ka, oa, wa, max_terms=rng.choice((4, 12)))
+                b = _random_operand(rng, frame, kb, ob, wb, max_terms=rng.choice((4, 12)))
+                assert_same_outcome(Series.__mul__, mul_oracle, a, b)
+
+    @staticmethod
+    def _line_divisor(rng, frame, kind, q_order):
+        """A divisor whose leading slice is a monomial, binomial or quantum integer."""
+        free = [i for i, w in enumerate(frame.weights) if not w]
+        if not free or rng.random() < 0.3:
+            lead = {tuple(rng.randint(-2, 2) if not w else 0 for w in frame.weights):
+                    _random_coeff(rng, kind)}
+        else:
+            delta = [0] * frame.nvars
+            for i in rng.sample(free, rng.randint(1, len(free))):
+                delta[i] = rng.choice((-2, -1, 1, 2))
+            n = rng.randint(2, 4)
+            lead = {tuple((2 * j - n + 1) * x for x in delta): _random_coeff(rng, kind)
+                    for j in range(n)}
+        den = Series(frame, lead)
+        w0 = min(map(frame.weight_scaled, lead))
+        tail = _random_operand(rng, frame, kind)
+        tail = {e: c for e, c in tail.terms.items() if frame.weight_scaled(e) > w0}
+        if rng.random() < 0.6:
+            den = den + Series(frame, tail)
+        return Series(frame, den.terms, q_order)
+
+    def test_divide_exact_of_products(self, rng):
+        for frame in (FRAME_Q, FRAME_QP, FRAME_QPU, FRAME_QPUTS, FRAME_XY, FRAME_TS):
+            for _ in range(40):
+                kd = rng.choice(("int", "rat"))
+                kg = rng.choice(KINDS)
+                den = self._line_divisor(rng, frame, kd, _random_order(rng))
+                g = _random_operand(rng, frame, kg, _random_order(rng))
+                num = mul_oracle(den, g)
+                got = assert_same_outcome(divide_exact, divide_exact_oracle, num, den)
+                if den.q_order is None and g.q_order is None:
+                    assert got is not None
+
+    def test_divide_exact_inexact_operands(self, rng):
+        raised = 0
+        for frame in (FRAME_Q, FRAME_QPU, FRAME_QPUTS, FRAME_XY, FRAME_TS):
+            for _ in range(40):
+                den = self._line_divisor(rng, frame, rng.choice(("int", "rat")), None)
+                num = _random_operand(rng, frame, rng.choice(KINDS))
+                if rng.random() < 0.5:
+                    num = mul_oracle(num, den) + _random_operand(rng, frame, "int", max_terms=2)
+                raised += assert_same_outcome(divide_exact, divide_exact_oracle, num, den) is None
+        assert raised > 50
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_divide_exact_of_theta_and_eta(self, scale):
+        q = 6
+        for num, den in [
+            (qfunc.theta({"u": 2}, 2, q, FRAME_QPU), qfunc.theta({"u": 2}, 1, q, FRAME_QPU)),
+            (qfunc.eta(2, q).embed(FRAME_QPU) ** 8, qfunc.eta(scale, q).embed(FRAME_QPU) ** 16),
+            (qfunc.theta({"t": 1, "s": 1}, 2, q, FRAME_QTS),
+             Series.monomial(FRAME_QTS, {"t": Fraction(1, 2), "s": Fraction(1, 2)})
+             - Series.monomial(FRAME_QTS, {"t": Fraction(-1, 2), "s": Fraction(-1, 2)})),
+            (qfunc.theta({"p": 1, "u": 1}, 2, q, FRAME_QPU), qfunc.theta({"p": 1, "u": 1}, 1, q, FRAME_QPU)),
+        ]:
+            assert_same_outcome(divide_exact, divide_exact_oracle, num, den)
+
+
+class TestFieldGuard:
+    """Each packed operation raises FieldOverflow where a field could wrap."""
+
+    def test_product_edge(self):
+        a = Series(FRAME_QPU, {(0, 0, BIAS // 2): 1, (24, 1, -3): 2})
+        b = Series(FRAME_QPU, {(0, 0, BIAS // 2 - 1): 1, (0, -1, 1): 3})
+        assert_identical(a * b, mul_oracle(a, b))
+        c = Series(FRAME_QPU, {(0, 0, BIAS // 2): 1})
+        with pytest.raises(FieldOverflow):
+            a * c
+        # the true product needs u = BIAS, one past the field: a wrap would carry into p
+        assert (0, 0, BIAS) in mul_oracle(a, c).terms
+        with pytest.raises(FieldOverflow):
+            a * Series(FRAME_QPU, {(0, 0, -BIAS // 2 - 1): 1, (0, 0, BIAS // 2): 1})
+
+    def test_windowed_product_p_field(self):
+        w = Window(0, 2 * BIAS, True)
+        a = Series(FRAME_QP, {(0, BIAS // 2): 1}, 3, w)
+        assert (a * Series(FRAME_QP, {(0, BIAS // 2 - 1): 1}, 3, w)).terms == {(0, BIAS - 1): 1}
+        with pytest.raises(FieldOverflow):
+            a * a
+
+    def test_product_expand(self):
+        s = BIAS // 2 + 1
+        factors = [({"q": 1, "u": Fraction(s, 2)}, -1)]
+        assert (48, 0, 2 * s) in product_expand_oracle(FRAME_QPU, factors, 3).terms
+        with pytest.raises(FieldOverflow):
+            product_expand(FRAME_QPU, factors, 3)
+
+    def test_log_series(self):
+        s = BIAS // 2 + 1
+        f = Series(FRAME_QPU, {(0, 0, 0): 1, (24, 0, s): 1}, 3)
+        assert (48, 0, 2 * s) in log_series_oracle(f).terms
+        with pytest.raises(FieldOverflow):
+            log_series(f)
+
+    def test_divide_exact(self):
+        s = BIAS // 2 + 1
+        den = Series(FRAME_QPU, {(0, 0, 0): 1, (24, 0, s): -1}, 3)
+        num = Series.one(FRAME_QPU, 3)
+        assert (48, 0, 2 * s) in divide_exact_oracle(num, den).terms
+        with pytest.raises(FieldOverflow):
+            divide_exact(num, den)
+        with pytest.raises(FieldOverflow):
+            den.invert()
+
+    def test_divide_exact_line_labels(self):
+        # dividing by p^(1/2)u^(1/2) - p^(-1/2)u^(-1/2) labels a term by u - p,
+        # here -2a < -BIAS: it would leave the field although the quotient fits
+        a = BIAS // 2 + 2
+        den = Series(FRAME_QPU, {(0, 1, 1): 1, (0, -1, -1): -1})
+        num = mul_oracle(den, Series(FRAME_QPU, {(0, a, -a): 1, (0, -4, 2): 3}))
+        assert divide_exact_oracle(num, den).terms == {(0, a, -a): 1, (0, -4, 2): 3}
+        with pytest.raises(FieldOverflow):
+            divide_exact(num, den)
+        small = mul_oracle(den, Series(FRAME_QPU, {(0, a // 2, -a // 2): 1, (0, -4, 2): 3}))
+        assert_identical(divide_exact(small, den), divide_exact_oracle(small, den))
 
 
 class TestAdams:
@@ -359,7 +579,8 @@ def product_expand_oracle(frame, factors, q_order, window=None):
     """Reference for product_expand: one windowed sparse product per factor.
 
     This is the product-of-binomials loop the Euler recurrence replaced; it is
-    kept here only as the oracle the equivalence tests compare against.
+    kept here only as the oracle the equivalence tests compare against.  Its
+    products run on the tuple kernel.
     """
     q_order = Fraction(q_order)
     acc = Series.one(frame, q_order, window)
@@ -370,7 +591,7 @@ def product_expand_oracle(frame, factors, q_order, window=None):
             raise NonConvergentFactor(f"factor exponent {mono} has weight <= 0")
         if Fraction(ws, frame.wden) >= q_order:
             continue
-        acc = acc * _oracle_binomial(frame, exps, int(e), q_order, window)
+        acc = mul_oracle(acc, _oracle_binomial(frame, exps, int(e), q_order, window))
     return acc
 
 
@@ -560,7 +781,7 @@ def log_series_oracle(f):
 
     This is the loop of windowed sparse products the Euler recurrence
     replaced; it is kept here only as the oracle the equivalence tests
-    compare against.
+    compare against.  Its products run on the tuple kernel.
     """
     frame = f.frame
     zero_exp = frame.zero_exp()
@@ -575,7 +796,7 @@ def log_series_oracle(f):
     term = Series.one(f.frame, target, f.window)
     n = 1
     while term.terms:
-        term = (term * h).with_q_order(target)
+        term = mul_oracle(term, h).with_q_order(target)
         if not term.terms:
             break
         acc = acc + term * rat((-1) ** (n + 1), n)
@@ -757,6 +978,32 @@ class TestSerialization:
     def test_deterministic(self, rng):
         f = random_series(rng, FRAME_QPUTS, 3)
         assert f.dumps() == Series.loads(f.dumps()).dumps()
+
+    def test_loaded_coefficients_keep_their_types(self):
+        parser = cli._parser()
+        series = [cli._build_series(n, parser.parse_args(["expand", n, "--q-order", "8"]))
+                  for n in SERIES_IDS]
+        b, c = betti_symbol(1, 2), betti_symbol(2, 3)
+        series.append(Series(FRAME_QPU, {
+            (0, 0, 0): 3, (24, 1, -1): rat(5, 2), (24, 0, 2): 2 + b,
+            (48, -2, 0): rat(1, 3) - c * rat(3, 2), (48, 0, 0): 4 * b, (48, 2, 2): -7,
+        }, 3))
+        for s in series:
+            back = Series.loads(s.dumps())
+            assert back.terms == s.terms
+            assert coeff_types(back) == coeff_types(s)
+        assert any(type(c) is int for c in series[0].terms.values())
+
+
+def coeff_types(s):
+    """The type of every coefficient, and of every rational part of a LinExpr."""
+    out = {}
+    for e, c in s.terms.items():
+        if isinstance(c, LinExpr):
+            out[e] = (type(c.const), tuple(sorted((k, type(v)) for k, v in c.terms.items())))
+        else:
+            out[e] = type(c)
+    return out
 
 
 class TestLattice:
