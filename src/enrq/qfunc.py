@@ -13,7 +13,7 @@ scaled exponent by k).
 
 from fractions import Fraction
 
-from .ring import LinExpr, rat
+from .ring import rat
 from .series import (
     FRAME_Q,
     FRAME_TS,
@@ -21,7 +21,6 @@ from .series import (
     Series,
     WindowUnderflow,
     Window,
-    exp_series,
     log_series,
     product_expand,
 )
@@ -175,22 +174,15 @@ def inv_theta_pair(x, y, scale, q_order, frame, window):
     return zm_inv * product_expand(frame, factors, q_order)
 
 
-def _all_integer_coeffs(f):
-    for c in f.terms.values():
-        if isinstance(c, LinExpr):
-            return False
-        if c.denominator != 1:
-            return False
-    return True
-
-
 def plethystic_exp(f):
     """Exp(f) = exp(sum_k adams(f, k)/k); converts sums to products.
 
-    For integer coefficients this is evaluated as the convergent product
-    prod (1 - m)^(-c) over the terms c*m of f, which also covers p-windowed
-    arguments with known support floor >= 1.  Symbol-carrying arguments are
-    rejected (Exp is not affine-linear).
+    ``D log Exp(sum c m) = sum c w(m) sum_k m^k`` for any exact ``c``, with
+    ``D`` the weighted Euler operator, so Exp(f) is the convergent product
+    prod (1 - m)^(-c) over the terms c*m of f, evaluated by
+    :func:`enrq.series.product_expand`: its coefficients are ints for an
+    integer f.  A p-windowed argument needs a known support floor >= 1.
+    Symbol-carrying arguments are rejected (Exp is not affine-linear).
     """
     if f.has_symbols():
         raise BadConstantTerm("plethystic exp of a symbol-carrying series")
@@ -198,25 +190,12 @@ def plethystic_exp(f):
         raise BadConstantTerm("plethystic exp needs strictly positive weights")
     if f.q_order is None:
         raise BadConstantTerm("plethystic exp needs a finite truncation order")
-    if _all_integer_coeffs(f):
-        window = f.window
-        if window is not None:
-            if not window.floored or window.lo < 1:
-                raise WindowUnderflow(
-                    "plethystic exp of a windowed series needs a known floor >= 1"
-                )
-            window = Window(0, window.hi, True)
-        factors = [(e, -int(c)) for e, c in f.items_sorted()]
-        return product_expand(f.frame, factors, f.q_order, window)
-    if f.window is not None:
-        raise WindowUnderflow("plethystic exp of a windowed series needs integer coefficients")
-    acc = Series.zero(f.frame, f.q_order)
-    k = 1
-    wmin = f.wmin() or Fraction(1)
-    while k * wmin < f.q_order:
-        acc = acc + f.adams(k) * rat(1, k)
-        k += 1
-    return exp_series(acc)
+    window = f.window
+    if window is not None:
+        if not window.floored or window.lo < 1:
+            raise WindowUnderflow("plethystic exp of a windowed series needs a known floor >= 1")
+        window = Window(0, window.hi, True)
+    return product_expand(f.frame, [(e, -c) for e, c in f.items_sorted()], f.q_order, window)
 
 
 def plethystic_log(F):

@@ -15,19 +15,19 @@ per-slice validity window for geometric directions (see :class:`Window`).
 Series are immutable values; all operations return new objects.
 ``Series.terms`` maps exponent tuples to coefficients.
 
-Products and the graded solves (``Series.__mul__``, :func:`divide_exact`,
-:func:`product_expand`, :func:`log_series`) run on packed keys: each
-operand is split into weight slices and packed once, every step multiplies
-one weight slice by one weight slice with :func:`enrq.kernel.madd` into the
-accumulator of their summed weight (the truncation cut is the loop bound),
-and the result is unpacked once.  A key is one int of fixed-width biased
-fields with ``p`` most significant (layout in :mod:`enrq.kernel`), so a
-p-window is a key range.  Field guard: before the kernel runs, every
-variable's exponent is bounded a priori -- by the sum of the operand maxima
-for a product, and for a solve by the number of factors that fit under the
-weight cut times the largest factor exponent (see :func:`_cut_bounds` and
-:func:`divide_exact`) -- and :class:`FieldOverflow` is raised when a bound
-reaches ``BIAS``, so a field never wraps into its neighbour.
+Products run on packed keys: each operand is split into weight slices and
+packed once, every step multiplies one weight slice by one weight slice with
+:func:`enrq.kernel.madd` into the accumulator of their summed weight (the
+truncation cut is the loop bound), and the result is unpacked once.  Besides
+``Series.__mul__``, one graded solve (:func:`_euler_solve`,
+``S_W = finish(W, seed_W + sum_l K_l * S_{W-l})``) multiplies slices: it runs
+:func:`product_expand`, :func:`exp_series`, :func:`log_series` and
+:func:`divide_exact`.  A key is one int of fixed-width biased fields with
+``p`` most significant (layout in :mod:`enrq.kernel`), so a p-window is a key
+range.  Field guard: every variable's exponent is bounded a priori -- by the
+operand maxima for a product, and for a solve by the factors that fit under
+the weight cut (see :func:`_cut_bounds` and :func:`divide_exact`) -- and
+:class:`FieldOverflow` is raised when a bound reaches ``BIAS``.
 """
 
 import json
@@ -525,7 +525,7 @@ class Series:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        acc = Series.one(self.frame, self.q_order, None if self.window is None else self.window)
+        acc = Series.one(self.frame, self.q_order, self.window)
         base = self
         while n:
             if n & 1:
@@ -613,17 +613,31 @@ class Series:
                     raise ValueError("substitution target must use only remaining variables")
                 if v not in new_frame.index:
                     raise KeyError(f"target variable {v!r} not in result frame")
+        # v's scaled exponent gains e_name * t * denom(v) / denom(name): summed
+        # as ints over one common denominator per v
+        ratios = {}
+        for name, target in targets.items():
+            i = frame.index[name]
+            for v, t in target.items():
+                j = new_frame.index[v]
+                ratios.setdefault(j, []).append((i, t * new_frame.denoms[j] / frame.denoms[i]))
+        subs = []
+        for j, rs in sorted(ratios.items()):
+            den = lcm(*(r.denominator for _, r in rs))
+            subs.append((j, den, [(i, int(r * den)) for i, r in rs]))
+        keep = [frame.index[n] for n in remaining]
         out = {}
         for e, c in self.terms.items():
-            acc = {n: Fraction(e[frame.index[n]], frame.denoms[frame.index[n]]) for n in remaining}
-            for name, target in targets.items():
-                x = Fraction(e[frame.index[name]], frame.denoms[frame.index[name]])
-                for v, t in target.items():
-                    acc[v] += x * t
-            try:
-                en = new_frame.exps(acc)
-            except OffLattice as exc:
-                raise OffLattice(f"substitution leaves the lattice: {exc}") from exc
+            en = [e[i] for i in keep]
+            for j, den, parts in subs:
+                acc = sum(e[i] * r for i, r in parts)
+                x, rem = divmod(acc, den)
+                if rem:
+                    v, d = new_frame.names[j], new_frame.denoms[j]
+                    x = Fraction(en[j] * den + acc, den * d)
+                    raise OffLattice(f"substitution leaves the lattice: {v}^{x} not on the 1/{d} lattice")
+                en[j] += x
+            en = tuple(en)
             v = out.get(en)
             v = c if v is None else v + c
             if v:
@@ -827,7 +841,7 @@ def _window_add(f, g):
     if fw.floored and gw.floored:
         return Window(min(fw.lo, gw.lo), min(fw.hi, gw.hi), True)
     if fw.floored or gw.floored:
-        fl, pl = (fw, gw) if gw.floored else (gw, fw)
+        fl = fw if gw.floored else gw
         # fl unfloored: unknown below fl.lo wins
         return Window(fl.lo, min(fw.hi, gw.hi), False)
     return Window(max(fw.lo, gw.lo), min(fw.hi, gw.hi), False)
@@ -854,6 +868,72 @@ def _window_mul(f, g):
     )
 
 
+def _euler_solve(frame, kernel, seed, finish, first, top, keys=(None, None), solved=None):
+    """``S_W = finish(W, seed_W + sum_l K_l * S_{W-l})`` for W = first..top.
+
+    ``kernel`` lists packed ``(l, K_l)``, ascending in ``l > 0``; ``seed``
+    maps weights to ``{key: coefficient}`` dicts (consumed); ``solved`` holds
+    slices known beforehand.  Products run through ``madd`` cut to the p-key
+    range ``keys``.  Returns the nonempty slices as ``{W: PackedSlice}``.
+    """
+    solved = dict(solved or {})
+    low = min(solved, default=first)
+    for W in range(first, top + 1):
+        acc = seed.pop(W, None) or {}
+        for l, k in kernel:
+            if W - l < low:
+                break
+            s = solved.get(W - l)
+            if s:
+                a, b = (k, s) if len(k) <= len(s) else (s, k)
+                madd(acc, a, b, frame.base, *keys)
+        if acc:
+            out = finish(W, acc)
+            if out:
+                solved[W] = PackedSlice(out)
+    return solved
+
+
+def _joined(slices, keep=None):
+    """The packed terms of all ``slices``, those of p-key ``>= keep`` dropped."""
+    return {k: c for s in slices.values() for k, c in s.items if keep is None or k < keep}
+
+
+def _qdiv_by_weight(W, acc):
+    return {k: qdiv(c, W) for k, c in acc.items()}
+
+
+def _divide_by_weight(W, acc):
+    """``acc / W`` for int coefficients that the weight must divide."""
+    out = {}
+    for k, c in acc.items():
+        quo, rem = divmod(c, W)
+        if rem:
+            raise InexactDivision(f"Euler recurrence: {c} not divisible by weight {W}")
+        out[k] = quo
+    return out
+
+
+def _power_window(frame, window, n):
+    """Window contract of exp and log, with ``n`` factors of the argument under the cut.
+
+    On a floor ``lo <= 0`` every product is cut to ``[n*lo, hi]`` and the
+    result declares ``Window((n+1)*lo, hi + n*lo, True)``, where the cut
+    products are exact (for ``lo = 0`` that is the window as given).  Any
+    other window raises :class:`WindowUnderflow`: without a floor unknown
+    terms below ``lo`` reach every product, and a floor above 0 would lie
+    above the constant term.  Returns the declared window, the p-key range
+    of the cut and the key bound above the declared window.
+    """
+    if window is None:
+        return None, (None, None), None
+    if not window.floored or window.lo > 0:
+        raise WindowUnderflow(f"exp/log of a p-windowed series needs a known floor <= 0, got {window!r}")
+    lo = n * window.lo
+    declared = Window(lo + window.lo, window.hi + lo, True)
+    return declared, _p_keys(frame, lo, window.hi), _p_keys(frame, lo, declared.hi)[1]
+
+
 def divide_exact(num, den):
     """Solve ``num = den * g`` by graded recursion with exact slice division.
 
@@ -867,12 +947,14 @@ def divide_exact(num, den):
 
         D_wd * g_{W-wd} = num_W - sum_{l > wd} D_l * g_{W-l},
 
-    solved for ascending W on packed keys.  Field guard: every exponent of
-    the solve is at most ``A_num + A_0 + J * (A_den + A_0)`` in each variable,
-    with ``A`` the operand maxima (``A_0`` over ``D_wd``) and ``J`` the
-    number of steps of ``den``'s weight gap that fit in the quotient's weight
-    range; for a non-monomial ``D_wd`` the class labels of the line division
-    move a variable by up to ``(M + 1) * span``, with ``span`` the extent of
+    solved for ascending W by :func:`_euler_solve`.  Field guard: every
+    exponent of the solve is at most ``A_num + A_0 + J * (A_den + A_0)`` in
+    each variable, with ``A`` the operand maxima (``A_0`` over ``D_wd``) and
+    ``J`` the number of steps of ``den``'s weight gap that fit in the
+    quotient's weight range, except that a frame's only weighted variable is
+    bounded by the solve's weight range over its ``wnum``.  For a
+    non-monomial ``D_wd`` the class labels of the line division move a
+    variable by up to ``(M + 1) * span``, with ``span`` the extent of
     ``D_wd`` in that variable and ``M`` the largest bound over the variables
     that ``D_wd`` spans.
     """
@@ -909,12 +991,18 @@ def divide_exact(num, den):
         exact_top = wtop - max(map(frame.weight_scaled, den.terms))
     else:
         wtop = _top(frame, bound)
-    neg = [(w, PackedSlice({k: -c for k, c in t.items()}))
-           for w, t in sorted(_pack(frame, den.terms).items()) if w != wds]
+    kernel = [(w - wds, PackedSlice({k: -c for k, c in t.items()}))
+              for w, t in sorted(_pack(frame, den.terms).items()) if w != wds]
 
     a_num, a_den, a_0 = _amax(num.terms), _amax(den.terms), _amax(d0)
-    steps = max(0, wtop - wmin_num) // (neg[0][0] - wds) if neg else 0
+    steps = max(0, wtop - wmin_num) // kernel[0][0] if kernel else 0
     bounds = [n + z + steps * (d + z) for n, d, z in zip(a_num, a_den, a_0)]
+    weighted = [i for i, w in enumerate(frame.wnum) if w]
+    if len(weighted) == 1:
+        # the weights of num, product (W) and quotient slices (W - wd) fix e_i
+        (i,) = weighted
+        reach = max(abs(w) for w in (wmin_num, wtop, wmin_num - wds, wtop - wds))
+        bounds[i] = max(a_num[i], reach // frame.wnum[i])
     if len(d0) > 1:
         # a class label moves each variable by m * delta_i, |m| <= M + 1 and
         # |delta_i| <= the span of D_wd in that variable
@@ -922,27 +1010,18 @@ def divide_exact(num, den):
         m = max(b for b, w in zip(bounds, span) if w) + 1
         bounds = [b + m * w for b, w in zip(bounds, span)]
     _guard(frame, map(max, bounds, a_den), "division")
+    if wtop < wmin_num:
+        return Series(frame, {}, q_out, None, _clean=True)
 
-    base = frame.base
-    quo = {}  # quotient slices by weight
-    terms = {}
-    divide = None
-    for w in range(wmin_num, wtop + 1):
-        rhs = ns.get(w, {})
-        for l, dl in neg:
-            gs = quo.get(w - l)
-            if gs:
-                a, b = (gs, dl) if len(gs) <= len(dl) else (dl, gs)
-                madd(rhs, a, b, base, None, None)
-        if rhs:
-            if exact_top is not None and w - wds > exact_top:
-                raise InexactDivision("quotient of exact series does not terminate")
-            if divide is None:
-                divide = _slice_divider(frame, d0)
-            q = divide(rhs)
-            terms.update(q)
-            quo[w - wds] = PackedSlice(q)
-    return Series(frame, _unpack(frame, terms), q_out, None, _clean=True)
+    divide = _slice_divider(frame, d0)
+
+    def finish(W, rhs):
+        if exact_top is not None and W - wds > exact_top:
+            raise InexactDivision("quotient of exact series does not terminate")
+        return divide(rhs)
+
+    quo = _euler_solve(frame, kernel, ns, finish, wmin_num, wtop)
+    return Series(frame, _unpack(frame, _joined(quo)), q_out, None, _clean=True)
 
 
 def _slice_divider(frame, dslice):
@@ -1013,35 +1092,30 @@ def _slice_divider(frame, dslice):
 def exp_series(f):
     """Ordinary formal exponential; the argument needs strictly positive weights.
 
-    Window contract: a floor ``lo < 0`` lets each power of ``f`` lower p by
-    up to |lo|.  With ``N`` the largest n such that ``n * wmin(f)`` is below
-    the truncation order, the result declares ``Window((N+1)*lo, hi + N*lo,
-    True)``, as :func:`log_series` does.  That is the window the power loop
-    reaches at the weight cut; where a windowed power vanishes earlier, the
-    wider window the loop had reached could claim wrong zeros.
+    ``E = exp f`` is solved by :func:`_euler_solve` like a product: the
+    weighted Euler operator ``D`` gives ``DE = Df * E``, so slice by slice
+
+        W * E_W = sum_{l <= W} l * f_l * E_{W-l},    E_0 = 1.
+
+    Each coefficient is an ``int`` while integral, else an exact rational.
+    Window contract: :func:`_power_window`, with ``N`` the largest n such
+    that ``n * wmin(f)`` is below the truncation order.
     """
     if f.terms and (f.wmin() or 0) <= 0:
         raise BadConstantTerm("exp argument must have strictly positive weight")
     if f.terms and f.q_order is None:
         raise BadConstantTerm("exp of an exact series is infinite; set a truncation order")
-    target = f.q_order
-    acc = Series.one(f.frame, target, f.window)
-    term = acc
-    n = 1
-    while term.terms:
-        term = (term * f * rat(1, n)).with_q_order(target)
-        if not term.terms:
-            break
-        acc = acc + term
-        n += 1
-    window = f.window
-    if f.terms and window is not None and window.floored and window.lo < 0:
-        bn, bd = _bounds(f.frame, target)
-        # at most N factors of f fit below the truncation order
-        N = (bn - 1) // (min(map(f.frame.weight_scaled, f.terms)) * bd)
-        window = Window((N + 1) * window.lo, window.hi + N * window.lo, True)
-        acc = Series(f.frame, acc.terms, target, window)
-    return acc
+    frame, target = f.frame, f.q_order
+    if not f.terms:
+        return Series.one(frame, target, _power_window(frame, f.window, 0)[0])
+    top = _top(frame, target)
+    _guard(frame, _cut_bounds(frame, ((e, frame.weight_scaled(e)) for e in f.terms), top), "exp")
+    fs = _pack(frame, f.terms)
+    window, keys, keep = _power_window(frame, f.window, top // min(fs))
+    kernel = [(l, PackedSlice({k: l * c for k, c in t.items()})) for l, t in sorted(fs.items())]
+    slices = _euler_solve(frame, kernel, {}, _qdiv_by_weight, 1, top, keys,
+                          {0: PackedSlice({frame.base: 1})})
+    return Series(frame, _unpack(frame, _joined(slices, keep)), target, window, _clean=True)
 
 
 def log_series(f):
@@ -1052,70 +1126,38 @@ def log_series(f):
     scaled units).  The derivation property gives ``F * DL = DF``, and with
     ``F_0 = 1`` that reads, slice by slice,
 
-        (DL)_W = W * F_W - sum_{wmin <= l <= W - wmin} (DL)_l * F_{W-l},
+        (DL)_W = W * F_W - sum_{wmin <= l <= W - wmin} F_l * (DL)_{W-l},
         L_W = (DL)_W / W,
 
     where wmin is the least weight of ``F - 1`` (Brent and Kung, "Fast
     algorithms for manipulating formal power series", J. ACM 25 (1978);
-    Knuth, TAOCP vol. 2, section 4.7).  Coefficients are returned as exact
-    rationals and the truncation order is that of ``F``.
-
-    Window contract: an unfloored p-window raises :class:`WindowUnderflow`.
-    With no window or ``Window(0, hi, True)`` every product stays at
-    p >= 0, so dropping p > hi is exact and the window is returned as given.
-    A floor ``lo < 0`` lets each factor of ``F - 1`` lower p by up to |lo|:
-    with ``N`` the largest n such that ``n * wmin`` is below the truncation
-    order, every product is cut to ``[N*lo, hi]`` and the result declares
-    ``Window((N+1)*lo, hi + N*lo, True)``.  That is the window of the
-    windowed power series ``sum (-1)^(n+1) (F-1)^n / n`` whenever none of
-    its powers vanishes before the weight cut.  Where one does, the power
-    series stops early and claims a wider window, whose extra columns can
+    Knuth, TAOCP vol. 2, section 4.7), run by :func:`_euler_solve`.
+    Coefficients are exact rationals and the truncation order is that of
+    ``F``.  Window contract: :func:`_power_window`, with ``N`` the largest n
+    such that ``n * wmin`` is below the truncation order.  Where a power of
+    the windowed series ``sum (-1)^(n+1) (F-1)^n / n`` vanishes before the
+    weight cut, that series claims a wider window, whose extra columns can
     hold wrong zeros; this result agrees with it on the narrower window.
     """
     frame = f.frame
-    zero_exp = frame.zero_exp()
     lead = {e: c for e, c in f.terms.items() if frame.weight_scaled(e) <= 0}
-    if lead != {zero_exp: rat(1)} and lead != {zero_exp: 1}:
+    if lead != {frame.zero_exp(): 1}:
         raise BadConstantTerm("log argument must have constant slice 1")
     h = f - 1
     if h.terms and h.q_order is None:
         raise BadConstantTerm("log of an exact series is infinite; set a truncation order")
-    window = f.window
-    if window is not None and not window.floored:
-        raise WindowUnderflow("log of a p-windowed series needs a known floor")
     target = h.q_order
     if not h.terms:
-        return Series.zero(frame, target, window)
+        return Series.zero(frame, target, _power_window(frame, f.window, 0)[0])
     top = _top(frame, target)
     _guard(frame, _cut_bounds(frame, ((e, frame.weight_scaled(e)) for e in h.terms), top), "log")
-    # F - 1 grouped by scaled weight, every weight > 0
-    hs = {w: PackedSlice(t) for w, t in _pack(frame, h.terms).items()}
-    wmin = min(hs)
-    lo_key = hi_key = keep = None
-    if window is not None:
-        # at most n factors of F - 1 fit below the truncation order
-        lo, hi = (top // wmin) * window.lo, window.hi
-        window = Window(lo + window.lo, hi + lo, True)
-        lo_key, hi_key = _p_keys(frame, lo, hi)
-        keep = _p_keys(frame, lo, window.hi)[1]
-    base = frame.base
-    neg_dl = []  # (l, -(DL)_l) for every nonempty slice, ascending in l
-    terms = {}
-    for W in range(wmin, top + 1):
-        acc = {k: W * c for k, c in hs[W].items} if W in hs else {}
-        for l, dl in neg_dl:
-            if l > W - wmin:
-                break
-            fs = hs.get(W - l)
-            if fs:
-                a, b = (dl, fs) if len(dl) <= len(fs) else (fs, dl)
-                madd(acc, a, b, base, lo_key, hi_key)
-        if acc:
-            neg_dl.append((W, PackedSlice({k: -c for k, c in acc.items()})))
-            inv = rat(1, W)
-            for k, c in acc.items():
-                if keep is None or k < keep:
-                    terms[k] = c * inv
+    hs = _pack(frame, h.terms)  # F - 1 by scaled weight, every weight > 0
+    window, keys, keep = _power_window(frame, f.window, top // min(hs))
+    kernel = [(l, PackedSlice({k: -c for k, c in t.items()})) for l, t in sorted(hs.items())]
+    seed = {l: {k: l * c for k, c in t.items()} for l, t in hs.items()}
+    dl = _euler_solve(frame, kernel, seed, lambda W, acc: acc, min(hs), top, keys)
+    inv = {W: rat(1, W) for W in dl}  # L_W = (DL)_W / W
+    terms = {k: c * inv[W] for W, s in dl.items() for k, c in s.items if keep is None or k < keep}
     return Series(frame, _unpack(frame, terms), target, window, _clean=True)
 
 
@@ -1126,9 +1168,10 @@ def adams(f, k):
 def product_expand(frame, factors, q_order, window=None):
     """Expand ``F = prod (1 - m)^e`` exactly to the given truncation order.
 
-    ``factors`` yields pairs (monomial, integer exponent); monomials are
+    ``factors`` yields pairs (monomial, exponent); monomials are
     {name: exponent} mappings or pre-scaled tuples, each of strictly
-    positive weight.  Factors of weight >= q_order are skipped.
+    positive weight, and exponents are ints or exact rationals.  Factors of
+    weight >= q_order are skipped.
 
     F is solved graded slice by graded slice with the weighted Euler operator
     ``D = sum_i w_i x_i d/dx_i`` (weights in the frame's scaled units, so a
@@ -1138,10 +1181,11 @@ def product_expand(frame, factors, q_order, window=None):
 
         W * F_W = sum_{l <= W} (DA)_l * F_{W-l},    F_0 = 1,
 
-    where ``DA = -sum e * w(m) * sum_k m^k`` has integer coefficients, so
-    every division by W is exact (Brent and Kung, "Fast algorithms for
-    manipulating formal power series", J. ACM 25 (1978); Knuth, TAOCP vol. 2,
-    section 4.7).  Every coefficient of the result is an ``int``.
+    where ``DA = -sum e * w(m) * sum_k m^k``, run by :func:`_euler_solve`
+    (Brent and Kung, "Fast algorithms for manipulating formal power series",
+    J. ACM 25 (1978); Knuth, TAOCP vol. 2, section 4.7).  For integer
+    exponents every division by W is exact, so every coefficient is an
+    ``int``; otherwise the divisions go through :func:`enrq.ring.qdiv`.
 
     Window contract: the only accepted p-window is ``Window(0, hi, True)``
     with every kept factor of p-exponent >= 0.  All products then stay at
@@ -1171,7 +1215,9 @@ def product_expand(frame, factors, q_order, window=None):
             raise WindowUnderflow(
                 f"factor {mono} has a negative p-exponent under the floored window {window!r}"
             )
-        kept.append((exps, ws, int(e)))
+        if not is_rational(e):
+            raise TypeError(f"factor exponent {e!r} is not an exact rational")
+        kept.append((exps, ws, int(e) if e.denominator == 1 else e))
     if not kept:
         # the empty product, built exactly as Series.one builds it
         return Series.one(frame, q_order, window)
@@ -1180,47 +1226,20 @@ def product_expand(frame, factors, q_order, window=None):
         return Series(frame, {}, q_order, window, _clean=True)
     _guard(frame, _cut_bounds(frame, ((x, ws) for x, ws, e in kept if e), top), "product_expand")
     base = frame.base
-    # DA grouped by scaled weight: {l: {packed key: int}}
+    # DA grouped by scaled weight: {l: {packed key: coefficient}}, m^k kept while p^k <= hi
     da = {}
     for exps, ws, e in kept:
-        c = -e * ws
         step = _offset(frame, exps)
-        k = 1
-        while c and k * ws <= top:
-            if pi >= 0 and k * exps[pi] > hi:
-                break
-            slot = da.setdefault(k * ws, {})
-            ek = base + k * step
-            v = slot.get(ek, 0) + c
-            if v:
-                slot[ek] = v
-            else:
-                del slot[ek]
-            k += 1
-    lo_key = hi_key = None
-    if pi >= 0:
-        lo_key, hi_key = _p_keys(frame, 0, hi)
-    slices = {0: PackedSlice({base: 1})}
-    da_slices = [(l, PackedSlice(t)) for l, t in sorted(da.items()) if t]
-    for W in range(1, top + 1):
-        acc = {}
-        for l, dl in da_slices:
-            if l > W:
-                break
-            fs = slices.get(W - l)
-            if fs:
-                f, g = (dl, fs) if len(dl) <= len(fs) else (fs, dl)
-                madd(acc, f, g, base, lo_key, hi_key)
-        if acc:
-            out = {}
-            for k, c in acc.items():
-                quo, rem = divmod(c, W)
-                if rem:
-                    raise InexactDivision(f"Euler recurrence: {c} not divisible by weight {W}")
-                out[k] = quo
-            slices[W] = PackedSlice(out)
-    terms = _unpack(frame, {k: c for s in slices.values() for k, c in s.items})
-    return Series(frame, terms, q_order, window, _clean=True)
+        kmax = top // ws if pi < 0 or not exps[pi] else min(top // ws, hi // exps[pi])
+        for k in range(1, kmax + 1):
+            slot, ek = da.setdefault(k * ws, {}), base + k * step
+            slot[ek] = slot.get(ek, 0) - e * ws
+    keys = _p_keys(frame, 0, hi) if pi >= 0 else (None, None)
+    kernel = [(l, PackedSlice({k: c for k, c in t.items() if c})) for l, t in sorted(da.items())]
+    integral = all(type(e) is int for _, _, e in kept)
+    slices = _euler_solve(frame, kernel, {}, _divide_by_weight if integral else _qdiv_by_weight,
+                          1, top, keys, {0: PackedSlice({base: 1})})
+    return Series(frame, _unpack(frame, _joined(slices)), q_order, window, _clean=True)
 
 
 def agree(a, b):

@@ -1,18 +1,25 @@
-"""The tuple-keyed product kernel and the Series operations built on it.
+"""Replaced code paths, kept only as the references the equivalence tests compare against.
 
 ``tuple_madd`` is the sparse kernel that the packed-key ``enrq.kernel.madd``
 replaced, and ``mul_oracle`` / ``divide_exact_oracle`` are ``Series.__mul__``
-and ``divide_exact`` as they were written on it.  They are kept here only as
-the references the equivalence tests compare against.
+and ``divide_exact`` as they were written on it.  ``exp_series_oracle`` is
+the power loop that the graded Euler solve replaced in ``exp_series``,
+``plethystic_exp_oracle`` the Adams-sum route of ``plethystic_exp`` fed to
+it, and ``specialize_oracle`` is ``Series.specialize`` on ``Fraction``
+exponents.  Their products run on the tuple kernel.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from enrq.ring import LinExpr, qdiv
+from enrq.ring import LinExpr, qdiv, rat
 from enrq.series import (
+    BadConstantTerm,
     InexactDivision,
+    OffLattice,
     Series,
+    TruncationLoss,
+    Window,
     WindowUnderflow,
     _bounds,
     _mul_order,
@@ -182,3 +189,94 @@ def _divide_slice(nslice, dslice, frame):
             e = tuple(rep[i] - e0[i] + m * delta[i] for i in range(frame.nvars))
             out[e] = qc
     return out
+
+
+def exp_series_oracle(f):
+    """``exp_series`` as the power loop ``sum f^n / n!``, one truncated product per power."""
+    if f.terms and (f.wmin() or 0) <= 0:
+        raise BadConstantTerm("exp argument must have strictly positive weight")
+    if f.terms and f.q_order is None:
+        raise BadConstantTerm("exp of an exact series is infinite; set a truncation order")
+    target = f.q_order
+    acc = Series.one(f.frame, target, f.window)
+    term = acc
+    n = 1
+    while term.terms:
+        term = (mul_oracle(term, f) * rat(1, n)).with_q_order(target)
+        if not term.terms:
+            break
+        acc = acc + term
+        n += 1
+    window = f.window
+    if f.terms and window is not None and window.floored and window.lo < 0:
+        bn, bd = _bounds(f.frame, target)
+        # at most N factors of f fit below the truncation order
+        N = (bn - 1) // (min(map(f.frame.weight_scaled, f.terms)) * bd)
+        window = Window((N + 1) * window.lo, window.hi + N * window.lo, True)
+        acc = Series(f.frame, acc.terms, target, window)
+    return acc
+
+
+def plethystic_exp_oracle(f):
+    """``plethystic_exp`` of an unwindowed argument: ``exp(sum_k adams(f, k) / k)``."""
+    if f.has_symbols():
+        raise BadConstantTerm("plethystic exp of a symbol-carrying series")
+    if f.terms and (f.wmin() or 0) <= 0:
+        raise BadConstantTerm("plethystic exp needs strictly positive weights")
+    if f.q_order is None:
+        raise BadConstantTerm("plethystic exp needs a finite truncation order")
+    if f.window is not None:
+        raise WindowUnderflow("plethystic exp of a windowed series needs integer coefficients")
+    acc = Series.zero(f.frame, f.q_order)
+    k = 1
+    wmin = f.wmin() or Fraction(1)
+    while k * wmin < f.q_order:
+        acc = acc + f.adams(k) * rat(1, k)
+        k += 1
+    return exp_series_oracle(acc)
+
+
+def specialize_oracle(f, mapping):
+    """``f.specialize(mapping)`` with one ``Fraction`` per exponent, through ``Frame.exps``."""
+    frame = f.frame
+    targets = {}
+    for name, target in mapping.items():
+        i = frame.index.get(name)
+        if i is None:
+            raise KeyError(f"variable {name!r} not in {frame!r}")
+        if frame.weights[i]:
+            raise TruncationLoss(f"cannot substitute the truncated variable {name!r}")
+        if target in (1, None):
+            target = {}
+        if f.window is not None and (name == "p" or "p" in target):
+            raise TruncationLoss("substitution touching p would invalidate the window")
+        targets[name] = {v: Fraction(x) for v, x in dict(target).items()}
+    remaining = [n for n in frame.names if n not in targets]
+    new_frame = frame.subframe(remaining)
+    for target in targets.values():
+        for v in target:
+            if v in targets:
+                raise ValueError("substitution target must use only remaining variables")
+            if v not in new_frame.index:
+                raise KeyError(f"target variable {v!r} not in result frame")
+    out = {}
+    for e, c in f.terms.items():
+        acc = {n: Fraction(e[frame.index[n]], frame.denoms[frame.index[n]]) for n in remaining}
+        for name, target in targets.items():
+            x = Fraction(e[frame.index[name]], frame.denoms[frame.index[name]])
+            for v, t in target.items():
+                acc[v] += x * t
+        try:
+            en = new_frame.exps(acc)
+        except OffLattice as exc:
+            raise OffLattice(f"substitution leaves the lattice: {exc}") from exc
+        v = out.get(en)
+        v = c if v is None else v + c
+        if v:
+            out[en] = v
+        else:
+            out.pop(en, None)
+    window = f.window
+    if window is not None and "p" not in new_frame.index:
+        window = None
+    return Series(new_frame, out, f.q_order, window)

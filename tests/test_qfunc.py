@@ -136,8 +136,8 @@ class TestPlethystics:
         assert sl.coeff({"t": 1, "s": 1}) == 1 and sl.coeff({"t": 2}) == 1
 
     def test_general_route_agrees_with_product_route(self, rng):
-        # rational coefficients force the adams/exp route; doubling the series
-        # makes it integer and eligible for the product route
+        # halving f gives rational exponents in the product, whose divisions
+        # go through qdiv; Exp(f/2)^2 = Exp(f) ties them to f's integer ones
         for _ in range(10):
             f = random_series(rng, FRAME_QTS, 4, max_terms=4, min_weight=1)
             half = f * rat(1, 2)

@@ -5,14 +5,22 @@ from math import comb
 import pytest
 
 from conftest import assert_agree, random_series
-from oracles import divide_exact_oracle, mul_oracle
+from oracles import (
+    divide_exact_oracle,
+    exp_series_oracle,
+    mul_oracle,
+    plethystic_exp_oracle,
+    specialize_oracle,
+)
 from enrq import cli, enriques, perverse, qfunc
 from enrq.cli import SERIES_IDS
 from enrq.cli import main as cli_main
 from enrq.kernel import BIAS
 from enrq.ring import LinExpr, betti_symbol, is_rational, rat
 from enrq.series import (
+    FRAME_P0,
     FRAME_PU,
+    FRAME_PU0,
     FRAME_Q,
     FRAME_QP,
     FRAME_QPU,
@@ -22,6 +30,7 @@ from enrq.series import (
     FRAME_XY,
     BadConstantTerm,
     FieldOverflow,
+    Frame,
     InexactDivision,
     NonConvergentFactor,
     NonUnitLeadingTerm,
@@ -439,6 +448,17 @@ class TestFieldGuard:
         small = mul_oracle(den, Series(FRAME_QPU, {(0, a // 2, -a // 2): 1, (0, -4, 2): 3}))
         assert_identical(divide_exact(small, den), divide_exact_oracle(small, den))
 
+    def test_divide_exact_single_weighted_variable(self):
+        # with q the only weighted variable, q's exponent is a term's scaled
+        # weight: the bound is the solve's weight range (3599 here), where
+        # (weight steps) x (largest divisor exponent) would reach 529,248
+        P = product_expand(FRAME_Q, [({"q": m}, 4) for m in range(1, 150)], 150)
+        inv = P.invert()
+        assert inv.q_order == 150 and inv * P == 1
+        den = Series(FRAME_Q, {(0,): 1, (24,): -1}, BIAS // 24 + 1)
+        with pytest.raises(FieldOverflow):
+            den.invert()
+
 
 class TestAdams:
     def test_examples(self):
@@ -490,6 +510,51 @@ class TestSpecialize:
         with pytest.raises(TruncationLoss):
             f.specialize({"u": {"p": 1}})
 
+    def test_off_lattice_target(self):
+        f = mono(FRAME_QTS, {"t": Fraction(1, 2), "s": 1})
+        with pytest.raises(OffLattice, match=r"substitution leaves the lattice: s\^5/4 not on the 1/2 lattice"):
+            f.specialize({"t": {"s": Fraction(1, 2)}})
+
+    def test_off_lattice_parts_may_sum_onto_the_lattice(self):
+        f = mono(FRAME_QPUTS, {"t": Fraction(1, 2), "s": Fraction(1, 2)})
+        sub = {"t": {"u": Fraction(1, 2)}, "s": {"u": Fraction(1, 2)}}
+        out = f.specialize(sub)
+        assert out == Series.monomial(out.frame, {"u": Fraction(1, 2)})
+        assert_identical(out, specialize_oracle(f, sub))
+
+    def test_random_substitutions_match_the_oracle(self, rng):
+        exps = (1, -1, 2, 0, Fraction(1, 2), Fraction(-3, 2), Fraction(1, 4), Fraction(2, 3))
+        outcomes = {"same": 0, "off": 0}
+        for _ in range(300):
+            frame = rng.choice((FRAME_QPUTS, FRAME_QTS, FRAME_TS, FRAME_QPU, FRAME_PU0, FRAME_P0))
+            window = None
+            if frame.p_index >= 0 and rng.random() < 0.3:
+                window = Window(rng.randint(-4, 0), rng.randint(0, 6), rng.random() < 0.5)
+            f = _random_operand(rng, frame, rng.choice(KINDS), rng.choice((None, 3)), window)
+            free = [n for n, w in zip(frame.names, frame.weights)
+                    if not w and not (window is not None and n == "p")]
+            if not free:
+                continue
+            subs = rng.sample(free, rng.randint(1, len(free)))
+            rest = [n for n in frame.names if n not in subs and not (window is not None and n == "p")]
+            mapping = {}
+            for name in subs:
+                if not rest or rng.random() < 0.2:
+                    mapping[name] = rng.choice((1, None, {}))
+                else:
+                    mapping[name] = {v: rng.choice(exps) for v in rng.sample(rest, rng.randint(1, len(rest)))}
+            try:
+                ref = specialize_oracle(f, mapping)
+            except OffLattice as exc:
+                with pytest.raises(OffLattice) as got:
+                    f.specialize(mapping)
+                assert str(got.value) == str(exc)
+                outcomes["off"] += 1
+                continue
+            assert_identical(f.specialize(mapping), ref)
+            outcomes["same"] += 1
+        assert outcomes["same"] > 100 and outcomes["off"] > 10
+
 
 class TestCoefficient:
     def test_basic(self):
@@ -532,8 +597,8 @@ class TestExpLog:
 
     def test_early_vanishing_power_narrows_the_window(self):
         # exp(q p^(1/2)) = 1 + q p^(1/2) + q^2 p / 2 + ...; on the floor
-        # [-2, 4] the square is cut at p <= 0, so the power loop stops after
-        # one power; the window must be the one reached at the weight cut.
+        # [-2, 4] the windowed square is cut at p <= 0, so a power loop would
+        # stop after one power; the window is the one reached at the weight cut.
         f = Series(FRAME_QP, {(24, 1): 1}, 3, Window(-2, 4, True))
         got = exp_series(f)
         assert got.window == Window(-6, 0, True) and got.terms == {(0, 0): 1}
@@ -565,6 +630,17 @@ class TestProductExpand:
     def test_eight_colors(self):
         P = product_expand(FRAME_Q, [({"q": m}, -8) for m in range(1, 3)], 3)
         assert P.coeff({"q": 2}) == 44
+
+    def test_rational_exponents(self):
+        half = product_expand(FRAME_QP, [({"q": 1, "p": 1}, Fraction(1, 2)), ({"q": 2}, rat(-3, 2))], 5)
+        whole = product_expand(FRAME_QP, [({"q": 1, "p": 1}, 1), ({"q": 2}, -3)], 5)
+        assert half.coeff({"q": 1, "p": 1}) == rat(-1, 2)
+        assert_agree(half * half, whole)
+        assert all(type(c) is int for c in whole.terms.values())
+        assert_identical(product_expand(FRAME_Q, [({"q": 1}, rat(4, 2))], 5),
+                         product_expand(FRAME_Q, [({"q": 1}, 2)], 5))
+        with pytest.raises(TypeError):
+            product_expand(FRAME_Q, [({"q": 1}, 0.5)], 3)
 
     def test_nonconvergent(self):
         with pytest.raises(NonConvergentFactor):
@@ -1029,3 +1105,125 @@ def test_symbol_degree_guard_propagates():
     b2 = Series.const(FRAME_QPU, betti_symbol(1, 3), q_order=2)
     with pytest.raises(SymbolDegreeOverflow):
         b1 * b2
+
+
+# -- exp_series and plethystic_exp on the graded Euler solve ----------------------
+
+FRAME_QPTS = Frame(("q", "p", "t", "s"), (24, 2, 2, 2), (1, 0, 0, 0))
+EXP_FRAMES = (FRAME_Q, FRAME_QP, FRAME_XY, FRAME_QPU, FRAME_QTS, FRAME_QPTS, FRAME_QPUTS)
+
+
+def _random_exp_argument(rng, frame, window=None, kind=None, max_terms=5):
+    """Random terms of weight in (0, q_order); p in [lo, hi + 2] under a window."""
+    q_order = Fraction(rng.randint(3, 7), 2)
+    terms = {}
+    for _ in range(4 * rng.randint(1, max_terms)):
+        e = []
+        for i, (den, w) in enumerate(zip(frame.denoms, frame.weights)):
+            if w:
+                unit = den // 2 if den % 2 == 0 else den
+                e.append(unit * rng.randint(0, int(q_order * den) // unit))
+            elif i == frame.p_index and window is not None:
+                e.append(rng.randint(window.lo, window.hi + 2))
+            else:
+                e.append(rng.randint(-3, 3))
+        if 0 < frame.weight(e) < q_order and rng.random() < 0.25:
+            terms[tuple(e)] = _random_coeff(rng, kind or rng.choice(("int", "rat")))
+    return Series(frame, terms, q_order, window)
+
+
+class TestExpSeriesOracle:
+    def test_random_inputs(self, rng):
+        for frame in EXP_FRAMES:
+            for _ in range(20):
+                f = _random_exp_argument(rng, frame)
+                assert_equivalent(exp_series(f), exp_series_oracle(f))
+
+    def test_random_floored_windows(self, rng):
+        for frame in (FRAME_QP, FRAME_QPU, FRAME_QPTS, FRAME_QPUTS):
+            for lo in (0, -1, -2, -4):
+                for _ in range(10):
+                    window = Window(lo, rng.randint(0, 8), True)
+                    f = _random_exp_argument(rng, frame, window)
+                    got = exp_series(f)
+                    assert_equivalent(got, exp_series_oracle(f))
+                    if lo == 0:
+                        assert got.window == window
+
+    def test_edge_cases(self):
+        cases = [
+            Series.zero(FRAME_Q),
+            Series.zero(FRAME_Q, 3),
+            Series.zero(FRAME_QP, 3, Window(-2, 4, True)),
+            Series.zero(FRAME_QP, 3, Window(0, 4, True)),
+            mono(FRAME_Q, {"q": 1}, q_order=1),
+            mono(FRAME_Q, {"q": 1}, q_order=Fraction(7, 3)),
+            mono(FRAME_Q, {"q": Fraction(1, 24)}, rat(3, 2), q_order=Fraction(1, 3)),
+            Series(FRAME_QP, {(24, 1): 1}, 3, Window(-2, 4, True)),
+            Series(FRAME_QP, {(24, -2): 1, (36, -1): rat(1, 3)}, 3, Window(-2, -1, True)),
+            Series(FRAME_QP, {(24, 0): 2, (36, 0): -3}, 4, Window(0, 0, True)),
+        ]
+        for f in cases:
+            assert_equivalent(exp_series(f), exp_series_oracle(f))
+
+    @pytest.mark.parametrize(
+        "f,exc",
+        [
+            (Series(FRAME_QP, {(24, 2): 1}, 3, Window(-2, 4, False)), WindowUnderflow),
+            (Series.zero(FRAME_QP, 3, Window(-2, 4, False)), WindowUnderflow),
+            (Series(FRAME_QP, {(24, 2): 1}, 3, Window(2, 8, True)), WindowUnderflow),
+            (Series.zero(FRAME_QP, 3, Window(1, 8, True)), WindowUnderflow),
+            (mono(FRAME_QP, {"p": 1}, q_order=3), BadConstantTerm),
+            (Series.const(FRAME_Q, 1, q_order=3) + mono(FRAME_Q, {"q": 1}), BadConstantTerm),
+            (mono(FRAME_Q, {"q": 1}), BadConstantTerm),
+        ],
+    )
+    def test_rejected_inputs(self, f, exc):
+        with pytest.raises(exc):
+            exp_series(f)
+
+    def test_floor_above_zero_was_an_accidental_value_error(self):
+        # the power loop failed building its constant term 1 below the floor
+        f = Series(FRAME_QP, {(24, 2): 1}, 3, Window(2, 8, True))
+        with pytest.raises(ValueError):
+            exp_series_oracle(f)
+
+
+class TestPlethysticExpOracle:
+    def test_random_inputs(self, rng):
+        for frame in EXP_FRAMES:
+            for kind in ("int", "rat"):
+                for _ in range(10):
+                    f = _random_exp_argument(rng, frame, kind=kind)
+                    got = qfunc.plethystic_exp(f)
+                    assert_equivalent(got, plethystic_exp_oracle(f))
+                    if kind == "int":
+                        assert all(type(c) is int for c in got.terms.values())
+
+    def test_windowed_rational_argument(self, rng):
+        for frame in (FRAME_QP, FRAME_QPU, FRAME_QPUTS):
+            for _ in range(8):
+                hi = rng.randint(1, 8)
+                f = _random_exp_argument(rng, frame, Window(rng.randint(1, 2), hi, True), kind="rat")
+                got = qfunc.plethystic_exp(f)
+                assert got.window == Window(0, hi, True)
+                truth = qfunc.plethystic_exp(Series(frame, f.terms, f.q_order))
+                assert_equivalent(got, Series(frame, truth.terms, truth.q_order, got.window))
+
+    @pytest.mark.parametrize(
+        "f,exc",
+        [
+            (Series(FRAME_QP, {(24, 2): 1}, 3, Window(1, 4, False)), WindowUnderflow),
+            (Series(FRAME_QP, {(24, 2): rat(1, 2)}, 3, Window(1, 4, False)), WindowUnderflow),
+            (Series(FRAME_QP, {(24, 2): 1}, 3, Window(0, 4, True)), WindowUnderflow),
+            (Series(FRAME_QP, {(24, 2): rat(1, 2)}, 3, Window(-2, 4, True)), WindowUnderflow),
+            (Series.const(FRAME_QPU, betti_symbol(1, 2), q_order=3) * mono(FRAME_QPU, {"q": 1}),
+             BadConstantTerm),
+            (mono(FRAME_QP, {"p": 1}, rat(1, 2), q_order=3), BadConstantTerm),
+            (Series.one(FRAME_Q, q_order=3) + mono(FRAME_Q, {"q": 1}), BadConstantTerm),
+            (mono(FRAME_Q, {"q": 1}, rat(1, 2)), BadConstantTerm),
+        ],
+    )
+    def test_rejected_inputs(self, f, exc):
+        with pytest.raises(exc):
+            qfunc.plethystic_exp(f)
