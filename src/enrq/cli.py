@@ -1,8 +1,9 @@
 """Command-line front end: series expansion, table emission, identity checks.
 
-Exit codes: 0 success, 1 failed check, 2 usage error: unknown id or
-malformed argument (a one-line message on stderr, never a traceback),
-3 insufficient truncation order for the requested tables.
+Exit codes: 0 success, 1 failed check, 2 usage error: unknown id,
+malformed argument, a Betti file without data for a degree the command
+needs, or an ``--out`` that cannot be written (a one-line message on stderr,
+never a traceback), 3 insufficient truncation order for the requested tables.
 """
 
 import argparse
@@ -37,7 +38,7 @@ SERIES_IDS = (
 # flags whose value may start with "-", which argparse would take for an option
 SIGNED_FLAGS = ("--p-window", "--d", "--q-order")
 
-BettiFile = namedtuple("BettiFile", "sha256 records")
+BettiFile = namedtuple("BettiFile", "sha256 table")
 
 
 class UsageError(Exception):
@@ -93,7 +94,11 @@ def _read_betti_file(path):
         raise argparse.ArgumentTypeError(
             f'{path!r}: expected a list of {{"d", "betti", "complete"}} records'
         )
-    return BettiFile(hashlib.sha256(data).hexdigest(), records)
+    try:
+        table = perverse.BettiTable.from_records(records)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"{path!r}: {exc}") from None
+    return BettiFile(hashlib.sha256(data).hexdigest(), table)
 
 
 def _join_signed_values(argv):
@@ -109,7 +114,7 @@ def _join_signed_values(argv):
 
 def _betti(args):
     if getattr(args, "betti_file", None):
-        return perverse.BettiTable.from_records(args.betti_file.records)
+        return args.betti_file.table
     return perverse.BettiTable.default()
 
 
@@ -121,8 +126,12 @@ def _window(args):
 def _emit(text, args, filename):
     if args.out:
         path = Path(args.out)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / filename).write_text(text, encoding="utf-8")
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+            (path / filename).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            msg = f"cannot write {filename} into {args.out!r}: {exc.strerror or exc}"
+            raise UsageError(f"enrq: error: argument --out: {msg}") from None
         print(str(path / filename))
     else:
         sys.stdout.write(text)
@@ -315,14 +324,16 @@ def main(argv=None):
         argv = sys.argv[1:]
     try:
         args = _parser().parse_args(_join_signed_values(argv))
+        if args.command == "expand":
+            return cmd_expand(args)
+        if args.command == "tables":
+            return cmd_tables(args)
+        return cmd_check(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
-        return 2
-    if args.command == "expand":
-        return cmd_expand(args)
-    if args.command == "tables":
-        return cmd_tables(args)
-    return cmd_check(args)
+    except perverse.MissingBettiData as exc:
+        print(f"enrq: error: argument --betti-file: {exc.args[0]}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .config import betti_defaults
 from .qfunc import eta, inv_theta_pair, quantum_integer, theta, theta_pair
-from .ring import LinExpr, betti_symbol, coeff_to_json, qdiv, rat
+from .ring import LinExpr, betti_symbol, coeff_to_json, exact, qdiv
 from .series import (
     FRAME_Q,
     FRAME_QPU,
@@ -31,6 +31,7 @@ from .series import (
 )
 
 __all__ = [
+    "MissingBettiData",
     "BettiTable",
     "PerverseTable",
     "ph_main_term",
@@ -52,6 +53,10 @@ __all__ = [
 ]
 
 
+class MissingBettiData(KeyError):
+    """A Betti table holds no data for a degree d that a computation needs."""
+
+
 class BettiTable:
     """Betti numbers b_i of the degree-d moduli spaces (dimension 2d+1).
 
@@ -61,9 +66,9 @@ class BettiTable:
     """
 
     def __init__(self, complete=None, prefixes=None):
-        self.complete = {int(d): [_exact(b) for b in v] for d, v in (complete or {}).items()}
+        self.complete = {int(d): [exact(b) for b in v] for d, v in (complete or {}).items()}
         self.prefixes = {
-            (None if d is None else int(d)): [_exact(b) for b in v]
+            (None if d is None else int(d)): [exact(b) for b in v]
             for d, v in (prefixes or {}).items()
         }
         for d, vec in self.complete.items():
@@ -77,6 +82,8 @@ class BettiTable:
         complete, prefixes = {}, {}
         for rec in records:
             if rec.get("complete"):
+                if rec["d"] is None:
+                    raise ValueError("a complete Betti vector needs its degree d")
                 complete[rec["d"]] = rec["betti"]
             else:
                 prefixes[rec["d"]] = rec["betti"]
@@ -98,7 +105,7 @@ class BettiTable:
             return self.complete[d][i]
         prefix = self.prefixes.get(d, self.prefixes.get(None))
         if prefix is None:
-            raise KeyError(f"no Betti data for d={d}")
+            raise MissingBettiData(f"no Betti data for d={d}")
         if ii < len(prefix):
             return prefix[ii]
         return betti_symbol(d, ii)
@@ -121,12 +128,6 @@ class BettiTable:
             prev = terms.get(key)
             terms[key] = c if prev is None else prev + c
         return Series(frame, terms, None, None, _clean=True)
-
-
-def _exact(b):
-    """A Betti number as an int when integral, else an exact rational."""
-    b = rat(b)
-    return int(b) if b.denominator == 1 else b
 
 
 def _betti_q_sum(betti, q_order, frame):

@@ -13,7 +13,7 @@ scaled exponent by k).
 
 from fractions import Fraction
 
-from .ring import rat
+from .ring import LinExpr, exact, rat
 from .series import (
     FRAME_Q,
     FRAME_TS,
@@ -199,7 +199,11 @@ def plethystic_exp(f):
 
 
 def plethystic_log(F):
-    """Log(F): plethystic inverse of Exp, via Moebius inversion over Adams ops."""
+    """Log(F): plethystic inverse of Exp, via Moebius inversion over Adams ops.
+
+    Rational coefficients of the Moebius sum come back as ``int`` when
+    integral; ``LinExpr`` ones pass through.
+    """
     L = log_series(F)
     if not L.terms:
         return L
@@ -213,7 +217,7 @@ def plethystic_log(F):
         if m:
             acc = acc + L.adams(k) * rat(m, k)
         k += 1
-    return acc
+    return acc.map_coeffs(lambda c: c if isinstance(c, LinExpr) else exact(c))
 
 
 def virtual_shift(f, dim):

@@ -1,9 +1,11 @@
 """Exact coefficient arithmetic for the series engine.
 
-A coefficient is a Python ``int`` while it is integral and an exact rational
-otherwise (gmpy2.mpq when available, ``Fraction`` otherwise), optionally
-extended by formal symbols ``b(d, i)`` standing for still-unknown Betti
-numbers of the degree-``d`` sheaf moduli space.  It is never a float.
+A coefficient is a Python ``int`` while it is integral and a ``Fraction``
+otherwise, optionally extended by formal symbols ``b(d, i)`` standing for
+still-unknown Betti numbers of the degree-``d`` sheaf moduli space.  It is
+never a float: :func:`rat` builds every rational and refuses anything but an
+``int``, a ``Fraction`` or a ``'p/q'`` string, and :func:`exact` turns an
+integral rational back into an ``int``.
 :func:`qdiv` is the only coefficient division: it keeps an exact integer
 quotient an ``int`` and turns an inexact one into a rational, where ``/``
 would give a float.  Only affine-linear expressions in the symbols are
@@ -20,12 +22,10 @@ __all__ = [
     "BettiSymbol",
     "LinExpr",
     "rat",
+    "exact",
     "qdiv",
     "is_rational",
-    "as_fraction",
     "betti_symbol",
-    "lin_add",
-    "lin_mul",
     "coeff_to_json",
     "coeff_from_json",
 ]
@@ -35,24 +35,31 @@ class SymbolDegreeOverflow(ArithmeticError):
     """Product would be quadratic in Betti symbols."""
 
 
-try:
-    from gmpy2 import mpq as _mpq
+# the one rational type, named in benchmark records and the series cache key
+RATIONAL_BACKEND = "fractions"
 
-    RATIONAL_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpq = Fraction
-    RATIONAL_BACKEND = "fractions"
-
-_RAT_TYPES = (int, Fraction, type(_mpq(0)))
+_RAT_TYPES = (int, Fraction)
 
 
-def rat(num=0, den=None):
-    """Exact rational from ints, 'p/q' strings, Fractions or rationals."""
-    if den is not None:
-        return _mpq(num, den)
-    if isinstance(num, str):
-        return _mpq(Fraction(num))
-    return _mpq(num)
+def rat(num, den=None):
+    """The ``Fraction`` ``num`` or ``num / den``.
+
+    ``num`` is an ``int``, a ``Fraction`` or a ``'p/q'`` string, ``den`` an
+    ``int`` or a ``Fraction``; anything else, a float included, is a
+    ``TypeError``.
+    """
+    if den is None:
+        if isinstance(num, (*_RAT_TYPES, str)):
+            return Fraction(num)
+    elif isinstance(num, _RAT_TYPES) and isinstance(den, _RAT_TYPES):
+        return Fraction(num, den)
+    raise TypeError(f"not an exact rational: {num!r}" + ("" if den is None else f" / {den!r}"))
+
+
+def exact(x):
+    """``rat(x)``, as an ``int`` when it is integral."""
+    x = rat(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def qdiv(a, b):
@@ -78,12 +85,6 @@ def qdiv(a, b):
 
 def is_rational(x):
     return isinstance(x, _RAT_TYPES)
-
-
-def as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x.numerator, x.denominator) if not isinstance(x, int) else Fraction(x)
 
 
 class BettiSymbol(tuple):
@@ -226,20 +227,6 @@ def betti_symbol(d, i):
     return LinExpr(0, {BettiSymbol(d, i): 1})
 
 
-def lin_add(a, b):
-    """Sum of affine-linear expressions (rationals accepted on either side)."""
-    if isinstance(a, LinExpr) or isinstance(b, LinExpr):
-        return a + b
-    return rat(a) + rat(b)
-
-
-def lin_mul(a, b):
-    """Product of affine-linear expressions; at most one side may carry symbols."""
-    if isinstance(a, LinExpr) or isinstance(b, LinExpr):
-        return a * b
-    return rat(a) * rat(b)
-
-
 def coeff_to_json(c):
     if isinstance(c, LinExpr):
         return {
@@ -251,19 +238,13 @@ def coeff_to_json(c):
     return str(c)
 
 
-def _number_from_json(text):
-    # an int while integral, as the coefficient was before it was written
-    v = rat(text)
-    return int(v) if v.denominator == 1 else v
-
-
 def coeff_from_json(obj):
     """Inverse of :func:`coeff_to_json`; integral values (also in a LinExpr) come back as ints."""
     if isinstance(obj, str):
-        return _number_from_json(obj)
+        return exact(obj)
     terms = {}
     for t in obj.get("terms", ()):
-        v = _number_from_json(t["coef"])
+        v = exact(t["coef"])
         if v:
             terms[BettiSymbol(t["d"], t["i"])] = v
-    return _make(_number_from_json(obj["const"]), terms)
+    return _make(exact(obj["const"]), terms)

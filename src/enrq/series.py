@@ -1,8 +1,8 @@
 """Truncated multivariate Laurent series over exact coefficients.
 
 Coefficients follow :mod:`enrq.ring`: an ``int`` while integral, otherwise a
-``Fraction``/mpq or a ``LinExpr`` over those, never a float; every
-coefficient division goes through :func:`enrq.ring.qdiv`.
+``Fraction``, or a ``LinExpr`` over those, never a float; every coefficient
+division goes through :func:`enrq.ring.qdiv`.
 
 Exponents live on a fixed fractional lattice: each variable has an integer
 denominator (q carries 1/24 steps for eta prefactors, the others 1/2 steps
@@ -36,7 +36,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .kernel import BIAS, FIELD_BITS, FIELD_MASK, PackedSlice, madd
-from .ring import LinExpr, coeff_from_json, coeff_to_json, is_rational, qdiv, rat
+from .ring import LinExpr, coeff_from_json, coeff_to_json, exact, is_rational, qdiv, rat
 
 __all__ = [
     "Frame",
@@ -387,7 +387,7 @@ class Series:
 
     @classmethod
     def const(cls, frame, value, q_order=None, window=None):
-        value = value if (is_rational(value) or isinstance(value, LinExpr)) else rat(value)
+        value = _coerce_coeff(value)
         t = {frame.zero_exp(): value} if value else {}
         return cls(frame, t, q_order, window)
 
@@ -397,7 +397,7 @@ class Series:
 
     @classmethod
     def monomial(cls, frame, mono, coeff=1, q_order=None, window=None):
-        coeff = coeff if (is_rational(coeff) or isinstance(coeff, LinExpr)) else rat(coeff)
+        coeff = _coerce_coeff(coeff)
         return cls(frame, {frame.exps(mono): coeff}, q_order, window)
 
     # -- inspection --------------------------------------------------------
@@ -562,7 +562,7 @@ class Series:
         """Multiplicative inverse: ``divide_exact(1, self)`` below a unit monomial lead.
 
         Each coefficient is an ``int`` while integral and otherwise a
-        ``Fraction``/mpq (or a ``LinExpr`` over those), never a float: the
+        ``Fraction`` (or a ``LinExpr`` over those), never a float: the
         inverse of an integer series with lead coefficient +-1, such as
         ``eta(q)**4``, has only ``int`` coefficients.
         """
@@ -1217,7 +1217,7 @@ def product_expand(frame, factors, q_order, window=None):
             )
         if not is_rational(e):
             raise TypeError(f"factor exponent {e!r} is not an exact rational")
-        kept.append((exps, ws, int(e) if e.denominator == 1 else e))
+        kept.append((exps, ws, exact(e)))
     if not kept:
         # the empty product, built exactly as Series.one builds it
         return Series.one(frame, q_order, window)

@@ -171,9 +171,25 @@ class TestUsageErrors:
 
     def test_malformed_betti_file(self, tmp_path, capsys):
         path = tmp_path / "betti.json"
-        for text in ("[{", '{"d": 1}', '[{"betti": [1]}]'):
+        for text in (
+            "[{",
+            '{"d": 1}',
+            '[{"betti": [1]}]',
+            '[{"d": 1, "betti": [1, 0, 11], "complete": true}]',
+            '[{"d": null, "betti": [1, "x", 11]}]',
+            '[{"d": null, "betti": [1, 0, 11], "complete": true}]',
+            '[{"d": 1, "betti": [1, 0, 11]}]',
+            '[{"d": null, "betti": [1, 0.1, 11]}]',
+        ):
             path.write_text(text)
             self.usage_error(["expand", "keyeq-rhs2", "--betti-file", str(path)], capsys)
+
+    def test_out_names_a_file(self, tmp_path, capsys):
+        path = tmp_path / "afile"
+        path.write_text("kept")
+        argv = ["tables", "--d", "0", "--q-order", "1", "--out", str(path)]
+        assert "--out" in self.usage_error(argv, capsys)
+        assert path.read_text() == "kept"
 
     def test_degree_range_spellings(self, capsys):
         spaced = run(["tables", "--d", "0:1", "--q-order", "3"], capsys)

@@ -37,7 +37,7 @@ from enrq.enriques import (
     smooth_curve_pt_closed,
     smooth_curve_pt_series,
 )
-from enrq.qfunc import plethystic_exp, quantum_integer
+from enrq.qfunc import plethystic_exp, plethystic_log, quantum_integer
 from enrq.ring import rat
 from enrq.series import (
     FRAME_P0,
@@ -230,6 +230,14 @@ class TestGVExtraction:
         for d in range(1, 7):
             assert gv[d] == gv_fiber_closed(d)
             assert gv[d].symmetric_p() and gv[d].symmetric_u()
+
+    def test_gv_and_log_coefficients_are_ints(self):
+        Zb = betti_realization(pt_fiber_full(6, Window(-20, 20, False)))
+        assert all(type(c) is int for c in plethystic_log(Zb).terms.values())
+        gv = gv_refined_extract(Zb, 6)
+        assert len(gv) == 6 and all(
+            type(c) is int for p in gv.values() for c in p.poly.terms.values()
+        )
 
     def test_unstable_window_detected(self):
         narrow = Window(-8, 8, False)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enrq import ring
 from enrq.ring import (
     BettiSymbol,
     LinExpr,
@@ -11,8 +12,7 @@ from enrq.ring import (
     betti_symbol,
     coeff_from_json,
     coeff_to_json,
-    lin_add,
-    lin_mul,
+    exact,
     qdiv,
     rat,
 )
@@ -22,6 +22,28 @@ def test_rat_construction():
     assert rat(3, 2) == rat("3/2") == rat(Fraction(3, 2))
     assert str(rat(6, 4)) == "3/2"
     assert rat("-7") == -7
+
+
+def test_rat_refuses_non_exact_numbers():
+    for args in ((0.1,), (1, 2.0), (0.5, 1), (None,), ([1],)):
+        with pytest.raises(TypeError):
+            rat(*args)
+    with pytest.raises(TypeError):
+        LinExpr(0.5)
+    with pytest.raises(TypeError):
+        LinExpr(0, {(1, 2): 0.5})
+
+
+def test_exact_keeps_integral_values_int():
+    assert exact("4/2") == 2 and type(exact("4/2")) is int
+    assert exact(Fraction(-6, 3)) == -2 and type(exact(Fraction(-6, 3))) is int
+    assert exact("1/2") == Fraction(1, 2) and type(exact("1/2")) is Fraction
+    with pytest.raises(TypeError):
+        exact(2.0)
+
+
+def test_rational_backend_reported():
+    assert ring.RATIONAL_BACKEND == "fractions"
 
 
 def test_qdiv_keeps_exact_integer_quotients_int():
@@ -50,18 +72,18 @@ def test_betti_symbol_range():
 
 def test_lin_add_examples():
     b32 = betti_symbol(2, 3)
-    assert lin_add(3 + 2 * b32, 1 - 2 * b32) == 4
+    assert (3 + 2 * b32) + (1 - 2 * b32) == 4
     x = 5 + betti_symbol(1, 2)
-    assert lin_add(LinExpr(0), x) == x
-    assert lin_add(rat(1, 2) + betti_symbol(1, 0), rat(1, 2)) == 1 + betti_symbol(1, 0)
+    assert LinExpr(0) + x == x
+    assert (rat(1, 2) + betti_symbol(1, 0)) + rat(1, 2) == 1 + betti_symbol(1, 0)
 
 
 def test_lin_mul_examples():
     b32 = betti_symbol(2, 3)
-    assert lin_mul(rat(2), 3 + b32) == 6 + 2 * b32
-    assert lin_mul(rat(0), 3 + b32) == 0
+    assert rat(2) * (3 + b32) == 6 + 2 * b32
+    assert rat(0) * (3 + b32) == 0
     with pytest.raises(SymbolDegreeOverflow):
-        lin_mul(1 + betti_symbol(2, 3), 1 + betti_symbol(2, 4))
+        (1 + betti_symbol(2, 3)) * (1 + betti_symbol(2, 4))
 
 
 def test_division_by_scalar():

@@ -58,6 +58,15 @@ def mono(frame, exps, c=1, **kw):
     return Series.monomial(frame, exps, c, **kw)
 
 
+def test_constructors_refuse_floats():
+    with pytest.raises(TypeError):
+        Series.const(FRAME_Q, 0.5)
+    with pytest.raises(TypeError):
+        Series.monomial(FRAME_Q, {"q": 1}, 0.5)
+    assert Series.const(FRAME_Q, "1/2").terms == {(0,): rat(1, 2)}
+    assert Series.monomial(FRAME_Q, {"q": 1}, 3).terms == {(24,): 3}
+
+
 class TestAdd:
     def test_cancellation(self):
         one, q = mono(FRAME_Q, {}), mono(FRAME_Q, {"q": 1})
@@ -639,8 +648,9 @@ class TestProductExpand:
         assert all(type(c) is int for c in whole.terms.values())
         assert_identical(product_expand(FRAME_Q, [({"q": 1}, rat(4, 2))], 5),
                          product_expand(FRAME_Q, [({"q": 1}, 2)], 5))
-        with pytest.raises(TypeError):
-            product_expand(FRAME_Q, [({"q": 1}, 0.5)], 3)
+        for inexact in (0.5, "1/2"):
+            with pytest.raises(TypeError):
+                product_expand(FRAME_Q, [({"q": 1}, inexact)], 3)
 
     def test_nonconvergent(self):
         with pytest.raises(NonConvergentFactor):
