@@ -16,6 +16,7 @@ from .series import (
     Series,
     SeriesError,
     Window,
+    _as_order,
     agree,
 )
 
@@ -147,7 +148,7 @@ def _default_window():
 
 
 def check_gv_closed_forms(betti=None, q_order=8, **_):
-    q_order = min(Fraction(q_order), Fraction(7))
+    q_order = min(_as_order(q_order), Fraction(7))
     window = _default_window()
     Z = enriques.pt_fiber_full(q_order, window)
     Zb = Z.specialize({"t": {"u": 1}, "s": {"u": 1}})
@@ -166,7 +167,7 @@ def check_gv_closed_forms(betti=None, q_order=8, **_):
 
 
 def check_toda_vs_prop(betti=None, q_order=9, **_):
-    q_order = max(Fraction(q_order), Fraction(9))
+    q_order = max(_as_order(q_order), Fraction(9))
     table = enriques.dt_fiber_table(q_order)
     assembled = enriques.assemble_pt_from_dt(table, q_order, frame=FRAME_QPUTS)
     target = enriques.pt_fiber_series(q_order, FRAME_QTS).embed(FRAME_QPUTS)
@@ -175,7 +176,7 @@ def check_toda_vs_prop(betti=None, q_order=9, **_):
 
 
 def check_jacobi_vs_product(betti=None, q_order=9, eta_prefactor=True, **_):
-    q_order = max(Fraction(q_order), Fraction(9))
+    q_order = max(_as_order(q_order), Fraction(9))
     jac = perverse.ph_main_term_jacobi(q_order, eta_prefactor=eta_prefactor)
     plain = perverse.ph_main_term(q_order)
     ok, info = agree(jac, plain)
@@ -184,7 +185,7 @@ def check_jacobi_vs_product(betti=None, q_order=9, eta_prefactor=True, **_):
 
 def check_chain_three_forms(betti, q_order=6, eta_prefactor=True, **_):
     rep = perverse.check_primitive_chain(
-        betti, q_order=min(Fraction(q_order), Fraction(6)), eta_prefactor=eta_prefactor
+        betti, q_order=min(_as_order(q_order), Fraction(6)), eta_prefactor=eta_prefactor
     )
     detail = "" if rep["ok"] else str({k: v for k, v in rep.items() if k != "ok"})
     return _result("chain-three-forms", rep["ok"], detail)
@@ -245,7 +246,7 @@ def check_smooth_curve(betti=None, q_order=8, **_):
 
 
 def check_euler_specialization(betti=None, q_order=6, **_):
-    q_order = min(Fraction(q_order), Fraction(6))
+    q_order = min(_as_order(q_order), Fraction(6))
     window = _default_window()
     refined = enriques.pt_fiber_full(q_order, window)
     specialized = refined.specialize({"t": 1, "s": 1})

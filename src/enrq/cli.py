@@ -2,11 +2,14 @@
 
 Exit codes: 0 success, 1 failed check, 2 usage error: unknown id,
 malformed argument, a Betti file without data for a degree the command
-needs, or an ``--out`` that cannot be written (a one-line message on stderr,
-never a traceback), 3 insufficient truncation order for the requested tables.
+needs, an ``--out`` that cannot be written, or a ``SERIES_CACHE_DIR`` that
+cannot be read or written, such as one naming a file (a one-line message on
+stderr, never a traceback), 3 insufficient truncation order for the
+requested tables.
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -119,8 +122,19 @@ def _betti(args):
 
 
 def _window(args):
+    """The ``--p-window`` request in scaled units; the builders read its top."""
     lo, hi = args.p_window
     return Window(2 * lo, 2 * hi, False)
+
+
+@contextlib.contextmanager
+def _cache_errors(cache_dir):
+    """Report an unusable ``SERIES_CACHE_DIR`` as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        msg = f"cannot use {cache_dir!r}: {exc.strerror or exc}"
+        raise UsageError(f"enrq: error: SERIES_CACHE_DIR: {msg}") from None
 
 
 def _emit(text, args, filename):
@@ -186,12 +200,16 @@ def cmd_expand(args):
             ).encode()
         ).hexdigest()[:24]
         cache_path = Path(cache_dir) / f"{name}-{key}.json"
-    if cache_path is not None and cache_path.exists():
-        text = cache_path.read_text(encoding="utf-8")
-    else:
+    text = None
+    if cache_path is not None:
+        with _cache_errors(cache_dir):
+            if cache_path.exists():
+                text = cache_path.read_text(encoding="utf-8")
+    if text is None:
         text = _build_series(name, args).dumps(indent=2) + "\n"
         if cache_path is not None:
-            _write_atomic(cache_path, text)
+            with _cache_errors(cache_dir):
+                _write_atomic(cache_path, text)
     _emit(text, args, f"{name}.json")
     return 0
 

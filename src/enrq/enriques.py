@@ -14,7 +14,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .config import hodge_inputs, parse_hodge
-from .qfunc import plethystic_exp, plethystic_log, quantum_integer
+from .perverse import _main_prefactor
+from .qfunc import inv_zero_mode, plethystic_exp, plethystic_log, quantum_integer
 from .ring import qdiv, rat
 from .series import (
     FRAME_P0,
@@ -28,6 +29,7 @@ from .series import (
     Series,
     SeriesError,
     Window,
+    _as_order,
     divide_exact,
     exp_series,
     product_expand,
@@ -140,7 +142,7 @@ def rational_elliptic_surface_vir(frame=FRAME_TS):
 
 def pt_fiber_series(q_order, frame=FRAME_QTS):
     """prod_m (1-q^{2m})^6 / ((1-(ts)^{-1} q^{2m}) (1-q^m)^8 (1-ts q^{2m}))."""
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     factors = []
     m = 1
     while m < q_order:
@@ -155,7 +157,7 @@ def pt_fiber_series(q_order, frame=FRAME_QTS):
 
 def pt_fiber_series_euler(q_order, frame=FRAME_QP):
     """Euler limit of the fiber series: prod (1-q^{2m})^4 / (1-q^m)^8."""
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     factors = []
     m = 1
     while m < q_order:
@@ -172,7 +174,7 @@ def equivariant_hilb_vir_series(fixed_points, resolution_vir, q_order, frame=FRA
     prod_i ((1-q^{2i})^2/(1-q^i))^fixed_points * Exp(sum_i q^{2i} R) where R is
     the weight-shifted class of the resolved quotient surface.
     """
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     factors = []
     i = 1
     while i < q_order:
@@ -323,7 +325,7 @@ def bps_to_dt(omega_table, key):
 
 def dt_fiber_table(q_order):
     """All nonzero DT(r, d, 0) with 1 <= d < q_order, keyed by (r, d, n=0)."""
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     table = {}
     d = 1
     while d < q_order:
@@ -342,7 +344,7 @@ def assemble_pt_from_dt(dt_table, q_order, window=None, frame=FRAME_QPUTS, euler
     r > 0 and n > 0.  In Euler mode the table must hold Euler-specialized
     values and the wallcrossing factor degenerates to the integer n + r.
     """
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     acc = Series.one(frame, q_order)
     for (r, d, n) in sorted(dt_table):
         val = dt_table[(r, d, n)]
@@ -378,26 +380,12 @@ def assemble_pt_from_dt(dt_table, q_order, window=None, frame=FRAME_QPUTS, euler
 def quantum_sum_prefactor(q_order, window, frame=FRAME_QPUTS, euler=False):
     """-p/((1-(ts)^{1/2}p)(1-(ts)^{-1/2}p)) = -sum_{m>=1} [m]_{ts} p^m.
 
-    Expanded ascending in p, so the result is p-windowed with support floor
-    p^1.  In Euler mode the coefficient of p^m degenerates to -m.
+    Expanded ascending in p by :func:`enrq.qfunc.inv_zero_mode`, so the
+    result is p-windowed with support floor p^1.  In Euler mode the
+    coefficient of p^m degenerates to -m.
     """
-    q_order = Fraction(q_order)
-    pi = frame.p_index
-    terms = {}
-    m = 1
-    while 2 * m <= window.hi:
-        base = [0] * frame.nvars
-        base[pi] = 2 * m
-        if euler:
-            terms[tuple(base)] = -m
-        else:
-            it, ist = frame.index["t"], frame.index["s"]
-            for j in range(m):
-                e = list(base)
-                e[it] = e[ist] = 2 * j - (m - 1)
-                terms[tuple(e)] = -1
-        m += 1
-    return Series(frame, terms, q_order, Window(2, window.hi, True), _clean=True)
+    y = {} if euler else {"t": Fraction(1, 2), "s": Fraction(1, 2)}
+    return -inv_zero_mode({"p": 1}, y, q_order, frame, window)
 
 
 def rank0_dt(d, n, euler=False):
@@ -429,7 +417,7 @@ def rank0_exp_argument(q_order, window, frame=FRAME_QPUTS, euler=False):
     -p/((1-(ts)^{1/2}p)(1-(ts)^{-1/2}p)) [ sum_{d odd} 8 chi([E]^vir) q^d
                                           + sum_{d even} chi([Q]^vir) q^d ].
     """
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     pref = quantum_sum_prefactor(q_order, window, frame, euler=euler)
     if euler:
         e_vir = Series.const(
@@ -457,7 +445,7 @@ def rank0_ordinary_log_from_dt(q_order, window, frame=FRAME_QPUTS):
     :func:`rank0_exp_argument`; that equality is exactly the refined
     chi-independence wiring of the rank-0 column.
     """
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     acc = Series.zero(frame, q_order, Window(0, window.hi, True))
     d = 1
     while d < q_order:
@@ -474,7 +462,7 @@ def rank0_ordinary_log_from_dt(q_order, window, frame=FRAME_QPUTS):
 
 def pt_fiber_full(q_order, window, frame=FRAME_QPUTS, euler=False):
     """Conjectural full fiber-class stable-pair series in (q, p, t, s)."""
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     if euler:
         base = pt_fiber_series_euler(q_order, FRAME_QP).embed(frame)
     else:
@@ -517,32 +505,30 @@ class GVPolynomial:
         return f"GVPolynomial({self.poly!r})"
 
 
-def gv_refined_extract(Z, q_order, tail_guard=5):
+# known zero p-columns that each extracted GV slice keeps below the window top
+_TAIL_GUARD = 5
+
+
+def gv_refined_extract(Z, q_order):
     """Per-degree Gopakumar-Vafa polynomials of a Betti-realized series in (q,p,u).
 
     Takes Log, multiplies by the inverse normalization (1-up)(1-u^{-1}p)/(-p)
     = -1/p + u + 1/u - p, and collects each q^d coefficient.  On windowed
-    input each extracted slice must come with at least ``tail_guard`` known
+    input each extracted slice must come with at least ``_TAIL_GUARD`` (5) known
     zero p-columns at the window edge, otherwise the window is declared
     unstable (widening it could still change the answer).
     """
-    q_order = Fraction(q_order)
-    inv_norm = (
-        -Series.monomial(Z.frame, {"p": -1})
-        + Series.monomial(Z.frame, {"u": 1})
-        + Series.monomial(Z.frame, {"u": -1})
-        - Series.monomial(Z.frame, {"p": 1})
-    )
-    G = plethystic_log(Z) * inv_norm
+    q_order = _as_order(q_order)
+    G = plethystic_log(Z) * _main_prefactor(Z.frame)
     out = {}
     d = 0
     while d < q_order:
         sl = G.coefficient({"q": d})
         if G.window is not None:
             ps = sl.p_support()
-            if ps is not None and ps[1] > G.window.hi - 2 * tail_guard:
+            if ps is not None and ps[1] > G.window.hi - 2 * _TAIL_GUARD:
                 raise UnstableWindow(
-                    f"degree {d}: support reaches within {tail_guard} columns of the window edge"
+                    f"degree {d}: support reaches within {_TAIL_GUARD} columns of the window edge"
                 )
         out[d] = GVPolynomial(Series(FRAME_PU0, dict(sl.terms)))
         d += 1
@@ -642,7 +628,7 @@ def ng_from_gv(poly, basis="standard"):
 
 def local_enriques_log_pt(q_order, frame=FRAME_QP):
     """2 prod_{m odd} (1-q^m/p)^{-2} (1-q^m)^{-4} (1-p q^m)^{-2} prod_m (1-q^m)^{-8}."""
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     factors = []
     m = 1
     while m < q_order:
@@ -655,11 +641,11 @@ def local_enriques_log_pt(q_order, frame=FRAME_QP):
     return product_expand(frame, factors, q_order) * 2
 
 
-def local_enriques_gv(log_pt, beta_sq_half, divisible, substituted=False):
+def local_enriques_gv(log_pt, beta_sq_half, divisible):
     """a(beta^2/2), minus a((beta/2)^2/2)/2 when beta is 2-divisible.
 
-    The subtracted term is taken literally by default; ``substituted=True``
-    applies p -> p^2 to it instead.  Half-integral indices contribute zero.
+    The subtracted term is taken literally.  Half-integral indices
+    contribute zero.
     """
 
     def a(x):
@@ -671,8 +657,6 @@ def local_enriques_gv(log_pt, beta_sq_half, divisible, substituted=False):
     total = a(beta_sq_half)
     if divisible:
         half = a(Fraction(beta_sq_half) / 4)
-        if substituted:
-            half = half.adams(2)
         total = total - half * rat(1, 2)
     return total
 
@@ -714,7 +698,7 @@ def smooth_curve_pt_closed(g, order):
     inner = product_expand(
         frame,
         [({"p": 1}, 2 * g), ({"p": 1, "u": -1}, -1), ({"p": 1, "u": 1}, -1)],
-        Fraction(order) + 1,
+        _as_order(order) + 1,
     )
     mono = Series.monomial(frame, {"p": 1 - g}, (-1) ** ((1 - g) % 2))
     return (inner * mono).with_q_order(q_order)

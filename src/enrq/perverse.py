@@ -16,7 +16,7 @@ asymptotics of the shifted table entries.
 from fractions import Fraction
 
 from .config import betti_defaults
-from .qfunc import eta, inv_theta_pair, quantum_integer, theta, theta_pair
+from .qfunc import eta, inv_theta_pair, inv_zero_mode, quantum_integer, theta, theta_pair
 from .ring import LinExpr, betti_symbol, coeff_to_json, exact, qdiv
 from .series import (
     FRAME_Q,
@@ -26,6 +26,7 @@ from .series import (
     FRAME_XY,
     Series,
     Window,
+    _as_order,
     divide_exact,
     product_expand,
 )
@@ -57,6 +58,12 @@ class MissingBettiData(KeyError):
     """A Betti table holds no data for a degree d that a computation needs."""
 
 
+def _degree(d):
+    if not isinstance(d, int):
+        raise ValueError(f"Betti degree d must be an integer, got {d!r}")
+    return d
+
+
 class BettiTable:
     """Betti numbers b_i of the degree-d moduli spaces (dimension 2d+1).
 
@@ -66,9 +73,9 @@ class BettiTable:
     """
 
     def __init__(self, complete=None, prefixes=None):
-        self.complete = {int(d): [exact(b) for b in v] for d, v in (complete or {}).items()}
+        self.complete = {_degree(d): [exact(b) for b in v] for d, v in (complete or {}).items()}
         self.prefixes = {
-            (None if d is None else int(d)): [exact(b) for b in v]
+            (None if d is None else _degree(d)): [exact(b) for b in v]
             for d, v in (prefixes or {}).items()
         }
         for d, vec in self.complete.items():
@@ -132,7 +139,7 @@ class BettiTable:
 
 def _betti_q_sum(betti, q_order, frame):
     """sum_d q^d u^{-(2d+1)} sum_i b_{i,d} (-u)^i."""
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     acc = Series.zero(frame, q_order)
     d = 0
     while d < q_order:
@@ -163,7 +170,7 @@ def ph_main_term(q_order, frame=FRAME_QPU):
     """(1-p/u)(1-up)/(-p) prod_m (1-q^m)^{-8}
     prod_{m odd} [(1-u^{-2}q^m)(1-u^2 q^m)(1-upq^m)(1-up^{-1}q^m)
                   (1-u^{-1}pq^m)(1-u^{-1}p^{-1}q^m)(1-q^m)^2]^{-1}."""
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     factors = []
     m = 1
     while m < q_order:
@@ -183,7 +190,7 @@ def ph_main_term(q_order, frame=FRAME_QPU):
 def _jacobi_core(q_order, frame, eta_prefactor=True):
     """Theta(u^2,q^2)/Theta(u^2,q) * eta(q^2)^8/eta(q)^16
     * Theta(pu,q^2)Theta(p/u,q^2) / (Theta(pu,q)Theta(p/u,q))."""
-    pad = Fraction(q_order) + 1
+    pad = _as_order(q_order) + 1
     A = divide_exact(theta({"u": 2}, 2, pad, frame), theta({"u": 2}, 1, pad, frame))
     e2 = eta(2, pad, FRAME_Q, prefactor=eta_prefactor).embed(frame)
     e1 = eta(1, pad, FRAME_Q, prefactor=eta_prefactor).embed(frame)
@@ -200,7 +207,7 @@ def ph_main_term_jacobi(q_order, frame=FRAME_QPU, eta_prefactor=True):
     Must agree with :func:`ph_main_term` coefficientwise; a mismatch (or an
     inexact division on the way) signals a wrong theta/eta convention.
     """
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     core = _jacobi_core(q_order, frame, eta_prefactor)
     return (_main_prefactor(frame) * core).with_q_order(q_order)
 
@@ -209,7 +216,7 @@ def ph_betti_term(betti, q_order, frame=FRAME_QPU):
     """(sum_d q^d u^{-(2d+1)} sum_i b_{i,d} (-u)^i)
     * prod_m (1-u^2 q^{2m})(1-u^{-2} q^{2m})(1-q^{2m})^2
              / ((1-upq^{2m})(1-u^{-1}p^{-1}q^{2m})(1-u^{-1}pq^{2m})(1-up^{-1}q^{2m}))."""
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     factors = []
     m = 1
     while 2 * m < q_order:
@@ -235,9 +242,6 @@ class PerverseTable:
 
     def entry(self, i, j):
         return self.entries.get((i, j), 0)
-
-    def is_unknown(self, i, j):
-        return isinstance(self.entry(i, j), LinExpr)
 
     def unknown_cells(self):
         return sorted(c for c, v in self.entries.items() if isinstance(v, LinExpr))
@@ -335,7 +339,7 @@ def perverse_table(d, betti=None, q_order=None, main=None, second=None):
     """
     if q_order is None:
         q_order = d + 1
-    if Fraction(q_order) <= d:
+    if _as_order(q_order) <= d:
         raise ValueError(f"q_order {q_order} does not cover degree {d}")
     diff = _degree_slice(d, betti, q_order, main, second)
     entries = {}
@@ -383,7 +387,7 @@ def support_report(d, betti=None, q_order=None, main=None, second=None):
 
 def omega_half_integral_series(q_order, frame=FRAME_QPUTS):
     """8 q^{-1/2} prod_n (1-(ts)^{-1}q^n)^{-1} (1-q^n)^{-10} (1-ts q^n)^{-1}."""
-    inner_order = Fraction(q_order) + Fraction(1, 2)
+    inner_order = _as_order(q_order) + Fraction(1, 2)
     factors = []
     n = 1
     while n < inner_order:
@@ -407,21 +411,15 @@ def _qi(n, frame):
 def _bracket(parity, q_order_ext, frame, window=None):
     """sum_{r>=1, r = parity mod 2} ([r] q^{r^2/2} + sum_{n>=1} [n+r](p^n + p^{-n}) q^{rn+r^2/2}).
 
-    The even bracket (parity 0) starts from the head sum_{n>=1} [n] p^n,
-    cut at the p-window, which makes it p-windowed with support floor p^1.
+    The even bracket (parity 0) starts from the head sum_{n>=1} [n] p^n
+    (:func:`enrq.qfunc.inv_zero_mode`), cut at the p-window, which makes it
+    p-windowed with support floor p^1.
     """
     if parity:
         acc = Series.zero(frame, q_order_ext)
     else:
-        terms = {}
-        it, ist, ip = frame.index["t"], frame.index["s"], frame.index["p"]
-        for n in range(1, window.hi // 2 + 1):
-            for j in range(n):
-                e = [0] * frame.nvars
-                e[ip] = 2 * n
-                e[it] = e[ist] = 2 * j - (n - 1)
-                terms[tuple(e)] = 1
-        acc = Series(frame, terms, q_order_ext, Window(2, window.hi, True), _clean=True)
+        y = {"t": Fraction(1, 2), "s": Fraction(1, 2)}
+        acc = inv_zero_mode({"p": 1}, y, q_order_ext, frame, window)
     r = 2 - parity
     while Fraction(r * r, 2) < q_order_ext:
         acc = acc + _qi(r, frame) * Series.monomial(
@@ -447,7 +445,7 @@ def primitive_pt_forms(betti, q_order, window, frame=FRAME_QPUTS, eta_prefactor=
     eta_form: additionally rewrites the half-integral Omega series through
     eta and theta.  All three must agree coefficientwise.
     """
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     pad = q_order + 1
     ext = q_order + Fraction(1, 2)
 
@@ -493,7 +491,7 @@ def primitive_betti_display(betti, q_order, window, frame=FRAME_QPU, eta_prefact
       Theta(pu,q^2)Theta(p/u,q^2)/(Theta(pu,q)Theta(p/u,q))
     - (sum_d Omega_d|_u q^d)/(u - 1/u) Theta(u^2,q^2)/(Theta(up,q^2)Theta(p/u,q^2)).
     """
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     pad = q_order + 1
     first = _jacobi_core(q_order, frame, eta_prefactor) * 8
     zm = Series.monomial(frame, {"u": 1}) - Series.monomial(frame, {"u": -1})
@@ -532,7 +530,7 @@ def check_primitive_chain(betti=None, q_order=6, window=None, eta_prefactor=True
 
 def asymptotic_ph_gf(order):
     """(1-xy) prod_n (1-x^{n+1}y^{n-1})^{-1} (1-x^{n-1}y^{n+1})^{-1} (1-x^n y^n)^{-10}."""
-    order = Fraction(order)
+    order = _as_order(order)
     factors = [({"x": 1, "y": 1}, 1)]
     n = 1
     while 2 * n - 2 < order or 2 * n < order:
@@ -547,7 +545,7 @@ def asymptotic_ph_gf(order):
 
 def asymptotic_betti_gf(order):
     """(1-x^2) prod_n (1-x^{2n})^{-12}."""
-    order = Fraction(order)
+    order = _as_order(order)
     factors = [({"x": 2}, 1)]
     n = 1
     while 2 * n < order:

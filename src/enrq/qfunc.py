@@ -21,6 +21,7 @@ from .series import (
     Series,
     WindowUnderflow,
     Window,
+    _as_order,
     log_series,
     product_expand,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "eta",
     "theta",
     "theta_pair",
+    "inv_zero_mode",
     "inv_theta_pair",
     "plethystic_exp",
     "plethystic_log",
@@ -61,7 +63,7 @@ def eta(scale, q_order, frame=FRAME_Q, prefactor=True):
     scale = int(scale)
     if scale < 1:
         raise ValueError("eta scale must be >= 1")
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     factors = []
     m = 1
     while Fraction(scale * m) < q_order:
@@ -89,7 +91,7 @@ def _combine(a, b):
 def theta(x, scale, q_order, frame):
     """Theta(x, q^scale) for a monomial x; x^(1/2) must lie on the lattice."""
     scale = int(scale)
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     x = {v: Fraction(e) for v, e in dict(x).items()}
     half = {v: e / 2 for v, e in x.items()}
     xinv = _inverse(x)
@@ -111,7 +113,7 @@ def theta_pair(x, y, scale, q_order, frame):
     themselves (not their square roots) must lie on the lattice.
     """
     scale = int(scale)
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     x = {v: Fraction(e) for v, e in dict(x).items()}
     y = {v: Fraction(e) for v, e in dict(y).items()}
 
@@ -133,34 +135,40 @@ def theta_pair(x, y, scale, q_order, frame):
     return zero_mode * product_expand(frame, factors, q_order)
 
 
+def inv_zero_mode(x, y, q_order, frame, window):
+    """sum_{m>=1} [m]_{y^2} x^m = x / ((1 - xy)(1 - x/y)), cut above the window top.
+
+    The inverse of the zero mode x - y - 1/y + 1/x of :func:`theta_pair`,
+    expanded ascending in x, which must raise p.  Only the top of the
+    requested ``window`` is read: the result carries the window floored at
+    x^1.  With ``y = {}`` the coefficient of x^m is m.
+    """
+    ex, ey = frame.exps(x), frame.exps(y)
+    if window is None or frame.p_index < 0 or ex[frame.p_index] <= 0:
+        raise WindowUnderflow("inv_zero_mode needs x raising p and a p-window")
+    step = ex[frame.p_index]
+    terms = {}
+    m = 1
+    while m * step <= window.hi:
+        # [m]_{y^2} x^m = sum_{a+b=m-1} y^{a-b} x^m
+        for a in range(m):
+            e = tuple(m * u + (2 * a - m + 1) * v for u, v in zip(ex, ey))
+            terms[e] = terms.get(e, 0) + 1
+        m += 1
+    return Series(frame, terms, q_order, Window(step, window.hi, True))
+
+
 def inv_theta_pair(x, y, scale, q_order, frame, window):
     """1 / theta_pair(x, y, scale), expanded ascending in the x direction.
 
-    The inverted zero mode is the geometric series sum_{m>=1} [m]_{y^2} x^m,
-    so the result is x-windowed with a known support floor at x^1.
+    The inverted zero mode is :func:`inv_zero_mode`, so the result is
+    p-windowed with a known support floor at x^1.
     """
     scale = int(scale)
-    q_order = Fraction(q_order)
+    q_order = _as_order(q_order)
     x = {v: Fraction(e) for v, e in dict(x).items()}
     y = {v: Fraction(e) for v, e in dict(y).items()}
-    ex = frame.exps(x)
-    ey = frame.exps(y)
-    if window is None or frame.p_index < 0 or not ex[frame.p_index]:
-        raise WindowUnderflow("inv_theta_pair needs x in the p direction and a p-window")
-    window = Window(ex[frame.p_index], window.hi, True)
-    # zero-mode inverse: sum_{m>=1} (sum_{a+b=m-1} y^{a-b}) x^m
-    terms = {}
-    m = 1
-    while True:
-        base = tuple(v * m for v in ex)
-        if base[frame.p_index] > window.hi:
-            break
-        for a in range(m):
-            b = m - 1 - a
-            e = tuple(base[i] + (a - b) * ey[i] for i in range(frame.nvars))
-            terms[e] = terms.get(e, 0) + 1
-        m += 1
-    zm_inv = Series(frame, terms, q_order, window)
+    zm_inv = inv_zero_mode(x, y, q_order, frame, window)
 
     factors = []
     m = 1
@@ -181,7 +189,7 @@ def plethystic_exp(f):
     ``D`` the weighted Euler operator, so Exp(f) is the convergent product
     prod (1 - m)^(-c) over the terms c*m of f, evaluated by
     :func:`enrq.series.product_expand`: its coefficients are ints for an
-    integer f.  A p-windowed argument needs a known support floor >= 1.
+    integer f.  A p-windowed argument needs a support floor >= 1.
     Symbol-carrying arguments are rejected (Exp is not affine-linear).
     """
     if f.has_symbols():
@@ -192,8 +200,8 @@ def plethystic_exp(f):
         raise BadConstantTerm("plethystic exp needs a finite truncation order")
     window = f.window
     if window is not None:
-        if not window.floored or window.lo < 1:
-            raise WindowUnderflow("plethystic exp of a windowed series needs a known floor >= 1")
+        if window.lo < 1:
+            raise WindowUnderflow("plethystic exp of a windowed series needs a floor >= 1")
         window = Window(0, window.hi, True)
     return product_expand(f.frame, [(e, -c) for e, c in f.items_sorted()], f.q_order, window)
 

@@ -10,7 +10,10 @@ for half-integer powers) and exponents are stored scaled by it.  Truncation
 is graded: every variable has an integer weight and a series holds all
 coefficients of weighted degree strictly below its cutoff ``q_order``.  The
 box-counting variable ``p``, when it carries weight 0, may instead have a
-per-slice validity window for geometric directions (see :class:`Window`).
+validity window for geometric directions: every series of the engine is
+expanded in ascending powers of ``p`` from a known lowest power, so a window
+is one kind only, known zeros below its floor and unknown above its top (see
+:class:`Window`).
 
 Series are immutable values; all operations return new objects.
 ``Series.terms`` maps exponent tuples to coefficients.
@@ -115,11 +118,11 @@ class FieldOverflow(SeriesError):
 class Window(tuple):
     """p-exponent validity window, in scaled units.
 
-    ``floored`` means the true series has no support below ``lo``; positions
-    below the floor are then known zeros and only positions above ``hi`` are
-    unknown.  Without the floor, positions outside [lo, hi] are unknown on
-    both sides, and products of two such windows are unsound (they raise
-    :class:`WindowUnderflow`).
+    A series carries only a floored window: the true series has no support
+    below ``lo``, so positions below the floor are known zeros and only
+    positions above ``hi`` are unknown.  ``floored=False`` marks a p-range
+    request (the CLI's ``--p-window``, the builders' ``window`` argument, of
+    which they read ``hi``); a series refuses it with :class:`WindowUnderflow`.
     """
 
     __slots__ = ()
@@ -220,9 +223,6 @@ class Frame:
             w += self.wnum[i] * e[i]
         return w
 
-    def weight(self, e):
-        return Fraction(self.weight_scaled(e), self.wden)
-
     def exp_of(self, e, name):
         i = self.index[name]
         return Fraction(e[i], self.denoms[i])
@@ -250,9 +250,10 @@ FRAME_X = Frame(("x",), (1,), (1,))
 
 
 def _as_order(q_order):
-    if q_order is None:
-        return None
-    return q_order if isinstance(q_order, Fraction) else Fraction(q_order)
+    """A truncation order as an exact ``Fraction`` (or None); a float is a ``TypeError``."""
+    if q_order is None or isinstance(q_order, Fraction):
+        return q_order
+    return rat(q_order)
 
 
 def _bounds(frame, q_order):
@@ -352,8 +353,11 @@ class Series:
         self.frame = frame
         self.q_order = _as_order(q_order)
         self.window = window
-        if window is not None and frame.p_index < 0:
-            raise ValueError("window on a frame without an unweighted p variable")
+        if window is not None:
+            if not window.floored:
+                raise WindowUnderflow(f"a series window needs a known floor, got {window!r}")
+            if frame.p_index < 0:
+                raise ValueError("window on a frame without an unweighted p variable")
         if _clean:
             self.terms = terms if terms is not None else {}
             return
@@ -373,9 +377,7 @@ class Series:
                 if pe > window.hi:
                     continue
                 if pe < window.lo:
-                    if window.floored:
-                        raise ValueError("term below declared window floor")
-                    continue
+                    raise ValueError("term below declared window floor")
             kept[e] = c
         self.terms = kept
 
@@ -431,10 +433,8 @@ class Series:
         bn, bd = _bounds(self.frame, self.q_order)
         if bd and self.frame.weight_scaled(e) * bd >= bn:
             raise OutsideValidWindow(f"weight of {mono} is beyond the truncation order")
-        if self.window is not None:
-            pe = e[self.frame.p_index]
-            if pe > self.window.hi or (not self.window.floored and pe < self.window.lo):
-                raise OutsideValidWindow(f"p-exponent of {mono} outside {self.window!r}")
+        if self.window is not None and e[self.frame.p_index] > self.window.hi:
+            raise OutsideValidWindow(f"p-exponent of {mono} outside {self.window!r}")
         return self.terms.get(e, 0)
 
     # -- arithmetic --------------------------------------------------------
@@ -671,7 +671,7 @@ class Series:
         window = self.window
         if window is not None and frame.p_index in fixed:
             pe = fixed[frame.p_index]
-            if pe > window.hi or (not window.floored and pe < window.lo):
+            if pe > window.hi:
                 raise OutsideValidWindow(f"p-exponent {pe} outside {window!r}")
             window = None
         remaining = [n for i, n in enumerate(frame.names) if i not in fixed]
@@ -749,9 +749,8 @@ class Series:
     def with_window(self, window):
         """Restrict to a narrower validity window."""
         w = self.window
-        if w is not None and window is not None:
-            if window.hi > w.hi or (not w.floored and window.lo < w.lo):
-                raise TruncationLoss("cannot widen the validity window of a computed series")
+        if w is not None and window is not None and window.hi > w.hi:
+            raise TruncationLoss("cannot widen the validity window of a computed series")
         if w is not None and window is None:
             raise TruncationLoss("cannot drop the window of a windowed series")
         return Series(self.frame, dict(self.terms), self.q_order, window)
@@ -780,9 +779,8 @@ class Series:
         frame = Frame(obj["vars"], obj["denoms"], obj.get("weights") or [0] * len(obj["vars"]))
         w = obj.get("p_window")
         window = None if w is None else Window(w["lo"], w["hi"], w.get("floored", False))
-        q_order = obj.get("q_order")
         terms = {tuple(t["exp"]): coeff_from_json(t["coef"]) for t in obj["terms"]}
-        return cls(frame, terms, None if q_order is None else Fraction(q_order), window)
+        return cls(frame, terms, obj.get("q_order"), window)
 
     @classmethod
     def loads(cls, text):
@@ -827,45 +825,33 @@ def _mul_order(f, g):
     return min(cands) if cands else None
 
 
+def _p_reach(f, empty=None):
+    """``(floor, top)`` of ``f`` in p: those of its window, or for a p-exact
+    series its least p-exponent (``empty`` when it has no terms) and no top."""
+    if f.window is not None:
+        return f.window.lo, f.window.hi
+    ps = f.p_support()
+    return (empty if ps is None else ps[0]), None
+
+
 def _window_add(f, g):
-    fw, gw = f.window, g.window
-    if fw is None and gw is None:
+    """The floor is the least floor or exact p-exponent, the top the least top."""
+    if f.window is None and g.window is None:
         return None
-    if fw is None or gw is None:
-        exact, w = (f, gw) if fw is None else (g, fw)
-        if not w.floored:
-            return w
-        ps = exact.p_support()
-        lo = w.lo if ps is None else min(w.lo, ps[0])
-        return Window(lo, w.hi, True)
-    if fw.floored and gw.floored:
-        return Window(min(fw.lo, gw.lo), min(fw.hi, gw.hi), True)
-    if fw.floored or gw.floored:
-        fl = fw if gw.floored else gw
-        # fl unfloored: unknown below fl.lo wins
-        return Window(fl.lo, min(fw.hi, gw.hi), False)
-    return Window(max(fw.lo, gw.lo), min(fw.hi, gw.hi), False)
+    reach = (_p_reach(f), _p_reach(g))
+    lo = min(x for x, _ in reach if x is not None)
+    hi = min(t for _, t in reach if t is not None)
+    return Window(lo, hi, True)
 
 
 def _window_mul(f, g):
-    fw, gw = f.window, g.window
-    if fw is None and gw is None:
+    """Floors add, and each top moves up by the other operand's floor (an
+    empty p-exact operand has floor 0)."""
+    if f.window is None and g.window is None:
         return None
-    if fw is None or gw is None:
-        exact, w = (f, gw) if fw is None else (g, fw)
-        ps = exact.p_support()
-        if ps is None:
-            return w
-        a, b = ps
-        if w.floored:
-            return Window(w.lo + a, w.hi + a, True)
-        return Window(w.lo + b, w.hi + a, False)
-    if fw.floored and gw.floored:
-        return Window(fw.lo + gw.lo, min(fw.hi + gw.lo, gw.hi + fw.lo), True)
-    raise WindowUnderflow(
-        "product of two p-windowed series; at least one operand must be p-exact "
-        "or both windows must have known floors"
-    )
+    (fl, ft), (gl, gt) = _p_reach(f, 0), _p_reach(g, 0)
+    hi = min(t + x for t, x in ((ft, gl), (gt, fl)) if t is not None)
+    return Window(fl + gl, hi, True)
 
 
 def _euler_solve(frame, kernel, seed, finish, first, top, keys=(None, None), solved=None):
@@ -919,16 +905,15 @@ def _power_window(frame, window, n):
 
     On a floor ``lo <= 0`` every product is cut to ``[n*lo, hi]`` and the
     result declares ``Window((n+1)*lo, hi + n*lo, True)``, where the cut
-    products are exact (for ``lo = 0`` that is the window as given).  Any
-    other window raises :class:`WindowUnderflow`: without a floor unknown
-    terms below ``lo`` reach every product, and a floor above 0 would lie
-    above the constant term.  Returns the declared window, the p-key range
+    products are exact (for ``lo = 0`` that is the window as given).  A
+    floor above 0 would lie above the constant term and raises
+    :class:`WindowUnderflow`.  Returns the declared window, the p-key range
     of the cut and the key bound above the declared window.
     """
     if window is None:
         return None, (None, None), None
-    if not window.floored or window.lo > 0:
-        raise WindowUnderflow(f"exp/log of a p-windowed series needs a known floor <= 0, got {window!r}")
+    if window.lo > 0:
+        raise WindowUnderflow(f"exp/log of a p-windowed series needs a floor <= 0, got {window!r}")
     lo = n * window.lo
     declared = Window(lo + window.lo, window.hi + lo, True)
     return declared, _p_keys(frame, lo, window.hi), _p_keys(frame, lo, declared.hi)[1]
@@ -1257,10 +1242,8 @@ def agree(a, b):
         if bd and frame.weight_scaled(e) * bd >= bn:
             return False
         for w in (a.window, b.window):
-            if w is not None:
-                pe = e[frame.p_index]
-                if pe > w.hi or (not w.floored and pe < w.lo):
-                    return False
+            if w is not None and e[frame.p_index] > w.hi:
+                return False
         return True
 
     mismatches = []

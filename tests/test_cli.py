@@ -180,6 +180,7 @@ class TestUsageErrors:
             '[{"d": null, "betti": [1, 0, 11], "complete": true}]',
             '[{"d": 1, "betti": [1, 0, 11]}]',
             '[{"d": null, "betti": [1, 0.1, 11]}]',
+            '[{"d": 1.5, "betti": [1, 0, 10, 23, 10, 0, 1], "complete": true}]',
         ):
             path.write_text(text)
             self.usage_error(["expand", "keyeq-rhs2", "--betti-file", str(path)], capsys)
@@ -189,6 +190,13 @@ class TestUsageErrors:
         path.write_text("kept")
         argv = ["tables", "--d", "0", "--q-order", "1", "--out", str(path)]
         assert "--out" in self.usage_error(argv, capsys)
+        assert path.read_text() == "kept"
+
+    def test_cache_dir_names_a_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "afile"
+        path.write_text("kept")
+        monkeypatch.setenv("SERIES_CACHE_DIR", str(path))
+        assert "SERIES_CACHE_DIR" in self.usage_error(["expand", "ky-logZ", "--q-order", "3"], capsys)
         assert path.read_text() == "kept"
 
     def test_degree_range_spellings(self, capsys):

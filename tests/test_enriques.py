@@ -243,7 +243,7 @@ class TestGVExtraction:
         narrow = Window(-8, 8, False)
         Zb = pt_fiber_full(4, narrow).specialize({"t": {"u": 1}, "s": {"u": 1}})
         with pytest.raises(UnstableWindow):
-            gv_refined_extract(Zb, 4, tail_guard=5)
+            gv_refined_extract(Zb, 4)
 
     def test_stability_under_widening(self):
         wide = Window(-30, 30, False)
@@ -362,12 +362,6 @@ class TestLocalEnriques:
         assert v == Series.const(FRAME_P0, 1)
         w = local_enriques_gv(L, 1, True)  # (beta/2)^2/2 = 1/4 is half-integral
         assert w == local_enriques_gv(L, 1, False)
-
-    def test_substituted_variant_differs(self):
-        L = local_enriques_log_pt(5)
-        lit = local_enriques_gv(L, 4, True)
-        sub = local_enriques_gv(L, 4, True, substituted=True)
-        assert lit != sub
 
     def test_calibration_values(self):
         L = local_enriques_log_pt(3)

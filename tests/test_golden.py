@@ -4,7 +4,11 @@ The hashes were taken before coefficients were kept as ints while integral;
 a change of coefficient representation must leave every printed coefficient,
 truncation order and window as it was.  The tables use shared main and Betti
 terms at q_order 16; ``perverse_table(d)`` with its own defaults gave the same
-hash.
+hash.  The three p-windowed hashes cover the windowed geometric series
+sum_m [m] p^m (``enrq.qfunc.inv_zero_mode``) in each of its uses: the
+wallcrossing prefactor of ``pt_fiber_full``, the even bracket and the
+inverted theta pairs of the three-form chain; they were taken when a series
+could still carry a window without a floor.
 """
 
 import hashlib
@@ -21,7 +25,11 @@ GOLDEN = {
     "ph_betti_term": "122fad58e8c371b8f28dd4f724c8aab3365f474838cd81d3fbadbcba446981e0",
     "perverse_table": "ed2fe87d771cabb0d7432b405d87d6733a05d714261d5eb00672e4bee9c577c7",
     "gv_refined_extract": "52b501af33e9152c0b98f46a55012109b79f4f5dcd5f39d113b2aa284c906d52",
+    "pt_fiber_full": "12b68493545d8822ae5d756190d786199b02421cd7ec39c58620a3837e4c7c03",
+    "primitive_pt_forms": "96b8c23b02287e4b90b3daa28debc6cc789bde88e86fe54c3c25991c99e27d27",
+    "primitive_betti_display": "0d456abafa6a7f9f740ad99a2d4310cc2b3b7aed5c0e609c50149df8f14631ef",
 }
+WINDOW = Window(-20, 20, False)
 
 
 def sha(obj):
@@ -55,7 +63,19 @@ def test_perverse_tables(identity_terms):
 
 
 def test_refined_gv_extraction():
-    Z = enriques.pt_fiber_full(6, Window(-20, 20, False))
+    Z = enriques.pt_fiber_full(6, WINDOW)
     gv = enriques.gv_refined_extract(enriques.betti_realization(Z), 6)
     doc = {str(d): p.poly.to_json_dict() for d, p in sorted(gv.items())}
     assert sha(doc) == GOLDEN["gv_refined_extract"]
+
+
+def test_full_fiber_series():
+    assert sha(enriques.pt_fiber_full(6, WINDOW).to_json_dict()) == GOLDEN["pt_fiber_full"]
+
+
+def test_primitive_chain_forms():
+    betti = perverse.BettiTable.default()
+    forms = perverse.primitive_pt_forms(betti, 6, WINDOW)
+    assert sha({k: v.to_json_dict() for k, v in forms.items()}) == GOLDEN["primitive_pt_forms"]
+    display = perverse.primitive_betti_display(betti, 6, WINDOW)
+    assert sha(display.to_json_dict()) == GOLDEN["primitive_betti_display"]

@@ -6,6 +6,7 @@ from conftest import assert_agree, random_series
 from enrq.qfunc import (
     eta,
     inv_theta_pair,
+    inv_zero_mode,
     mobius,
     plethystic_exp,
     plethystic_log,
@@ -19,11 +20,13 @@ from enrq.series import (
     FRAME_Q,
     FRAME_QP,
     FRAME_QPU,
+    FRAME_QPUTS,
     FRAME_QTS,
     FRAME_TS,
     BadConstantTerm,
     Series,
     Window,
+    WindowUnderflow,
     divide_exact,
     product_expand,
 )
@@ -113,6 +116,31 @@ class TestTheta:
         tp = theta_pair({"p": 1}, {"u": 1}, 1, 5, FRAME_QPU)
         assert_agree(tp * inv, Series.one(FRAME_QPU, q_order=5, window=inv.window))
 
+    def test_inv_zero_mode_inverts_the_zero_mode(self):
+        # x - y - 1/y + 1/x times sum_m [m]_{y^2} x^m is 1 below the window top
+        x = {"p": 1}
+        for y in ({"t": Fraction(1, 2), "s": Fraction(1, 2)}, {}):
+            zm = sum(
+                (Series.monomial(FRAME_QPUTS, m, c) for m, c in
+                 ((x, 1), ({"p": -1}, 1), (y, -1), ({v: -e for v, e in y.items()}, -1))),
+                Series.zero(FRAME_QPUTS),
+            )
+            for hi in (0, 2, 7, 20):
+                inv = inv_zero_mode(x, y, 3, FRAME_QPUTS, Window(-hi, hi, False))
+                assert inv.window == Window(2, hi, True) and inv.q_order == 3
+                prod = zm * inv
+                assert_agree(prod, Series.one(FRAME_QPUTS, q_order=3, window=prod.window))
+        # the Euler point y = 1: the coefficient of x^m is m
+        euler = inv_zero_mode(x, {}, 3, FRAME_QPU, Window(0, 8, True))
+        assert [euler.coeff({"p": m}) for m in range(1, 5)] == [1, 2, 3, 4]
+
+    def test_inv_zero_mode_needs_x_raising_p(self):
+        for x in ({"p": -1}, {"u": 1}):
+            with pytest.raises(WindowUnderflow):
+                inv_zero_mode(x, {"u": 1}, 3, FRAME_QPU, Window(0, 8, True))
+        with pytest.raises(WindowUnderflow):
+            inv_zero_mode({"p": 1}, {"u": 1}, 3, FRAME_QPU, None)
+
     def test_theta_ratio_remainder_free_to_q8(self):
         q = Fraction(9)
         ratio = divide_exact(theta({"u": 2}, 2, q, FRAME_QPU), theta({"u": 2}, 1, q, FRAME_QPU))
@@ -162,9 +190,9 @@ class TestPlethystics:
             assert_agree(plethystic_log(plethystic_exp(f)), f)
 
     def test_windowed_exp_needs_floor(self):
-        f = Series(FRAME_QP, {(24, 2): rat(1)}, 3, Window(-2, 4, False))
-        with pytest.raises(Exception):
-            plethystic_exp(f)
+        # an argument without a floor is refused where it is built
+        with pytest.raises(WindowUnderflow):
+            plethystic_exp(Series(FRAME_QP, {(24, 2): rat(1)}, 3, Window(-2, 4, False)))
 
     def test_bad_constant_term(self):
         with pytest.raises(BadConstantTerm):
