@@ -183,15 +183,17 @@ def cmd_expand(args):
     cache_dir = os.environ.get("SERIES_CACHE_DIR")
     cache_path = None
     if cache_dir:
-        # content-addressed: the Betti input by its bytes, plus everything
-        # else that can change the emitted text
+        # content-addressed: only what the id reads, so equal text shares
+        # one entry (the window top of pt-fiber-full, the Betti bytes of
+        # keyeq-rhs2), plus the version and backends
+        betti = args.betti_file if name == "keyeq-rhs2" else None
         key = hashlib.sha256(
             json.dumps(
                 {
                     "id": name,
                     "q_order": str(args.q_order),
-                    "p_window": list(args.p_window),
-                    "betti_sha256": args.betti_file and args.betti_file.sha256,
+                    "p_hi": args.p_window[1] if name == "pt-fiber-full" else None,
+                    "betti_sha256": betti and betti.sha256,
                     "version": __version__,
                     "kernel": BACKEND,
                     "rational": RATIONAL_BACKEND,

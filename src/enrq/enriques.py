@@ -12,6 +12,7 @@ t = s = u, the chi_t specialization sets s = 1, the Euler limit t = s = 1.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from operator import add
 
 from .config import hodge_inputs, parse_hodge
 from .perverse import _main_prefactor
@@ -92,23 +93,23 @@ class NotInBasisSpan(SeriesError):
 
 # -- Hodge-theoretic inputs -------------------------------------------------
 
-def hodge_chi(hodge, frame=FRAME_TS):
+def hodge_chi(hodge):
     """chi_{t,s}(V) = sum (-1)^{p+q} h^{p,q} t^p s^q for a Hodge diamond."""
     acc = {}
     for (p, q), h in hodge.items():
-        e = frame.exps({"t": p, "s": q})
+        e = FRAME_TS.exps({"t": p, "s": q})
         acc[e] = acc.get(e, 0) + (-1) ** ((p + q) % 2) * h
-    return Series(frame, acc)
+    return Series(FRAME_TS, acc)
 
 
-def chi_vir(hodge, dim, frame=FRAME_TS):
+def chi_vir(hodge, dim):
     """chi of the weight-shifted class: (-1)^dim (ts)^(-dim/2) chi_{t,s}.
 
     The sign is (-(ts)^(1/2))^(-dim), the Hodge realization of the canonical
     square root of the Lefschetz motive.
     """
-    shift = Series.monomial(frame, {"t": Fraction(-dim, 2), "s": Fraction(-dim, 2)}, (-1) ** (dim % 2))
-    return hodge_chi(hodge, frame) * shift
+    shift = Series.monomial(FRAME_TS, {"t": Fraction(-dim, 2), "s": Fraction(-dim, 2)}, (-1) ** (dim % 2))
+    return hodge_chi(hodge) * shift
 
 
 def _hodge_entry(name):
@@ -124,72 +125,53 @@ def betti_realization(ts_series):
     return ts_series.specialize({"t": {"u": 1}, "s": {"u": 1}})
 
 
-def elliptic_curve_chi_vir(frame=FRAME_TS):
+def elliptic_curve_chi_vir():
     """-(ts)^(-1/2) (1-t)(1-s)."""
-    return chi_vir(*_hodge_entry("elliptic_curve"), frame=frame)
+    return chi_vir(*_hodge_entry("elliptic_curve"))
 
 
-def enriques_cy3_chi_vir(frame=FRAME_TS):
-    return chi_vir(*_hodge_entry("enriques_cy3"), frame=frame)
+def enriques_cy3_chi_vir():
+    return chi_vir(*_hodge_entry("enriques_cy3"))
 
 
-def rational_elliptic_surface_vir(frame=FRAME_TS):
+def rational_elliptic_surface_vir():
     """(ts)^(-1) + 10 + ts."""
-    return chi_vir(*_hodge_entry("rational_elliptic_surface"), frame=frame)
+    return chi_vir(*_hodge_entry("rational_elliptic_surface"))
 
 
 # -- the degree-d stable-pair series (n = 0) ---------------------------------
 
-def pt_fiber_series(q_order, frame=FRAME_QTS):
+_Q1, _Q2 = {"q": 1}, {"q": 2}
+
+
+def pt_fiber_series(q_order):
     """prod_m (1-q^{2m})^6 / ((1-(ts)^{-1} q^{2m}) (1-q^m)^8 (1-ts q^{2m}))."""
-    q_order = _as_order(q_order)
-    factors = []
-    m = 1
-    while m < q_order:
-        factors.append(({"q": m}, -8))
-        if 2 * m < q_order:
-            factors.append(({"q": 2 * m}, 6))
-            factors.append(({"q": 2 * m, "t": -1, "s": -1}, -1))
-            factors.append(({"q": 2 * m, "t": 1, "s": 1}, -1))
-        m += 1
-    return product_expand(frame, factors, q_order)
+    factors = [
+        (_Q1, -8, _Q1),
+        (_Q2, 6, _Q2),
+        ({"q": 2, "t": -1, "s": -1}, -1, _Q2),
+        ({"q": 2, "t": 1, "s": 1}, -1, _Q2),
+    ]
+    return product_expand(FRAME_QTS, factors, q_order)
 
 
-def pt_fiber_series_euler(q_order, frame=FRAME_QP):
+def pt_fiber_series_euler(q_order):
     """Euler limit of the fiber series: prod (1-q^{2m})^4 / (1-q^m)^8."""
-    q_order = _as_order(q_order)
-    factors = []
-    m = 1
-    while m < q_order:
-        factors.append(({"q": m}, -8))
-        if 2 * m < q_order:
-            factors.append(({"q": 2 * m}, 4))
-        m += 1
-    return product_expand(frame, factors, q_order)
+    return product_expand(FRAME_QP, [(_Q1, -8, _Q1), (_Q2, 4, _Q2)], q_order)
 
 
-def equivariant_hilb_vir_series(fixed_points, resolution_vir, q_order, frame=FRAME_QTS):
+def equivariant_hilb_vir_series(fixed_points, resolution_vir, q_order):
     """Goettsche-type series for invariant Hilbert schemes of an involution surface.
 
     prod_i ((1-q^{2i})^2/(1-q^i))^fixed_points * Exp(sum_i q^{2i} R) where R is
-    the weight-shifted class of the resolved quotient surface.
+    the weight-shifted class of the resolved quotient surface.  The Exp is the
+    family prod_i (1 - m q^{2i})^{-c} of each term c*m of R.
     """
-    q_order = _as_order(q_order)
-    factors = []
-    i = 1
-    while i < q_order:
-        factors.append(({"q": i}, -fixed_points))
-        if 2 * i < q_order:
-            factors.append(({"q": 2 * i}, 2 * fixed_points))
-        i += 1
-    base = product_expand(frame, factors, q_order)
-    res = resolution_vir.embed(frame)
-    arg = Series.zero(frame, q_order)
-    i = 1
-    while 2 * i < q_order:
-        arg = arg + res * Series.monomial(frame, {"q": 2 * i}, q_order=q_order)
-        i += 1
-    return base * plethystic_exp(arg)
+    q2 = FRAME_QTS.exps(_Q2)
+    res = resolution_vir.embed(FRAME_QTS).items_sorted()
+    factors = [(_Q1, -fixed_points, _Q1), (_Q2, 2 * fixed_points, _Q2)]
+    factors += [(tuple(map(add, e, q2)), -c, _Q2) for e, c in res]
+    return product_expand(FRAME_QTS, factors, q_order)
 
 
 # -- DT / Omega values -------------------------------------------------------
@@ -438,7 +420,7 @@ def rank0_exp_argument(q_order, window, frame=FRAME_QPUTS, euler=False):
     return pref * s
 
 
-def rank0_ordinary_log_from_dt(q_order, window, frame=FRAME_QPUTS):
+def rank0_ordinary_log_from_dt(q_order, window):
     """-sum [n] DT(0,d,n) q^d p^n: the ordinary logarithm of the rank-0 factor.
 
     Its ordinary exponential must agree with the plethystic exponential of
@@ -446,14 +428,14 @@ def rank0_ordinary_log_from_dt(q_order, window, frame=FRAME_QPUTS):
     chi-independence wiring of the rank-0 column.
     """
     q_order = _as_order(q_order)
-    acc = Series.zero(frame, q_order, Window(0, window.hi, True))
+    acc = Series.zero(FRAME_QPUTS, q_order, Window(0, window.hi, True))
     d = 1
     while d < q_order:
         for n in range(1, window.hi // 2 + 1):
             val = rank0_dt(d, n)
-            term = val.cleared(quantum_integer(n)).embed(frame)
+            term = val.cleared(quantum_integer(n)).embed(FRAME_QPUTS)
             mono = Series.monomial(
-                frame, {"q": d, "p": n}, q_order=q_order, window=Window(0, window.hi, True)
+                FRAME_QPUTS, {"q": d, "p": n}, q_order=q_order, window=Window(0, window.hi, True)
             )
             acc = acc - term * mono
         d += 1
@@ -464,9 +446,9 @@ def pt_fiber_full(q_order, window, frame=FRAME_QPUTS, euler=False):
     """Conjectural full fiber-class stable-pair series in (q, p, t, s)."""
     q_order = _as_order(q_order)
     if euler:
-        base = pt_fiber_series_euler(q_order, FRAME_QP).embed(frame)
+        base = pt_fiber_series_euler(q_order).embed(frame)
     else:
-        base = pt_fiber_series(q_order, FRAME_QTS).embed(frame)
+        base = pt_fiber_series(q_order).embed(frame)
     return base * plethystic_exp(rank0_exp_argument(q_order, window, frame, euler=euler))
 
 
@@ -626,19 +608,15 @@ def ng_from_gv(poly, basis="standard"):
 
 # -- the local Enriques surface ------------------------------------------------
 
-def local_enriques_log_pt(q_order, frame=FRAME_QP):
+def local_enriques_log_pt(q_order):
     """2 prod_{m odd} (1-q^m/p)^{-2} (1-q^m)^{-4} (1-p q^m)^{-2} prod_m (1-q^m)^{-8}."""
-    q_order = _as_order(q_order)
-    factors = []
-    m = 1
-    while m < q_order:
-        factors.append(({"q": m}, -8))
-        if m % 2:
-            factors.append(({"q": m, "p": -1}, -2))
-            factors.append(({"q": m}, -4))
-            factors.append(({"q": m, "p": 1}, -2))
-        m += 1
-    return product_expand(frame, factors, q_order) * 2
+    factors = [
+        (_Q1, -8, _Q1),
+        ({"q": 1, "p": -1}, -2, _Q2),
+        (_Q1, -4, _Q2),
+        ({"q": 1, "p": 1}, -2, _Q2),
+    ]
+    return product_expand(FRAME_QP, factors, q_order) * 2
 
 
 def local_enriques_gv(log_pt, beta_sq_half, divisible):

@@ -19,7 +19,6 @@ from .config import betti_defaults
 from .qfunc import eta, inv_theta_pair, inv_zero_mode, quantum_integer, theta, theta_pair
 from .ring import LinExpr, betti_symbol, coeff_to_json, exact, qdiv
 from .series import (
-    FRAME_Q,
     FRAME_QPU,
     FRAME_QPUTS,
     FRAME_X,
@@ -100,9 +99,6 @@ class BettiTable:
     def default(cls):
         return cls.from_records(betti_defaults())
 
-    def is_complete(self, d):
-        return d in self.complete
-
     def entry(self, d, i):
         """b_i of the degree-d space: a rational or a symbol (duality applied)."""
         if i < 0 or i > 4 * d + 2:
@@ -166,34 +162,34 @@ def _main_prefactor(frame):
     )
 
 
-def ph_main_term(q_order, frame=FRAME_QPU):
+_Q1, _Q2 = {"q": 1}, {"q": 2}
+
+
+def ph_main_term(q_order):
     """(1-p/u)(1-up)/(-p) prod_m (1-q^m)^{-8}
     prod_{m odd} [(1-u^{-2}q^m)(1-u^2 q^m)(1-upq^m)(1-up^{-1}q^m)
                   (1-u^{-1}pq^m)(1-u^{-1}p^{-1}q^m)(1-q^m)^2]^{-1}."""
-    q_order = _as_order(q_order)
-    factors = []
-    m = 1
-    while m < q_order:
-        factors.append(({"q": m}, -8))
-        if m % 2:
-            factors.append(({"q": m, "u": -2}, -1))
-            factors.append(({"q": m, "u": 2}, -1))
-            factors.append(({"q": m, "u": 1, "p": 1}, -1))
-            factors.append(({"q": m, "u": 1, "p": -1}, -1))
-            factors.append(({"q": m, "u": -1, "p": 1}, -1))
-            factors.append(({"q": m, "u": -1, "p": -1}, -1))
-            factors.append(({"q": m}, -2))
-        m += 1
-    return _main_prefactor(frame) * product_expand(frame, factors, q_order)
+    factors = [
+        (_Q1, -8, _Q1),
+        ({"q": 1, "u": -2}, -1, _Q2),
+        ({"q": 1, "u": 2}, -1, _Q2),
+        ({"q": 1, "u": 1, "p": 1}, -1, _Q2),
+        ({"q": 1, "u": 1, "p": -1}, -1, _Q2),
+        ({"q": 1, "u": -1, "p": 1}, -1, _Q2),
+        ({"q": 1, "u": -1, "p": -1}, -1, _Q2),
+        (_Q1, -2, _Q2),
+    ]
+    return _main_prefactor(FRAME_QPU) * product_expand(FRAME_QPU, factors, q_order)
 
 
-def _jacobi_core(q_order, frame, eta_prefactor=True):
+def _jacobi_core(q_order, eta_prefactor=True):
     """Theta(u^2,q^2)/Theta(u^2,q) * eta(q^2)^8/eta(q)^16
-    * Theta(pu,q^2)Theta(p/u,q^2) / (Theta(pu,q)Theta(p/u,q))."""
+    * Theta(pu,q^2)Theta(p/u,q^2) / (Theta(pu,q)Theta(p/u,q)), in (q, p, u)."""
+    frame = FRAME_QPU
     pad = _as_order(q_order) + 1
     A = divide_exact(theta({"u": 2}, 2, pad, frame), theta({"u": 2}, 1, pad, frame))
-    e2 = eta(2, pad, FRAME_Q, prefactor=eta_prefactor).embed(frame)
-    e1 = eta(1, pad, FRAME_Q, prefactor=eta_prefactor).embed(frame)
+    e2 = eta(2, pad, prefactor=eta_prefactor).embed(frame)
+    e1 = eta(1, pad, prefactor=eta_prefactor).embed(frame)
     B = divide_exact(e2**8, e1**16)
     N = theta({"p": 1, "u": 1}, 2, pad, frame) * theta({"p": 1, "u": -1}, 2, pad, frame)
     C = divide_exact(N, theta({"p": 1, "u": 1}, 1, pad, frame))
@@ -201,34 +197,31 @@ def _jacobi_core(q_order, frame, eta_prefactor=True):
     return (A * B * C).with_q_order(q_order)
 
 
-def ph_main_term_jacobi(q_order, frame=FRAME_QPU, eta_prefactor=True):
+def ph_main_term_jacobi(q_order, eta_prefactor=True):
     """The main term assembled from theta/eta building blocks and exact division.
 
     Must agree with :func:`ph_main_term` coefficientwise; a mismatch (or an
     inexact division on the way) signals a wrong theta/eta convention.
     """
     q_order = _as_order(q_order)
-    core = _jacobi_core(q_order, frame, eta_prefactor)
-    return (_main_prefactor(frame) * core).with_q_order(q_order)
+    core = _jacobi_core(q_order, eta_prefactor)
+    return (_main_prefactor(FRAME_QPU) * core).with_q_order(q_order)
 
 
-def ph_betti_term(betti, q_order, frame=FRAME_QPU):
+def ph_betti_term(betti, q_order):
     """(sum_d q^d u^{-(2d+1)} sum_i b_{i,d} (-u)^i)
     * prod_m (1-u^2 q^{2m})(1-u^{-2} q^{2m})(1-q^{2m})^2
              / ((1-upq^{2m})(1-u^{-1}p^{-1}q^{2m})(1-u^{-1}pq^{2m})(1-up^{-1}q^{2m}))."""
-    q_order = _as_order(q_order)
-    factors = []
-    m = 1
-    while 2 * m < q_order:
-        factors.append(({"q": 2 * m, "u": 2}, 1))
-        factors.append(({"q": 2 * m, "u": -2}, 1))
-        factors.append(({"q": 2 * m}, 2))
-        factors.append(({"q": 2 * m, "u": 1, "p": 1}, -1))
-        factors.append(({"q": 2 * m, "u": -1, "p": -1}, -1))
-        factors.append(({"q": 2 * m, "u": -1, "p": 1}, -1))
-        factors.append(({"q": 2 * m, "u": 1, "p": -1}, -1))
-        m += 1
-    return _betti_q_sum(betti, q_order, frame) * product_expand(frame, factors, q_order)
+    factors = [
+        ({"q": 2, "u": 2}, 1, _Q2),
+        ({"q": 2, "u": -2}, 1, _Q2),
+        (_Q2, 2, _Q2),
+        ({"q": 2, "u": 1, "p": 1}, -1, _Q2),
+        ({"q": 2, "u": -1, "p": -1}, -1, _Q2),
+        ({"q": 2, "u": -1, "p": 1}, -1, _Q2),
+        ({"q": 2, "u": 1, "p": -1}, -1, _Q2),
+    ]
+    return _betti_q_sum(betti, q_order, FRAME_QPU) * product_expand(FRAME_QPU, factors, q_order)
 
 
 # -- tables -------------------------------------------------------------------
@@ -385,18 +378,15 @@ def support_report(d, betti=None, q_order=None, main=None, second=None):
 
 # -- odd-class primitive stable pairs: the three-form chain --------------------
 
-def omega_half_integral_series(q_order, frame=FRAME_QPUTS):
+def omega_half_integral_series(q_order):
     """8 q^{-1/2} prod_n (1-(ts)^{-1}q^n)^{-1} (1-q^n)^{-10} (1-ts q^n)^{-1}."""
-    inner_order = _as_order(q_order) + Fraction(1, 2)
-    factors = []
-    n = 1
-    while n < inner_order:
-        factors.append(({"q": n, "t": -1, "s": -1}, -1))
-        factors.append(({"q": n}, -10))
-        factors.append(({"q": n, "t": 1, "s": 1}, -1))
-        n += 1
-    prod = product_expand(frame, factors, inner_order)
-    return prod * Series.monomial(frame, {"q": Fraction(-1, 2)}, 8)
+    factors = [
+        ({"q": 1, "t": -1, "s": -1}, -1, _Q1),
+        (_Q1, -10, _Q1),
+        ({"q": 1, "t": 1, "s": 1}, -1, _Q1),
+    ]
+    prod = product_expand(FRAME_QPUTS, factors, _as_order(q_order) + Fraction(1, 2))
+    return prod * Series.monomial(FRAME_QPUTS, {"q": Fraction(-1, 2)}, 8)
 
 
 def omega_integral_series(betti, q_order, frame=FRAME_QPUTS):
@@ -437,7 +427,7 @@ def _bracket(parity, q_order_ext, frame, window=None):
     return acc
 
 
-def primitive_pt_forms(betti, q_order, window, frame=FRAME_QPUTS, eta_prefactor=True):
+def primitive_pt_forms(betti, q_order, window, eta_prefactor=True):
     """The three equivalent expressions for sum PT^prim_{n,d} q^d (-p)^n.
 
     sum_form: Omega series times quantum-integer double sums.
@@ -445,11 +435,12 @@ def primitive_pt_forms(betti, q_order, window, frame=FRAME_QPUTS, eta_prefactor=
     eta_form: additionally rewrites the half-integral Omega series through
     eta and theta.  All three must agree coefficientwise.
     """
+    frame = FRAME_QPUTS
     q_order = _as_order(q_order)
     pad = q_order + 1
     ext = q_order + Fraction(1, 2)
 
-    oh = omega_half_integral_series(q_order, frame)
+    oh = omega_half_integral_series(q_order)
     oi = omega_integral_series(betti, q_order, frame)
 
     form1 = oh * _bracket(1, ext, frame) - oi * _bracket(0, ext, frame, window)
@@ -459,8 +450,8 @@ def primitive_pt_forms(betti, q_order, window, frame=FRAME_QPUTS, eta_prefactor=
     zm = Series.monomial(frame, y) - Series.monomial(frame, {"t": Fraction(-1, 2), "s": Fraction(-1, 2)})
     th_ts_ratio = divide_exact(theta({"t": 1, "s": 1}, 2, pad, frame), zm)
     pair2 = theta_pair(x, y, 2, pad, frame)
-    e2 = eta(2, pad, FRAME_Q, prefactor=eta_prefactor).embed(frame)
-    e1 = eta(1, pad, FRAME_Q, prefactor=eta_prefactor).embed(frame)
+    e2 = eta(2, pad, prefactor=eta_prefactor).embed(frame)
+    e1 = eta(1, pad, prefactor=eta_prefactor).embed(frame)
     e2_8 = e2**8
     e1_4_inv = (e1**4).invert()
     ip1 = inv_theta_pair(x, y, 1, q_order, frame, window)
@@ -484,16 +475,17 @@ def primitive_pt_forms(betti, q_order, window, frame=FRAME_QPUTS, eta_prefactor=
     }
 
 
-def primitive_betti_display(betti, q_order, window, frame=FRAME_QPU, eta_prefactor=True):
+def primitive_betti_display(betti, q_order, window, eta_prefactor=True):
     """The Betti-realized (t = s = u) primitive series, built directly in (q,p,u):
 
     8 Theta(u^2,q^2)/Theta(u^2,q) eta(q^2)^8/eta(q)^16
       Theta(pu,q^2)Theta(p/u,q^2)/(Theta(pu,q)Theta(p/u,q))
     - (sum_d Omega_d|_u q^d)/(u - 1/u) Theta(u^2,q^2)/(Theta(up,q^2)Theta(p/u,q^2)).
     """
+    frame = FRAME_QPU
     q_order = _as_order(q_order)
     pad = q_order + 1
-    first = _jacobi_core(q_order, frame, eta_prefactor) * 8
+    first = _jacobi_core(q_order, eta_prefactor) * 8
     zm = Series.monomial(frame, {"u": 1}) - Series.monomial(frame, {"u": -1})
     th_ratio = divide_exact(theta({"u": 2}, 2, pad, frame), zm)
     ip2 = inv_theta_pair({"p": 1}, {"u": 1}, 2, q_order, frame, window)
@@ -530,28 +522,15 @@ def check_primitive_chain(betti=None, q_order=6, window=None, eta_prefactor=True
 
 def asymptotic_ph_gf(order):
     """(1-xy) prod_n (1-x^{n+1}y^{n-1})^{-1} (1-x^{n-1}y^{n+1})^{-1} (1-x^n y^n)^{-10}."""
-    order = _as_order(order)
-    factors = [({"x": 1, "y": 1}, 1)]
-    n = 1
-    while 2 * n - 2 < order or 2 * n < order:
-        if 2 * n < order:
-            factors.append(({"x": n, "y": n}, -10))
-        if 2 * n < order or n == 1:
-            factors.append(({"x": n + 1, "y": n - 1}, -1))
-            factors.append(({"x": n - 1, "y": n + 1}, -1))
-        n += 1
+    xy = {"x": 1, "y": 1}
+    factors = [(xy, 1), (xy, -10, xy), ({"x": 2}, -1, xy), ({"y": 2}, -1, xy)]
     return product_expand(FRAME_XY, factors, order)
 
 
 def asymptotic_betti_gf(order):
     """(1-x^2) prod_n (1-x^{2n})^{-12}."""
-    order = _as_order(order)
-    factors = [({"x": 2}, 1)]
-    n = 1
-    while 2 * n < order:
-        factors.append(({"x": 2 * n}, -12))
-        n += 1
-    return product_expand(FRAME_X, factors, order)
+    x2 = {"x": 2}
+    return product_expand(FRAME_X, [(x2, 1), (x2, -12, x2)], order)
 
 
 def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):

@@ -21,7 +21,6 @@ from .series import (
     Series,
     WindowUnderflow,
     Window,
-    _as_order,
     log_series,
     product_expand,
 )
@@ -40,21 +39,16 @@ __all__ = [
 ]
 
 
-def quantum_integer(n, frame=FRAME_TS):
+def quantum_integer(n):
     """[n] = (ts)^{-(n-1)/2} (1 + ts + ... + (ts)^{n-1}), symmetric in (ts) -> 1/(ts)."""
     n = int(n)
     if n < 1:
         raise ValueError("quantum integer needs n >= 1")
-    it, ist = frame.index["t"], frame.index["s"]
-    terms = {}
-    for j in range(n):
-        e = [0] * frame.nvars
-        e[it] = e[ist] = 2 * j - (n - 1)
-        terms[tuple(e)] = 1
-    return Series(frame, terms, None, None, _clean=True)
+    terms = {(e, e): 1 for e in range(1 - n, n, 2)}  # scaled (t, s) exponents
+    return Series(FRAME_TS, terms, None, None, _clean=True)
 
 
-def eta(scale, q_order, frame=FRAME_Q, prefactor=True):
+def eta(scale, q_order, prefactor=True):
     """eta(q^scale) = q^(scale/24) prod (1 - q^{scale m}), to the given order.
 
     ``prefactor=False`` drops the q^(scale/24) factor (negative-control knob
@@ -63,15 +57,10 @@ def eta(scale, q_order, frame=FRAME_Q, prefactor=True):
     scale = int(scale)
     if scale < 1:
         raise ValueError("eta scale must be >= 1")
-    q_order = _as_order(q_order)
-    factors = []
-    m = 1
-    while Fraction(scale * m) < q_order:
-        factors.append(({"q": scale * m}, 1))
-        m += 1
-    out = product_expand(frame, factors, q_order)
+    qs = {"q": scale}
+    out = product_expand(FRAME_Q, [(qs, 1, qs)], q_order)
     if prefactor:
-        out = out * Series.monomial(frame, {"q": Fraction(scale, 24)})
+        out = out * Series.monomial(FRAME_Q, {"q": Fraction(scale, 24)})
     return out
 
 
@@ -90,19 +79,11 @@ def _combine(a, b):
 
 def theta(x, scale, q_order, frame):
     """Theta(x, q^scale) for a monomial x; x^(1/2) must lie on the lattice."""
-    scale = int(scale)
-    q_order = _as_order(q_order)
+    qs = {"q": int(scale)}
     x = {v: Fraction(e) for v, e in dict(x).items()}
     half = {v: e / 2 for v, e in x.items()}
-    xinv = _inverse(x)
     zero_mode = Series.monomial(frame, half) - Series.monomial(frame, _inverse(half))
-    factors = []
-    m = 1
-    while Fraction(scale * m) < q_order:
-        factors.append((dict(x, q=scale * m), 1))
-        factors.append((dict(xinv, q=scale * m), 1))
-        factors.append(({"q": scale * m}, -2))
-        m += 1
+    factors = [(dict(x, **qs), 1, qs), (dict(_inverse(x), **qs), 1, qs), (qs, -2, qs)]
     return zero_mode * product_expand(frame, factors, q_order)
 
 
@@ -112,27 +93,26 @@ def theta_pair(x, y, scale, q_order, frame):
     The paired zero modes combine to x - y - 1/y + 1/x, so only x and y
     themselves (not their square roots) must lie on the lattice.
     """
-    scale = int(scale)
-    q_order = _as_order(q_order)
     x = {v: Fraction(e) for v, e in dict(x).items()}
     y = {v: Fraction(e) for v, e in dict(y).items()}
-
     zero_mode = (
         Series.monomial(frame, x)
         - Series.monomial(frame, y)
         - Series.monomial(frame, _inverse(y))
         + Series.monomial(frame, _inverse(x))
     )
-    factors = []
-    m = 1
-    while Fraction(scale * m) < q_order:
-        qm = {"q": Fraction(scale * m)}
-        for a in (x, _inverse(x)):
-            for b in (y, _inverse(y)):
-                factors.append((_combine(_combine(a, b), qm), 1))
-        factors.append((qm, -4))
-        m += 1
-    return zero_mode * product_expand(frame, factors, q_order)
+    return zero_mode * product_expand(frame, _pair_factors(x, y, scale, 1), q_order)
+
+
+def _pair_factors(x, y, scale, e):
+    """Factor families of the theta_pair product to the power ``e`` (+1 or -1):
+
+    prod_m [(1 - xy q^{sm}) (1 - x/y q^{sm}) (1 - y/x q^{sm}) (1 - q^{sm}/(xy))]^e
+           (1 - q^{sm})^{-4e},  s = scale.
+    """
+    qs = {"q": int(scale)}
+    pairs = [_combine(_combine(a, b), qs) for a in (x, _inverse(x)) for b in (y, _inverse(y))]
+    return [(m, e, qs) for m in pairs] + [(qs, -4 * e, qs)]
 
 
 def inv_zero_mode(x, y, q_order, frame, window):
@@ -164,22 +144,10 @@ def inv_theta_pair(x, y, scale, q_order, frame, window):
     The inverted zero mode is :func:`inv_zero_mode`, so the result is
     p-windowed with a known support floor at x^1.
     """
-    scale = int(scale)
-    q_order = _as_order(q_order)
     x = {v: Fraction(e) for v, e in dict(x).items()}
     y = {v: Fraction(e) for v, e in dict(y).items()}
     zm_inv = inv_zero_mode(x, y, q_order, frame, window)
-
-    factors = []
-    m = 1
-    while Fraction(scale * m) < q_order:
-        qm = {"q": Fraction(scale * m)}
-        for a in (x, _inverse(x)):
-            for b in (y, _inverse(y)):
-                factors.append((_combine(_combine(a, b), qm), -1))
-        factors.append((qm, 4))
-        m += 1
-    return zm_inv * product_expand(frame, factors, q_order)
+    return zm_inv * product_expand(frame, _pair_factors(x, y, scale, -1), q_order)
 
 
 def plethystic_exp(f):

@@ -274,6 +274,11 @@ def _offset(frame, e):
     return sum(x << sh for x, sh in zip(e, frame.shifts))
 
 
+def _scaled(frame, mono):
+    """Scaled exponent tuple of a {name: exponent} mapping or a pre-scaled tuple."""
+    return mono if isinstance(mono, tuple) else frame.exps(mono)
+
+
 def _pack(frame, terms, graded=True):
     """Tuple-keyed terms as ``{scaled weight: {packed key: coefficient}}``.
 
@@ -714,16 +719,6 @@ class Series:
             raise TruncationLoss("window lost in embedding")
         return Series(frame, out, self.q_order, window, _clean=True)
 
-    def substitute_symbols(self, values):
-        """Replace every Betti symbol by a concrete rational."""
-        out = {}
-        for e, c in self.terms.items():
-            if isinstance(c, LinExpr):
-                c = c.substitute(values)
-            if c:
-                out[e] = c
-        return Series(self.frame, out, self.q_order, self.window, _clean=True)
-
     def map_coeffs(self, fn):
         out = {}
         for e, c in self.terms.items():
@@ -1153,10 +1148,15 @@ def adams(f, k):
 def product_expand(frame, factors, q_order, window=None):
     """Expand ``F = prod (1 - m)^e`` exactly to the given truncation order.
 
-    ``factors`` yields pairs (monomial, exponent); monomials are
-    {name: exponent} mappings or pre-scaled tuples, each of strictly
-    positive weight, and exponents are ints or exact rationals.  Factors of
-    weight >= q_order are skipped.
+    ``factors`` yields single factors ``(monomial, exponent)`` for
+    ``(1 - m)^e`` and factor families ``(monomial, exponent, step)`` for the
+    infinite product ``prod_{k>=0} (1 - m*step^k)^e``.  Monomials and steps
+    are {name: exponent} mappings or pre-scaled tuples; every factor and
+    every step has strictly positive weight (else
+    :class:`NonConvergentFactor`), and exponents are ints or exact
+    rationals.  This is the one place that decides the truncation cut: a
+    factor or family member of weight >= q_order is dropped, and a family
+    is enumerated only while its members fall below the order.
 
     F is solved graded slice by graded slice with the weighted Euler operator
     ``D = sum_i w_i x_i d/dx_i`` (weights in the frame's scaled units, so a
@@ -1189,20 +1189,27 @@ def product_expand(frame, factors, q_order, window=None):
         pi, hi = frame.p_index, window.hi
     top = _top(frame, q_order)
     kept = []  # (scaled exponents, scaled weight, exponent) below the cut
-    for mono, e in factors:
-        exps = mono if isinstance(mono, tuple) else frame.exps(mono)
-        ws = frame.weight_scaled(exps)
-        if ws <= 0:
-            raise NonConvergentFactor(f"factor exponent {mono} has weight <= 0")
-        if ws > top:
-            continue
-        if pi >= 0 and exps[pi] < 0:
-            raise WindowUnderflow(
-                f"factor {mono} has a negative p-exponent under the floored window {window!r}"
-            )
-        if not is_rational(e):
-            raise TypeError(f"factor exponent {e!r} is not an exact rational")
-        kept.append((exps, ws, exact(e)))
+    for mono, e, *family in factors:
+        exps = _scaled(frame, mono)
+        step = _scaled(frame, family[0]) if family else None
+        if step is not None and frame.weight_scaled(step) <= 0:
+            raise NonConvergentFactor(f"factor family {mono} has a step of weight <= 0")
+        while True:
+            ws = frame.weight_scaled(exps)
+            if ws <= 0:
+                raise NonConvergentFactor(f"factor exponent {mono} has weight <= 0")
+            if ws > top:
+                break
+            if pi >= 0 and exps[pi] < 0:
+                raise WindowUnderflow(
+                    f"factor {mono} has a negative p-exponent under the floored window {window!r}"
+                )
+            if not is_rational(e):
+                raise TypeError(f"factor exponent {e!r} is not an exact rational")
+            kept.append((exps, ws, exact(e)))
+            if step is None:
+                break
+            exps = tuple(map(add, exps, step))
     if not kept:
         # the empty product, built exactly as Series.one builds it
         return Series.one(frame, q_order, window)
@@ -1214,10 +1221,10 @@ def product_expand(frame, factors, q_order, window=None):
     # DA grouped by scaled weight: {l: {packed key: coefficient}}, m^k kept while p^k <= hi
     da = {}
     for exps, ws, e in kept:
-        step = _offset(frame, exps)
+        offset = _offset(frame, exps)
         kmax = top // ws if pi < 0 or not exps[pi] else min(top // ws, hi // exps[pi])
         for k in range(1, kmax + 1):
-            slot, ek = da.setdefault(k * ws, {}), base + k * step
+            slot, ek = da.setdefault(k * ws, {}), base + k * offset
             slot[ek] = slot.get(ek, 0) - e * ws
     keys = _p_keys(frame, 0, hi) if pi >= 0 else (None, None)
     kernel = [(l, PackedSlice({k: c for k, c in t.items() if c})) for l, t in sorted(da.items())]

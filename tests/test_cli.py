@@ -93,6 +93,40 @@ class TestExpand:
         monkeypatch.setattr(Series, "loads", refuse)
         assert run(argv, capsys)[1] == fresh
 
+    @staticmethod
+    def cache_entries(name, argvs, cache, capsys):
+        """Expand ``name`` at q = 3 once per extra argv; the number of cache entries."""
+        texts = {run(["expand", name, "--q-order", "3", *argv], capsys)[1] for argv in argvs}
+        assert len(texts) == len(list(cache.glob(f"{name}-*.json")))
+        return len(texts)
+
+    def test_cache_key_ignores_the_window_of_a_window_free_id(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SERIES_CACHE_DIR", str(cache))
+        windows = [["--p-window=-6:6"], ["--p-window=0:6"], ["--p-window=-4:4"]]
+        assert self.cache_entries("pt-fiber", windows, cache, capsys) == 1
+
+    def test_cache_key_reads_only_the_window_top(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SERIES_CACHE_DIR", str(cache))
+        windows = [["--p-window=-6:6"], ["--p-window=0:6"]]
+        assert self.cache_entries("pt-fiber-full", windows, cache, capsys) == 1
+        windows.append(["--p-window=-6:8"])
+        assert self.cache_entries("pt-fiber-full", windows, cache, capsys) == 2
+
+    def test_cache_key_reads_the_betti_file_only_where_used(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SERIES_CACHE_DIR", str(cache))
+        edited = [dict(r) for r in BETTI_RECORDS]
+        edited[2]["betti"] = [1, 0, 10, 25, 10, 0, 1]
+        files = []
+        for i, records in enumerate((BETTI_RECORDS, edited)):
+            path = tmp_path / f"betti{i}.json"
+            path.write_text(json.dumps(records))
+            files.append(["--betti-file", str(path)])
+        assert self.cache_entries("keyeq-rhs1", [[], files[0]], cache, capsys) == 1
+        assert self.cache_entries("keyeq-rhs2", files, cache, capsys) == 2
+
     def test_no_float_reaches_a_coefficient(self, capsys, monkeypatch):
         built = []
         build = cli._build_series

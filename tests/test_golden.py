@@ -8,7 +8,10 @@ hash.  The three p-windowed hashes cover the windowed geometric series
 sum_m [m] p^m (``enrq.qfunc.inv_zero_mode``) in each of its uses: the
 wallcrossing prefactor of ``pt_fiber_full``, the even bracket and the
 inverted theta pairs of the three-form chain; they were taken when a series
-could still carry a window without a floor.
+could still carry a window without a floor.  ``CLI_GOLDEN`` pins the series
+of every ``enrq expand`` id at ``--q-order 8`` (default window and Betti
+data) and the Euler fiber series; they were taken while every product
+builder still cut its own factor list.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ import json
 
 import pytest
 
-from enrq import enriques, perverse
+from enrq import cli, enriques, perverse
 from enrq.series import Window
 
 GOLDEN = {
@@ -29,6 +32,17 @@ GOLDEN = {
     "primitive_pt_forms": "96b8c23b02287e4b90b3daa28debc6cc789bde88e86fe54c3c25991c99e27d27",
     "primitive_betti_display": "0d456abafa6a7f9f740ad99a2d4310cc2b3b7aed5c0e609c50149df8f14631ef",
 }
+CLI_GOLDEN = {
+    "pt-fiber": "30e26aa375dee32fc11605ce11679f1c4720d499c0c290df2863f110fab5061f",
+    "pt-fiber-full": "b3f8196820feac26d694286e2adcb60a5fb5c33d63a4575e82a477c1ba6f2056",
+    "keyeq-rhs1": "672b693236a60c28d5293bd58e7ba8261509edfbe85359a8f622c1c1da941bb7",
+    "keyeq-rhs2": "d36fc6bf8a01acfde5233aca92004d2610cfcc8fdb87001fb331243556b4831d",
+    "ky-logZ": "f8a7510b64603838521f76022da404e06eaacc15229d615069c4251d67870228",
+    "asympt-gf": "0af0536b9b0a37680735f8640c90ec16199e97ee9f459b742acd73a5a61fbfd1",
+    "betti-infty": "0c14ec3c5b22042b6a4736a723c5cda5b0625e6e0ae9d37c59b16d53032719c6",
+    "omega-half-integral": "f380adf3e3b5deb271791019df0ba38481368ed8b5da62e9274e1a24b4e596ed",
+}
+EULER_FIBER_9 = "e89e167fa7584decac0af2321931fc1ce0574ed2f2b32221ca2858163138b3c6"
 WINDOW = Window(-20, 20, False)
 
 
@@ -79,3 +93,17 @@ def test_primitive_chain_forms():
     assert sha({k: v.to_json_dict() for k, v in forms.items()}) == GOLDEN["primitive_pt_forms"]
     display = perverse.primitive_betti_display(betti, 6, WINDOW)
     assert sha(display.to_json_dict()) == GOLDEN["primitive_betti_display"]
+
+
+def test_every_cli_series_id_is_pinned():
+    assert sorted(CLI_GOLDEN) == sorted(cli.SERIES_IDS)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_series(name):
+    args = cli._parser().parse_args(["expand", name, "--q-order", "8"])
+    assert sha(cli._build_series(name, args).to_json_dict()) == CLI_GOLDEN[name]
+
+
+def test_euler_fiber_series():
+    assert sha(enriques.pt_fiber_series_euler(9).to_json_dict()) == EULER_FIBER_9

@@ -1,6 +1,7 @@
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
+from itertools import count
 from math import comb
 
 import pytest
@@ -707,36 +708,70 @@ def product_expand_oracle(frame, factors, q_order, window=None):
 
     This is the product-of-binomials loop the Euler recurrence replaced; it is
     kept here only as the oracle the equivalence tests compare against.  Its
-    products run on the tuple kernel.
+    products run on the tuple kernel.  A factor family
+    ``(monomial, exponent, step)`` is unpacked by :func:`_oracle_members`.
     """
     q_order = Fraction(q_order)
     acc = Series.one(frame, q_order, window)
-    for mono, e in factors:
-        exps = mono if isinstance(mono, tuple) else frame.exps(mono)
-        ws = frame.weight_scaled(exps)
-        if ws <= 0:
-            raise NonConvergentFactor(f"factor exponent {mono} has weight <= 0")
-        if Fraction(ws, frame.wden) >= q_order:
-            continue
-        acc = mul_oracle(acc, _oracle_binomial(frame, exps, int(e), q_order, window))
+    for mono, e, *step in factors:
+        for exps in _oracle_members(frame, mono, step, q_order):
+            acc = mul_oracle(acc, _oracle_binomial(frame, exps, e, q_order, window))
     return acc
 
 
+def _oracle_members(frame, mono, step, q_order):
+    """Scaled exponents of the factors of one entry below the order.
+
+    A single factor ``m`` (``step == []``), or the members ``m * s^k`` of a
+    family with ``step == [s]``, for k = 0, 1, ... while the weight of
+    ``m * s^k`` is below the order.
+    """
+    def scaled(m):
+        return m if isinstance(m, tuple) else frame.exps(m)
+
+    exps = scaled(mono)
+    ds = scaled(step[0]) if step else frame.zero_exp()
+    if step and frame.weight_scaled(ds) <= 0:
+        raise NonConvergentFactor(f"family step {step[0]} has weight <= 0")
+    for k in count():
+        ek = tuple(x + k * d for x, d in zip(exps, ds))
+        ws = frame.weight_scaled(ek)
+        if ws <= 0:
+            raise NonConvergentFactor(f"factor exponent {ek} has weight <= 0")
+        if Fraction(ws, frame.wden) >= q_order:
+            return
+        yield ek
+        if not step:
+            return
+
+
 def _oracle_binomial(frame, exps, e, q_order, window):
-    """(1 - m)^e truncated, for a monomial m of positive weight."""
+    """(1 - m)^e truncated, for a monomial m of positive weight.
+
+    The coefficient of m^j is (-1)^j binomial(e, j): by ``comb`` for an
+    integral ``e``, by the product (0 - e)(1 - e)...(j - 1 - e) / j! otherwise.
+    """
     w = Fraction(frame.weight_scaled(exps), frame.wden)
     jmax = int((q_order - Fraction(1, frame.wden)) / w) + 1
     pi = frame.p_index if window is not None else -1
     terms = {frame.zero_exp(): rat(1)}
-    top = min(e, jmax) if e >= 0 else jmax
+    integral = rat(e).denominator == 1
+    e = int(e) if integral else rat(e)
+    top = min(e, jmax) if integral and e >= 0 else jmax
+    coef = rat(1)
     for j in range(1, top + 1):
+        coef = coef * (j - 1 - e) / j
         if j * w >= q_order:
             break
         ej = tuple(x * j for x in exps)
         if pi >= 0 and (ej[pi] > window.hi or (not window.floored and ej[pi] < window.lo)):
             continue
-        coef = rat((-1) ** j * comb(e, j)) if e >= 0 else rat(comb(j - e - 1, -e - 1))
-        terms[ej] = coef
+        if not integral:
+            terms[ej] = coef
+        elif e >= 0:
+            terms[ej] = rat((-1) ** j * comb(e, j))
+        else:
+            terms[ej] = rat(comb(j - e - 1, -e - 1))
     return Series(frame, terms, q_order, window, _clean=True)
 
 
@@ -812,6 +847,42 @@ def _random_factors(rng, frame, q_order, n, p_nonnegative=False):
     return factors
 
 
+def _random_families(rng, frame, q_order, n, p_nonnegative=False, rational=False):
+    """Factor families ``(monomial, exponent, step)`` mixed with single factors.
+
+    Exponents take both signs and zero, and with ``rational`` also
+    non-integral values.  The first weighted variable gives each monomial a
+    weight of at least 1/4 (1 in ``FRAME_XY``) and each step at least 1/2, so
+    a family often has several members under the order; with
+    ``p_nonnegative`` no monomial or step lowers p.  Some entries repeat.
+    """
+    den0 = next(d for d, w in zip(frame.denoms, frame.weights) if w)
+
+    def draw(lo, hi):
+        mono, first = {}, True
+        for name, den, w in zip(frame.names, frame.denoms, frame.weights):
+            if w:
+                mono[name] = Fraction(rng.randint(lo, hi) if first else rng.randint(0, den), den)
+                first = False
+            elif name == "p" and p_nonnegative:
+                mono[name] = Fraction(rng.randint(0, 2), den)
+            else:
+                mono[name] = Fraction(rng.randint(-2, 2), den)
+        return mono
+
+    out = []
+    for _ in range(n):
+        e = rng.randint(-4, 4)
+        if rational and rng.random() < 0.5:
+            e = Fraction(rng.randint(-6, 6), rng.choice((2, 3)))
+        mono = draw(max(1, den0 // 4), int(den0 * q_order))
+        if rng.random() < 0.25:
+            out.append((mono, e))
+        else:
+            out.append((mono, e, draw(max(1, den0 // 2), 2 * den0)))
+    return out + rng.choices(out, k=2)
+
+
 class TestProductExpandOracle:
     def test_random_factor_lists(self, rng):
         for frame in (FRAME_Q, FRAME_QP, FRAME_QPU, FRAME_XY, FRAME_PU):
@@ -835,7 +906,47 @@ class TestProductExpandOracle:
                         product_expand_oracle(frame, factors, q_order, window),
                     )
 
+    def test_random_factor_families(self, rng):
+        for frame in (FRAME_Q, FRAME_QP, FRAME_QPU, FRAME_XY):
+            for rational in (False, True):
+                for _ in range(10):
+                    q_order = Fraction(rng.randint(2, 6), rng.choice((1, 2)))
+                    factors = _random_families(rng, frame, q_order, rng.randint(1, 4), rational=rational)
+                    check = assert_equivalent if rational else assert_integral_equivalent
+                    check(product_expand(frame, factors, q_order),
+                          product_expand_oracle(frame, factors, q_order))
+
+    def test_random_factor_families_floored_window(self, rng):
+        for frame in (FRAME_QP, FRAME_QPU, FRAME_QPUTS):
+            for hi in (0, 3, 8):
+                for _ in range(6):
+                    q_order = rng.randint(2, 5)
+                    factors = _random_families(rng, frame, q_order, rng.randint(1, 4), p_nonnegative=True)
+                    window = Window(0, hi, True)
+                    assert_integral_equivalent(
+                        product_expand(frame, factors, q_order, window),
+                        product_expand_oracle(frame, factors, q_order, window),
+                    )
+
+    @pytest.mark.parametrize(
+        "frame,factors,exc",
+        [
+            (FRAME_QP, [({"q": 1}, -1, {"p": 1})], NonConvergentFactor),
+            (FRAME_QP, [({"q": 1}, -1, {"q": -1, "p": 2})], NonConvergentFactor),
+            (FRAME_XY, [({"x": 1}, 2, {"x": 1, "y": -1})], NonConvergentFactor),
+            (FRAME_QP, [({"q": -1, "p": 1}, -1, {"q": 1})], NonConvergentFactor),
+            (FRAME_Q, [({"q": 1}, "1/2", {"q": 1})], TypeError),
+        ],
+    )
+    def test_rejected_families(self, frame, factors, exc):
+        with pytest.raises(exc):
+            product_expand(frame, factors, 4)
+        if exc is NonConvergentFactor:
+            with pytest.raises(exc):
+                product_expand_oracle(frame, factors, 4)
+
     def test_edge_cases(self):
+        xy = {"x": 1, "y": 1}
         cases = [
             (FRAME_Q, [], 5, None),
             (FRAME_Q, [({"q": 1}, 0), ({"q": 2}, 0)], 5, None),
@@ -848,6 +959,13 @@ class TestProductExpandOracle:
             (FRAME_QP, [({"q": 1, "p": 3}, -2)], 4, Window(0, 5, True)),
             (FRAME_QP, [({"q": 1, "p": 1}, -2)], 4, Window(0, -2, True)),
             (FRAME_QP, [({"q": 9, "p": -1}, -2)], 4, Window(0, 6, True)),
+            (FRAME_Q, [({"q": 5}, -3, {"q": 1})], 5, None),
+            (FRAME_Q, [({"q": 1}, 0, {"q": 1}), ({"q": 2}, 4, {"q": 2})], 5, None),
+            (FRAME_Q, [({"q": 1}, -1, {"q": 1})], 0, None),
+            (FRAME_Q, [((24,), -2, (12,)), ({"q": 1}, 2, {"q": Fraction(1, 24)})], Fraction(7, 3), None),
+            (FRAME_QP, [({"q": 1, "p": 1}, -2, {"q": 1, "p": 1})], 4, Window(0, 3, True)),
+            (FRAME_QP, [({"q": 1, "p": 2}, -1, {"q": 1, "p": -1})], 3, Window(0, 4, True)),
+            (FRAME_XY, [(xy, 1), (xy, -10, xy), ({"x": 2}, -1, xy), ({"y": 2}, -1, xy)], 7, None),
         ]
         for frame, factors, q_order, window in cases:
             assert_integral_equivalent(
@@ -896,6 +1014,7 @@ class TestProductExpandWindows:
             (Window(2, 8, True), [({"q": 1, "p": 1}, -1)]),
             (Window(-2, 8, True), [({"q": 1, "p": 1}, -1)]),
             (Window(0, 8, True), [({"q": 1, "p": 1}, -1), ({"q": 1, "p": -1}, -1)]),
+            (Window(0, 8, True), [({"q": 1, "p": 1}, -1, {"q": 1, "p": -1})]),
         ],
     )
     def test_rejected_windows(self, window, factors):
