@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 failed check, 2 usage error: unknown id,
 malformed argument, a Betti file without data for a degree the command
 needs, an ``--out`` that cannot be written, or a ``SERIES_CACHE_DIR`` that
-cannot be read or written, such as one naming a file (a one-line message on
-stderr, never a traceback), 3 insufficient truncation order for the
-requested tables.
+cannot be read or written, such as one naming a file, or a ``--q-order``
+too large for a packed exponent field (a one-line message on stderr, never a
+traceback), 3 insufficient truncation order for the requested tables.
 """
 
 import argparse
@@ -24,7 +24,7 @@ from . import __version__, enriques, perverse
 from .checks import CHECKS, run_checks
 from .kernel import BACKEND
 from .ring import RATIONAL_BACKEND
-from .series import Window
+from .series import FieldOverflow, Window
 
 SERIES_IDS = (
     "pt-fiber",
@@ -353,6 +353,8 @@ def main(argv=None):
         print(exc, file=sys.stderr)
     except perverse.MissingBettiData as exc:
         print(f"enrq: error: argument --betti-file: {exc.args[0]}", file=sys.stderr)
+    except FieldOverflow as exc:
+        print(f"enrq: error: argument --q-order: too large ({exc})", file=sys.stderr)
     return 2
 
 

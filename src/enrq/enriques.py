@@ -11,7 +11,7 @@ t = s = u, the chi_t specialization sets s = 1, the Euler limit t = s = 1.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import ceil, comb, gcd
 from operator import add
 
 from .config import hodge_inputs, parse_hodge
@@ -30,6 +30,7 @@ from .series import (
     Series,
     SeriesError,
     Window,
+    _add_shifted,
     _as_order,
     divide_exact,
     exp_series,
@@ -201,10 +202,6 @@ class DTKey:
             raise ValueError("zero Chern character")
         return g
 
-    @property
-    def beta_even(self):
-        return self.d % 2 == 0
-
 
 class DTValue:
     """A refined invariant stored as numerator/denominator of (t,s)-Laurent polynomials.
@@ -320,16 +317,17 @@ def dt_fiber_table(q_order):
 
 
 def assemble_pt_from_dt(dt_table, q_order, window=None, frame=FRAME_QPUTS, euler=False):
-    """Wallcrossing assembly: prod exp((-1)^{r-1} [n+r] DT(r,d,n) q^d p^{+-n}).
+    """Wallcrossing assembly: exp(sum (-1)^{r-1} [n+r] DT(r,d,n) q^d p^{+-n}).
 
     Keys (r, d, n) contribute p^n always and p^{-n} additionally when both
     r > 0 and n > 0.  In Euler mode the table must hold Euler-specialized
     values and the wallcrossing factor degenerates to the integer n + r.
+    Under a p-window (top ``hi``, scaled units) a term p^m with 2m > hi is
+    dropped, and a kept one with m != 0 floors the argument at min(0, 2m).
     """
     q_order = _as_order(q_order)
-    acc = Series.one(frame, q_order)
-    for (r, d, n) in sorted(dt_table):
-        val = dt_table[(r, d, n)]
+    terms, floors = {}, []
+    for (r, d, n), val in sorted(dt_table.items()):
         if val.is_zero():
             continue
         if d < 1:
@@ -346,15 +344,13 @@ def assemble_pt_from_dt(dt_table, q_order, window=None, frame=FRAME_QPUTS, euler
         factor = factor.embed(frame)
         exps = [n] if (n == 0 or r == 0) else [n, -n]
         for pexp in exps:
-            w = None
             if pexp and window is not None:
                 if 2 * pexp > window.hi:
                     continue
-                w = Window(min(0, 2 * pexp), window.hi, True)
-            mono = Series.monomial(frame, {"q": d, "p": pexp}, q_order=q_order, window=w)
-            arg = (factor * mono).with_q_order(q_order)
-            acc = acc * exp_series(arg)
-    return acc
+                floors.append(2 * pexp)
+            _add_shifted(terms, factor, {"q": d, "p": pexp})
+    w = Window(min(0, *floors), window.hi, True) if floors else None
+    return exp_series(Series(frame, terms, q_order, w))
 
 
 # -- the all-n completion in fiber classes ------------------------------------
@@ -370,7 +366,7 @@ def quantum_sum_prefactor(q_order, window, frame=FRAME_QPUTS, euler=False):
     return -inv_zero_mode({"p": 1}, y, q_order, frame, window)
 
 
-def rank0_dt(d, n, euler=False):
+def rank0_dt(d, n):
     """DT(0, d*f, n) for n >= 1 via refined chi-independence:
 
     DT(0, beta, n) = sum_{k | gcd(beta, n)} DT(0, beta/k, 1)|_{adams k} / (k [k])
@@ -381,15 +377,10 @@ def rank0_dt(d, n, euler=False):
         raise ValueError("rank-0 values need d, n >= 1")
     e_vir = elliptic_curve_chi_vir()
     q_vir = enriques_cy3_chi_vir()
-    if euler:
-        e_vir = Series.const(FRAME_TS, e_vir.specialize({"t": 1, "s": 1}).coeff({}))
-        q_vir = Series.const(FRAME_TS, q_vir.specialize({"t": 1, "s": 1}).coeff({}))
     acc = DTValue(Series.zero(FRAME_TS))
     for k in _divisors(gcd(d, n)):
-        dk = d // k
-        prim = e_vir * 8 if dk % 2 else q_vir
-        den = quantum_integer(k) * k if not euler else Series.const(FRAME_TS, k * k)
-        acc = acc + DTValue(prim.adams(k), den)
+        prim = e_vir * 8 if (d // k) % 2 else q_vir
+        acc = acc + DTValue(prim.adams(k), quantum_integer(k) * k)
     return acc
 
 
@@ -411,13 +402,10 @@ def rank0_exp_argument(q_order, window, frame=FRAME_QPUTS, euler=False):
     else:
         e_vir = elliptic_curve_chi_vir().embed(frame)
         q_vir = enriques_cy3_chi_vir().embed(frame)
-    s = Series.zero(frame, q_order)
-    d = 1
-    while d < q_order:
-        part = e_vir * 8 if d % 2 else q_vir
-        s = s + part * Series.monomial(frame, {"q": d}, q_order=q_order)
-        d += 1
-    return pref * s
+    terms = {}
+    for d in range(1, ceil(q_order)):
+        _add_shifted(terms, e_vir * 8 if d % 2 else q_vir, {"q": d})
+    return pref * Series(frame, terms, q_order)
 
 
 def rank0_ordinary_log_from_dt(q_order, window):
@@ -428,18 +416,12 @@ def rank0_ordinary_log_from_dt(q_order, window):
     chi-independence wiring of the rank-0 column.
     """
     q_order = _as_order(q_order)
-    acc = Series.zero(FRAME_QPUTS, q_order, Window(0, window.hi, True))
-    d = 1
-    while d < q_order:
+    terms = {}
+    for d in range(1, ceil(q_order)):
         for n in range(1, window.hi // 2 + 1):
-            val = rank0_dt(d, n)
-            term = val.cleared(quantum_integer(n)).embed(FRAME_QPUTS)
-            mono = Series.monomial(
-                FRAME_QPUTS, {"q": d, "p": n}, q_order=q_order, window=Window(0, window.hi, True)
-            )
-            acc = acc - term * mono
-        d += 1
-    return acc
+            term = rank0_dt(d, n).cleared(quantum_integer(n)).embed(FRAME_QPUTS)
+            _add_shifted(terms, -term, {"q": d, "p": n})
+    return Series(FRAME_QPUTS, terms, q_order, Window(0, window.hi, True))
 
 
 def pt_fiber_full(q_order, window, frame=FRAME_QPUTS, euler=False):

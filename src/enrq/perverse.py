@@ -14,6 +14,7 @@ asymptotics of the shifted table entries.
 """
 
 from fractions import Fraction
+from math import ceil
 
 from .config import betti_defaults
 from .qfunc import eta, inv_theta_pair, inv_zero_mode, quantum_integer, theta, theta_pair
@@ -25,6 +26,7 @@ from .series import (
     FRAME_XY,
     Series,
     Window,
+    _add_shifted,
     _as_order,
     divide_exact,
     product_expand,
@@ -117,33 +119,25 @@ class BettiTable:
         return [self.entry(d, i) for i in range(4 * d + 3)]
 
     def signed_sum(self, d, frame):
-        """u^{-(2d+1)} sum_i b_{i,d} (-u)^i as a Series in the given frame."""
-        iu = frame.index["u"]
+        """q^d u^{-(2d+1)} sum_i b_{i,d} (-u)^i as a Series in the given frame."""
+        iq, iu = frame.index["q"], frame.index["u"]
         terms = {}
         for i in range(4 * d + 3):
             b = self.entry(d, i)
-            c = -b if i % 2 else b
-            if not c:
-                continue
-            e = [0] * frame.nvars
-            e[iu] = 2 * (i - (2 * d + 1))
-            key = tuple(e)
-            prev = terms.get(key)
-            terms[key] = c if prev is None else prev + c
+            if b:
+                e = [0] * frame.nvars
+                e[iq], e[iu] = d * frame.denoms[iq], 2 * (i - (2 * d + 1))
+                terms[tuple(e)] = -b if i % 2 else b
         return Series(frame, terms, None, None, _clean=True)
 
 
 def _betti_q_sum(betti, q_order, frame):
     """sum_d q^d u^{-(2d+1)} sum_i b_{i,d} (-u)^i."""
     q_order = _as_order(q_order)
-    acc = Series.zero(frame, q_order)
-    d = 0
-    while d < q_order:
-        acc = acc + betti.signed_sum(d, frame) * Series.monomial(
-            frame, {"q": d}, q_order=q_order
-        )
-        d += 1
-    return acc
+    terms = {}
+    for d in range(ceil(q_order)):
+        terms.update(betti.signed_sum(d, frame).terms)
+    return Series(frame, terms, q_order)
 
 
 # -- the two terms of the central identity -----------------------------------
@@ -394,37 +388,28 @@ def omega_integral_series(betti, q_order, frame=FRAME_QPUTS):
     return _betti_q_sum(betti, q_order, frame) * -8
 
 
-def _qi(n, frame):
-    return quantum_integer(n).embed(frame)
-
-
 def _bracket(parity, q_order_ext, frame, window=None):
     """sum_{r>=1, r = parity mod 2} ([r] q^{r^2/2} + sum_{n>=1} [n+r](p^n + p^{-n}) q^{rn+r^2/2}).
 
-    The even bracket (parity 0) starts from the head sum_{n>=1} [n] p^n
+    The even bracket (parity 0) adds the head sum_{n>=1} [n] p^n
     (:func:`enrq.qfunc.inv_zero_mode`), cut at the p-window, which makes it
     p-windowed with support floor p^1.
     """
-    if parity:
-        acc = Series.zero(frame, q_order_ext)
-    else:
-        y = {"t": Fraction(1, 2), "s": Fraction(1, 2)}
-        acc = inv_zero_mode({"p": 1}, y, q_order_ext, frame, window)
+    terms = {}
     r = 2 - parity
     while Fraction(r * r, 2) < q_order_ext:
-        acc = acc + _qi(r, frame) * Series.monomial(
-            frame, {"q": Fraction(r * r, 2)}, q_order=q_order_ext
-        )
-        n = 1
+        n = 0
         while Fraction(r * r, 2) + r * n < q_order_ext:
-            mono = Series.monomial(frame, {"q": Fraction(r * r, 2) + r * n, "p": n}, q_order=q_order_ext)
-            mono = mono + Series.monomial(
-                frame, {"q": Fraction(r * r, 2) + r * n, "p": -n}, q_order=q_order_ext
-            )
-            acc = acc + _qi(n + r, frame) * mono
+            for pe in {n, -n}:  # the n = 0 term once
+                mono = {"q": Fraction(r * r, 2) + r * n, "p": pe}
+                _add_shifted(terms, quantum_integer(n + r).embed(frame), mono)
             n += 1
         r += 2
-    return acc
+    table = Series(frame, terms, q_order_ext)
+    if parity:
+        return table
+    y = {"t": Fraction(1, 2), "s": Fraction(1, 2)}
+    return inv_zero_mode({"p": 1}, y, q_order_ext, frame, window) + table
 
 
 def primitive_pt_forms(betti, q_order, window, eta_prefactor=True):

@@ -223,10 +223,6 @@ class Frame:
             w += self.wnum[i] * e[i]
         return w
 
-    def exp_of(self, e, name):
-        i = self.index[name]
-        return Fraction(e[i], self.denoms[i])
-
     def subframe(self, keep):
         keep = [n for n in self.names if n in keep]
         return Frame(
@@ -277,6 +273,14 @@ def _offset(frame, e):
 def _scaled(frame, mono):
     """Scaled exponent tuple of a {name: exponent} mapping or a pre-scaled tuple."""
     return mono if isinstance(mono, tuple) else frame.exps(mono)
+
+
+def _add_shifted(terms, s, mono):
+    """Add ``mono * s`` into the term dict ``terms`` (``mono`` a {name: exponent} mapping)."""
+    shift = s.frame.exps(mono)
+    for e, v in s.terms.items():
+        k = tuple(map(add, e, shift))
+        terms[k] = terms.get(k, 0) + v
 
 
 def _pack(frame, terms, graded=True):
@@ -741,15 +745,6 @@ class Series:
             q_order = self.q_order
         return Series(self.frame, dict(self.terms), q_order, self.window)
 
-    def with_window(self, window):
-        """Restrict to a narrower validity window."""
-        w = self.window
-        if w is not None and window is not None and window.hi > w.hi:
-            raise TruncationLoss("cannot widen the validity window of a computed series")
-        if w is not None and window is None:
-            raise TruncationLoss("cannot drop the window of a windowed series")
-        return Series(self.frame, dict(self.terms), self.q_order, window)
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self):
@@ -1156,7 +1151,9 @@ def product_expand(frame, factors, q_order, window=None):
     :class:`NonConvergentFactor`), and exponents are ints or exact
     rationals.  This is the one place that decides the truncation cut: a
     factor or family member of weight >= q_order is dropped, and a family
-    is enumerated only while its members fall below the order.
+    is enumerated only while its members fall below the order.  A kept
+    member whose own exponent leaves a packed field raises
+    :class:`FieldOverflow` at once, before the rest of its family.
 
     F is solved graded slice by graded slice with the weighted Euler operator
     ``D = sum_i w_i x_i d/dx_i`` (weights in the frame's scaled units, so a
@@ -1194,6 +1191,7 @@ def product_expand(frame, factors, q_order, window=None):
         step = _scaled(frame, family[0]) if family else None
         if step is not None and frame.weight_scaled(step) <= 0:
             raise NonConvergentFactor(f"factor family {mono} has a step of weight <= 0")
+        x = exact(e) if is_rational(e) else None
         while True:
             ws = frame.weight_scaled(exps)
             if ws <= 0:
@@ -1204,9 +1202,11 @@ def product_expand(frame, factors, q_order, window=None):
                 raise WindowUnderflow(
                     f"factor {mono} has a negative p-exponent under the floored window {window!r}"
                 )
-            if not is_rational(e):
+            if x is None:
                 raise TypeError(f"factor exponent {e!r} is not an exact rational")
-            kept.append((exps, ws, exact(e)))
+            if x:
+                _guard(frame, map(abs, exps), "product_expand")
+            kept.append((exps, ws, x))
             if step is None:
                 break
             exps = tuple(map(add, exps, step))

@@ -233,6 +233,11 @@ class TestUsageErrors:
         assert "SERIES_CACHE_DIR" in self.usage_error(["expand", "ky-logZ", "--q-order", "3"], capsys)
         assert path.read_text() == "kept"
 
+    def test_q_order_too_large(self, capsys):
+        # the scaled exponents of q^30000 leave a packed exponent field
+        for argv in (["expand", "pt-fiber"], ["tables", "--d", "0:1"]):
+            assert "--q-order" in self.usage_error([*argv, "--q-order", "30000"], capsys)
+
     def test_degree_range_spellings(self, capsys):
         spaced = run(["tables", "--d", "0:1", "--q-order", "3"], capsys)
         joined = run(["tables", "--d=0:1", "--q-order", "3"], capsys)

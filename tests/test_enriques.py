@@ -177,7 +177,6 @@ class TestDTValues:
         assert k.square == -2 * 2 * 1 - 4
         assert k.divisibility == 1
         assert DTKey(2, 4, 0).divisibility == 2
-        assert k.beta_even and not DTKey(2, 3, 0).beta_even
 
 
 class TestAssembly:

@@ -11,16 +11,21 @@ inverted theta pairs of the three-form chain; they were taken when a series
 could still carry a window without a floor.  ``CLI_GOLDEN`` pins the series
 of every ``enrq expand`` id at ``--q-order 8`` (default window and Betti
 data) and the Euler fiber series; they were taken while every product
-builder still cut its own factor list.
+builder still cut its own factor list.  ``SUM_GOLDEN`` pins the sum builders
+(the wallcrossing assembly, refined, Euler and windowed, the rank-0 exponent
+argument and ordinary log, and both brackets of the three-form chain); they
+were taken while each sum added one series at a time and the assembly
+multiplied one exponential per DT key.
 """
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from enrq import cli, enriques, perverse
-from enrq.series import Window
+from enrq.series import FRAME_QPU, FRAME_QPUTS, Window
 
 GOLDEN = {
     "ph_main_term": "022bf0841c20e22758f876beec89a8c146e3efc992f18896b3ae876e888ec236",
@@ -41,6 +46,15 @@ CLI_GOLDEN = {
     "asympt-gf": "0af0536b9b0a37680735f8640c90ec16199e97ee9f459b742acd73a5a61fbfd1",
     "betti-infty": "0c14ec3c5b22042b6a4736a723c5cda5b0625e6e0ae9d37c59b16d53032719c6",
     "omega-half-integral": "f380adf3e3b5deb271791019df0ba38481368ed8b5da62e9274e1a24b4e596ed",
+}
+SUM_GOLDEN = {
+    "assemble": "6c34098fa1e8c56bfa7f39ffb9e99f0fe1b6c057c37b1f65294d4a749efbfdec",
+    "assemble-euler": "c818814ada1bdeddc28bc9629bf2d1ac2928137901dba18b6ca07f637543f906",
+    "assemble-windowed": "da6b1e035c770b8db8b998ab9323a2f981f412fd7584738c04742357d3bda23c",
+    "rank0-log": "eba93acd45d313871867c16df4d9670c67421ea9e72dda1426d1f9df78548d47",
+    "rank0-exp-argument": "997ce143af4ff6cd934e3ba0132308af0a7340b940b61113c7065e629c268531",
+    "bracket-odd": "4b1e1dfc92129918f023aba41411987841371dc3afa717d31e60d067dd933b75",
+    "bracket-even": "7be870c44a7f16c3e014b79838d7726f059fb9e6199a731f412860edf5221b97",
 }
 EULER_FIBER_9 = "e89e167fa7584decac0af2321931fc1ce0574ed2f2b32221ca2858163138b3c6"
 WINDOW = Window(-20, 20, False)
@@ -107,3 +121,32 @@ def test_cli_series(name):
 
 def test_euler_fiber_series():
     assert sha(enriques.pt_fiber_series_euler(9).to_json_dict()) == EULER_FIBER_9
+
+
+def _windowed_assembly():
+    table = enriques.dt_fiber_table(4)
+    for d in range(1, 4):
+        for n in range(1, 7):
+            table[(0, d, n)] = enriques.rank0_dt(d, n)
+    return enriques.assemble_pt_from_dt(table, 4, window=Window(-12, 12, False))
+
+
+def _euler_assembly():
+    table = {k: v.specialize({"t": 1, "s": 1}) for k, v in enriques.dt_fiber_table(6).items()}
+    return enriques.assemble_pt_from_dt(table, 6, frame=FRAME_QPU, euler=True)
+
+
+SUM_BUILDERS = {
+    "assemble": lambda: enriques.assemble_pt_from_dt(enriques.dt_fiber_table(9), 9),
+    "assemble-euler": _euler_assembly,
+    "assemble-windowed": _windowed_assembly,
+    "rank0-log": lambda: enriques.rank0_ordinary_log_from_dt(5, WINDOW),
+    "rank0-exp-argument": lambda: enriques.rank0_exp_argument(6, WINDOW),
+    "bracket-odd": lambda: perverse._bracket(1, Fraction(13, 2), FRAME_QPUTS),
+    "bracket-even": lambda: perverse._bracket(0, Fraction(13, 2), FRAME_QPUTS, WINDOW),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUM_GOLDEN))
+def test_sum_builders(name):
+    assert sha(SUM_BUILDERS[name]().to_json_dict()) == SUM_GOLDEN[name]

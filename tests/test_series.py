@@ -100,7 +100,6 @@ def test_unfloored_windows_are_refused():
         lambda: Series.zero(FRAME_QP, 3, window=Window(0, 4, False)),
         lambda: Series.const(FRAME_QP, 2, window=w),
         lambda: Series.monomial(FRAME_QP, {"p": 1}, q_order=3, window=w),
-        lambda: Series(FRAME_QP, {(0, 2): 1}, 3, Window(0, 4, True)).with_window(w),
     ]
     floored = Series(FRAME_QPU, {(24, 2, -2): 1}, 3, Window(-4, 4, True)).dumps()
     unfloored = floored.replace('"floored": true', '"floored": false')
@@ -469,6 +468,12 @@ class TestFieldGuard:
         assert (48, 0, 2 * s) in product_expand_oracle(FRAME_QPU, factors, 3).terms
         with pytest.raises(FieldOverflow):
             product_expand(FRAME_QPU, factors, 3)
+
+    def test_product_expand_family_fails_fast(self):
+        # member x^BIAS leaves the field: raised there, not after enumerating
+        # every member below the order
+        with pytest.raises(FieldOverflow):
+            product_expand(FRAME_XY, [({"x": 1}, 1, {"x": 1})], 10**20)
 
     def test_log_series(self):
         s = BIAS // 2 + 1
@@ -1155,7 +1160,7 @@ class TestLogSeriesOracle:
                 for _ in range(10):
                     hi = rng.randint(0, 8)
                     wide = _random_log_argument(rng, frame, Window(lo, hi + 8, True))
-                    narrow = wide.with_window(Window(lo, hi, True))
+                    narrow = Series(frame, wide.terms, wide.q_order, Window(lo, hi, True))
                     got, ref = log_series(narrow), log_series(wide)
                     if lo == 0:
                         assert got.window == Window(0, hi, True)
