@@ -17,6 +17,7 @@ when a product could leave it, so a field never wraps into its neighbour.
 ``madd`` multiplies one weight slice by one weight slice.  The truncation
 cut is the caller's loop bound (slices are graded by weight), so the kernel
 sees only the p-window, which it applies by bisecting the p-sorted ``g``.
+Slices are dicts, so an unwindowed product never sorts.
 
 ``BACKEND`` names the kernel for the series cache key and benchmark records;
 it is the constant ``"py"``.
@@ -33,17 +34,17 @@ BIAS = 1 << (FIELD_BITS - 1)
 FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
-class PackedSlice:
-    """Terms of one weight slice as ``(key, coefficient)`` pairs sorted by key."""
+class PackedSlice(dict):
+    """One weight slice, ``{packed key: coefficient}``; never changed once stored."""
 
-    __slots__ = ("items", "keys")
+    __slots__ = ("_by_key",)
 
-    def __init__(self, terms):
-        self.items = sorted(terms.items())
-        self.keys = [k for k, _ in self.items]
-
-    def __len__(self):
-        return len(self.items)
+    def by_key(self):
+        """The ``(key, coefficient)`` pairs and the keys in key order, sorted on first use."""
+        if not hasattr(self, "_by_key"):
+            items = sorted(self.items())
+            self._by_key = items, [k for k, _ in items]
+        return self._by_key
 
 
 def madd(out, f, g, base, lo, hi):
@@ -54,9 +55,11 @@ def madd(out, f, g, base, lo, hi):
     coefficients are pruned, so ``out`` never stores cancellations.
     """
     get = out.get
-    gitems, gkeys = g.items, g.keys
-    span = gitems
-    for kf, cf in f.items:
+    if lo is None:
+        span = g.items()
+    else:
+        gitems, gkeys = g.by_key()
+    for kf, cf in f.items():
         kf -= base
         if lo is not None:
             i = bisect_left(gkeys, lo - kf)

@@ -128,7 +128,7 @@ class BettiTable:
                 e = [0] * frame.nvars
                 e[iq], e[iu] = d * frame.denoms[iq], 2 * (i - (2 * d + 1))
                 terms[tuple(e)] = -b if i % 2 else b
-        return Series(frame, terms, None, None, _clean=True)
+        return Series(frame, terms, None, None)
 
 
 def _betti_q_sum(betti, q_order, frame):
@@ -152,7 +152,6 @@ def _main_prefactor(frame):
             frame.exps({"u": -1}): 1,
             frame.exps({"p": 1}): -1,
         },
-        _clean=True,
     )
 
 

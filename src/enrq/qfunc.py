@@ -45,7 +45,7 @@ def quantum_integer(n):
     if n < 1:
         raise ValueError("quantum integer needs n >= 1")
     terms = {(e, e): 1 for e in range(1 - n, n, 2)}  # scaled (t, s) exponents
-    return Series(FRAME_TS, terms, None, None, _clean=True)
+    return Series(FRAME_TS, terms, None, None)
 
 
 def eta(scale, q_order, prefactor=True):
@@ -181,7 +181,7 @@ def plethystic_log(F):
     integral; ``LinExpr`` ones pass through.
     """
     L = log_series(F)
-    if not L.terms:
+    if L.is_zero():
         return L
     if L.q_order is None:
         return L

@@ -15,28 +15,32 @@ expanded in ascending powers of ``p`` from a known lowest power, so a window
 is one kind only, known zeros below its floor and unknown above its top (see
 :class:`Window`).
 
-Series are immutable values; all operations return new objects.
-``Series.terms`` maps exponent tuples to coefficients.
+Series are immutable values; all operations return new objects.  A series
+stores its terms once, as packed weight slices: ``Series.slices`` maps each
+scaled weight W, ascending, to the :class:`enrq.kernel.PackedSlice` of its
+terms of weight W.  ``Series.terms``, the ``{exponent tuple: coefficient}``
+view, is built from the slices on first read and then kept.
 
-Products run on packed keys: each operand is split into weight slices and
-packed once, every step multiplies one weight slice by one weight slice with
-:func:`enrq.kernel.madd` into the accumulator of their summed weight (the
-truncation cut is the loop bound), and the result is unpacked once.  Besides
-``Series.__mul__``, one graded solve (:func:`_euler_solve`,
-``S_W = finish(W, seed_W + sum_l K_l * S_{W-l})``) multiplies slices: it runs
+Products run on the stored slices: every step multiplies one weight slice by
+one weight slice with :func:`enrq.kernel.madd` into the accumulator of their
+summed weight (the truncation cut is the loop bound), and the accumulators
+are the result's slices.  Besides ``Series.__mul__``, one graded solve
+(:func:`_euler_solve`, ``S_W = finish(W, seed_W + sum_l K_l * S_{W-l})``)
+multiplies slices, and its solved slices are the result's: it runs
 :func:`product_expand`, :func:`exp_series`, :func:`log_series` and
 :func:`divide_exact`.  A key is one int of fixed-width biased fields with
 ``p`` most significant (layout in :mod:`enrq.kernel`), so a p-window is a key
-range.  Field guard: every variable's exponent is bounded a priori -- by the
+range.  Field guard: the constructor refuses an exponent outside a field, and
+every variable's exponent of a packed operation is bounded a priori -- by the
 operand maxima for a product, and for a solve by the factors that fit under
-the weight cut (see :func:`_cut_bounds` and :func:`divide_exact`) -- and
+the weight cut (see :func:`_cut_bounds` and :func:`divide_exact`) --
 :class:`FieldOverflow` is raised when a bound reaches ``BIAS``.
 """
 
 import json
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, lshift, mul, neg
 
 from .kernel import BIAS, FIELD_BITS, FIELD_MASK, PackedSlice, madd
 from .ring import LinExpr, coeff_from_json, coeff_to_json, exact, is_rational, qdiv, rat
@@ -267,7 +271,7 @@ def _top(frame, q_order):
 
 def _offset(frame, e):
     """``key(e) - frame.base``: linear in ``e``, so ``key(k*e) = base + k*_offset(e)``."""
-    return sum(x << sh for x, sh in zip(e, frame.shifts))
+    return sum(map(lshift, e, frame.shifts))
 
 
 def _scaled(frame, mono):
@@ -283,21 +287,22 @@ def _add_shifted(terms, s, mono):
         terms[k] = terms.get(k, 0) + v
 
 
-def _pack(frame, terms, graded=True):
-    """Tuple-keyed terms as ``{scaled weight: {packed key: coefficient}}``.
-
-    Ungraded, every term lands in the bucket of weight 0.
-    """
-    base, wnum = frame.base, frame.wnum
+def _pack(frame, terms):
+    """Tuple-keyed terms as ``{scaled weight: PackedSlice}``, zero coefficients dropped;
+    an exponent outside its packed field raises :class:`FieldOverflow`."""
+    _guard(frame, [max(map(abs, col)) for col in zip(*terms)], "series")
+    base, wnum, n = frame.base, frame.wnum, frame.nvars
     out = {}
     for e, c in terms.items():
-        k = base + _offset(frame, e)
-        w = sum(map(mul, wnum, e)) if graded else 0
-        bucket = out.get(w)
-        if bucket is None:
-            out[w] = {k: c}
-        else:
-            bucket[k] = c
+        if not c:
+            continue
+        if len(e) != n:
+            raise ValueError("exponent arity mismatch")
+        w = sum(map(mul, wnum, e))
+        s = out.get(w)
+        if s is None:
+            out[w] = s = PackedSlice()
+        s[base + _offset(frame, e)] = c
     return out
 
 
@@ -310,9 +315,24 @@ def _unpack(frame, packed):
     return dict(zip(zip(*cols), packed.values()))
 
 
-def _slices(frame, terms, graded):
-    """``(weight, PackedSlice)`` pairs in ascending weight."""
-    return [(w, PackedSlice(t)) for w, t in sorted(_pack(frame, terms, graded).items())]
+def _cut(frame, slices, q_order, window):
+    """The nonempty ``slices`` up to the order's top, ascending; on a window, keys
+    above its top are dropped and a key below its floor raises ``ValueError``."""
+    top = _top(frame, q_order)
+    lo, hi = (None, None) if window is None else _p_keys(frame, window.lo, window.hi)
+    out = {}
+    for W in sorted(slices):
+        if top is not None and W > top:
+            break
+        s = slices[W]
+        if window is not None and s:
+            if min(s) < lo:
+                raise ValueError("term below declared window floor")
+            if max(s) >= hi:
+                s = PackedSlice((k, c) for k, c in s.items() if k < hi)
+        if s:
+            out[W] = s
+    return out
 
 
 def _p_keys(frame, lo, hi):
@@ -321,9 +341,11 @@ def _p_keys(frame, lo, hi):
     return (lo + BIAS) << sh, (hi + 1 + BIAS) << sh
 
 
-def _amax(terms):
-    """Largest |scaled exponent| of each variable over tuple-keyed ``terms``."""
-    return [max(map(abs, col)) for col in zip(*terms)]
+def _amax(frame, slices):
+    """Largest |scaled exponent| of each variable over the ``{weight: slice}`` dict ``slices``."""
+    keys = [k for s in slices.values() for k in s]
+    cols = [[(k >> sh) & FIELD_MASK for k in keys] for sh in frame.shifts]
+    return [max(max(col) - BIAS, BIAS - min(col)) for col in cols]
 
 
 def _cut_bounds(frame, factors, top):
@@ -354,47 +376,46 @@ def _guard(frame, bounds, op):
 
 
 class Series:
-    """A truncated Laurent series: sparse terms plus truncation state."""
+    """A truncated Laurent series: packed weight slices plus truncation state.
 
-    __slots__ = ("frame", "terms", "q_order", "window")
+    ``slices`` (ascending weight, never empty slices) is the one stored form;
+    ``terms`` is a read-only tuple-keyed view of it, built on first read.  The
+    constructor packs ``terms`` once and cuts them with :func:`_cut`.
+    """
 
-    def __init__(self, frame, terms=None, q_order=None, window=None, _clean=False):
-        self.frame = frame
-        self.q_order = _as_order(q_order)
-        self.window = window
+    __slots__ = ("frame", "slices", "q_order", "window", "_terms")
+
+    def __init__(self, frame, terms=None, q_order=None, window=None):
+        q_order = _as_order(q_order)
         if window is not None:
             if not window.floored:
                 raise WindowUnderflow(f"a series window needs a known floor, got {window!r}")
             if frame.p_index < 0:
                 raise ValueError("window on a frame without an unweighted p variable")
-        if _clean:
-            self.terms = terms if terms is not None else {}
-            return
-        kept = {}
-        bn, bd = _bounds(frame, self.q_order)
-        pi = frame.p_index if window is not None else -1
-        for e, c in (terms or {}).items():
-            if not c:
-                continue
-            e = tuple(e)
-            if len(e) != frame.nvars:
-                raise ValueError("exponent arity mismatch")
-            if bd and frame.weight_scaled(e) * bd >= bn:
-                continue
-            if pi >= 0:
-                pe = e[pi]
-                if pe > window.hi:
-                    continue
-                if pe < window.lo:
-                    raise ValueError("term below declared window floor")
-            kept[e] = c
-        self.terms = kept
+        self._set(frame, _pack(frame, terms or {}), q_order, window)
+
+    def _set(self, frame, slices, q_order, window):
+        self.frame, self.q_order, self.window, self._terms = frame, q_order, window, None
+        self.slices = _cut(frame, slices, q_order, window)
+
+    @classmethod
+    def _from_slices(cls, frame, slices, q_order=None, window=None):
+        """A series of ``{weight: PackedSlice}`` slices, cut as the constructor cuts terms."""
+        s = cls.__new__(cls)
+        s._set(frame, slices, q_order, window)
+        return s
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = {e: c for s in self.slices.values() for e, c in _unpack(self.frame, s).items()}
+        return self._terms
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, frame, q_order=None, window=None):
-        return cls(frame, {}, q_order, window, _clean=True)
+        return cls(frame, {}, q_order, window)
 
     @classmethod
     def const(cls, frame, value, q_order=None, window=None):
@@ -414,24 +435,24 @@ class Series:
     # -- inspection --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.slices
 
     def wmin(self):
         """Minimal weighted degree of the support, or None when empty."""
-        if not self.terms:
+        if not self.slices:
             return None
-        return Fraction(min(map(self.frame.weight_scaled, self.terms)), self.frame.wden)
+        return Fraction(next(iter(self.slices)), self.frame.wden)
 
     def p_support(self):
-        """(min, max) scaled p-exponent over the support, or None."""
-        pi = self.frame.index.get("p")
-        if pi is None or not self.terms:
+        """(min, max) scaled exponent of an unweighted p over the support, or None."""
+        if self.frame.p_index < 0 or not self.slices:
             return None
-        ps = [e[pi] for e in self.terms]
-        return min(ps), max(ps)
+        sh = self.frame.shifts[self.frame.p_index]  # p is the most significant field
+        ends = [f(s) for s in self.slices.values() for f in (min, max)]
+        return (min(ends) >> sh) - BIAS, (max(ends) >> sh) - BIAS
 
     def has_symbols(self):
-        return any(isinstance(c, LinExpr) for c in self.terms.values())
+        return any(isinstance(c, LinExpr) for s in self.slices.values() for c in s.values())
 
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -457,15 +478,18 @@ class Series:
             self._check_frame(other)
             q_order = _min_order(self.q_order, other.q_order)
             window = _window_add(self, other)
-            t = dict(self.terms)
-            for e, c in other.terms.items():
-                v = t.get(e)
-                v = c if v is None else v + c
-                if v:
-                    t[e] = v
-                else:
-                    t.pop(e, None)
-            return Series(self.frame, t, q_order, window)
+            slices = dict(self.slices)
+            for W, s in other.slices.items():
+                t = slices.get(W)
+                if t is not None:
+                    s, t = PackedSlice(t), s
+                    for k, c in t.items():
+                        v = s.pop(k, None)
+                        v = c if v is None else v + c
+                        if v:
+                            s[k] = v
+                slices[W] = s
+            return Series._from_slices(self.frame, slices, q_order, window)
         if is_rational(other) or isinstance(other, LinExpr):
             return self + Series.const(self.frame, other, self.q_order, self.window)
         return NotImplemented
@@ -473,9 +497,7 @@ class Series:
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(
-            self.frame, {e: -c for e, c in self.terms.items()}, self.q_order, self.window, _clean=True
-        )
+        return self.map_coeffs(neg)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Series) else -_coerce_coeff(other))
@@ -489,36 +511,24 @@ class Series:
             window = _window_mul(self, other)
             q_order = _mul_order(self, other)
             frame = self.frame
-            if not self.terms or not other.terms:
-                return Series(frame, {}, q_order, window, _clean=True)
-            _guard(frame, map(add, _amax(self.terms), _amax(other.terms)), "product")
+            if not self.slices or not other.slices:
+                return Series._from_slices(frame, {}, q_order, window)
+            _guard(frame, map(add, _amax(frame, self.slices), _amax(frame, other.slices)), "product")
             top = _top(frame, q_order)
-            fs = _slices(frame, self.terms, top is not None)
-            gs = _slices(frame, other.terms, top is not None)
-            lo = hi = None
-            if window is not None:
-                lo, hi = _p_keys(frame, window.lo, window.hi)
+            lo, hi = (None, None) if window is None else _p_keys(frame, window.lo, window.hi)
             acc = {}
-            for wf, sf in fs:
-                for wg, sg in gs:
+            for wf, sf in self.slices.items():
+                for wg, sg in other.slices.items():
                     w = wf + wg
                     if top is not None and w > top:
                         break
                     a, b = (sf, sg) if len(sf) <= len(sg) else (sg, sf)
-                    madd(acc.setdefault(w, {}), a, b, frame.base, lo, hi)
-            terms = {}
-            for out in acc.values():
-                terms.update(out)
-            return Series(frame, _unpack(frame, terms), q_order, window, _clean=True)
+                    madd(acc.setdefault(w, PackedSlice()), a, b, frame.base, lo, hi)
+            return Series._from_slices(frame, acc, q_order, window)
         if is_rational(other) or isinstance(other, LinExpr):
             if not other:
                 return Series.zero(self.frame, self.q_order, self.window)
-            out = {}
-            for e, c in self.terms.items():
-                v = c * other
-                if v:
-                    out[e] = v
-            return Series(self.frame, out, self.q_order, self.window, _clean=True)
+            return self.map_coeffs(lambda c: c * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -546,11 +556,11 @@ class Series:
 
     def __eq__(self, other):
         if isinstance(other, Series):
-            return self.frame == other.frame and self.terms == other.terms
+            return self.frame == other.frame and self.slices == other.slices
         if is_rational(other) or isinstance(other, LinExpr):
             if not other:
-                return not self.terms
-            return self.terms == {self.frame.zero_exp(): other}
+                return not self.slices
+            return self.slices == {0: {self.frame.base: other}}
         return NotImplemented
 
     # -- structural operations ---------------------------------------------
@@ -562,10 +572,16 @@ class Series:
             raise ValueError("adams index must be >= 1")
         if k == 1:
             return self
-        terms = {tuple(x * k for x in e): c for e, c in self.terms.items()}
+        frame = self.frame
+        if self.slices:
+            _guard(frame, [k * a for a in _amax(frame, self.slices)], "adams")
+        # key(k*e) = base + k*(key(e) - base), and the weight scales by k
+        shift = (k - 1) * frame.base
+        slices = {k * W: PackedSlice({k * key - shift: c for key, c in s.items()})
+                  for W, s in self.slices.items()}
         q_order = None if self.q_order is None else self.q_order * k
         window = None if self.window is None else self.window.scaled(k)
-        return Series(self.frame, terms, q_order, window, _clean=True)
+        return Series._from_slices(frame, slices, q_order, window)
 
     def invert(self):
         """Multiplicative inverse: ``divide_exact(1, self)`` below a unit monomial lead.
@@ -577,22 +593,19 @@ class Series:
         """
         if self.window is not None:
             raise WindowUnderflow("cannot invert a p-windowed series")
-        if not self.terms:
+        if not self.slices:
             raise NonUnitLeadingTerm("zero series has no inverse")
         frame = self.frame
-        w0s = min(map(frame.weight_scaled, self.terms))
-        lead = [(e, c) for e, c in self.terms.items() if frame.weight_scaled(e) == w0s]
+        w0s, lead = next(iter(self.slices.items()))
         if len(lead) != 1:
             raise NonUnitLeadingTerm(f"leading slice has {len(lead)} terms")
-        (e0, c0), = lead
+        (k0, c0), = lead.items()
         if isinstance(c0, LinExpr):
             raise NonUnitLeadingTerm("leading coefficient carries symbols")
-        if len(self.terms) == 1:
-            inv_mono = {tuple(-x for x in e0): qdiv(1, c0)}
-            if self.q_order is None:
-                return Series(frame, inv_mono, None, None, _clean=True)
-            w0 = Fraction(w0s, frame.wden)
-            return Series(frame, inv_mono, self.q_order - 2 * w0, None, _clean=True)
+        if len(self.slices) == 1:
+            q_order = None if self.q_order is None else self.q_order - 2 * Fraction(w0s, frame.wden)
+            inv_mono = PackedSlice({2 * frame.base - k0: qdiv(1, c0)})  # key(-e) = 2*base - key(e)
+            return Series._from_slices(frame, {-w0s: inv_mono}, q_order)
         if self.q_order is None:
             raise NonUnitLeadingTerm(
                 "inverse of a non-monomial exact series is an infinite series; set a truncation order"
@@ -647,16 +660,11 @@ class Series:
                     raise OffLattice(f"substitution leaves the lattice: {v}^{x} not on the 1/{d} lattice")
                 en[j] += x
             en = tuple(en)
-            v = out.get(en)
+            v = out.pop(en, None)
             v = c if v is None else v + c
             if v:
                 out[en] = v
-            else:
-                out.pop(en, None)
-        window = self.window
-        if window is not None and "p" not in new_frame.index:
-            window = None
-        return Series(new_frame, out, self.q_order, window)
+        return Series(new_frame, out, self.q_order, self.window)  # a window keeps p
 
     def coefficient(self, constraints):
         """Sub-series at fixed exponents of some variables, e.g. {"q": 2}."""
@@ -686,17 +694,16 @@ class Series:
         remaining = [n for i, n in enumerate(frame.names) if i not in fixed]
         new_frame = frame.subframe(remaining)
         keep_idx = [frame.index[n] for n in remaining]
-        out = {}
-        for e, c in self.terms.items():
-            if all(e[i] == v for i, v in fixed.items()):
-                out[tuple(e[i] for i in keep_idx)] = c
-        if any(new_frame.weights):
-            q_order = None if self.q_order is None else self.q_order - wfix
+        if list(fixed) == [i for i, w in enumerate(frame.wnum) if w]:
+            # the one weighted variable fixes the weight: one slice holds the terms
+            (i, x), = fixed.items()
+            terms = _unpack(frame, self.slices.get(x * frame.wnum[i], {}))
         else:
-            q_order = None
-        if window is not None and "p" not in new_frame.index:
-            window = None
-        return Series(new_frame, out, q_order, window, _clean=True)
+            terms = self.terms
+        out = {tuple(e[i] for i in keep_idx): c for e, c in terms.items()
+               if all(e[i] == v for i, v in fixed.items())}
+        q_order = self.q_order - wfix if self.q_order is not None and any(new_frame.weights) else None
+        return Series(new_frame, out, q_order, window)
 
     def embed(self, frame):
         """Reinterpret in a larger frame containing the same-named variables."""
@@ -721,29 +728,26 @@ class Series:
         window = self.window
         if window is not None and frame.p_index < 0:
             raise TruncationLoss("window lost in embedding")
-        return Series(frame, out, self.q_order, window, _clean=True)
+        return Series(frame, out, self.q_order, window)
 
     def map_coeffs(self, fn):
-        out = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out[e] = v
-        return Series(self.frame, out, self.q_order, self.window, _clean=True)
+        slices = {W: PackedSlice((k, v) for k, v in zip(s, map(fn, s.values())) if v)
+                  for W, s in self.slices.items()}
+        return Series._from_slices(self.frame, slices, self.q_order, self.window)
 
     def with_q_order(self, q_order):
         """Restrict to a smaller truncation order."""
         q_order = _as_order(q_order)
         if self.q_order is not None and q_order is not None and q_order > self.q_order:
             raise TruncationLoss("cannot raise the truncation order of a computed series")
-        return Series(self.frame, dict(self.terms), q_order, self.window)
+        return Series._from_slices(self.frame, self.slices, q_order, self.window)
 
     def truncated(self, q_order):
         """Restrict to at most the given order, keeping a smaller computed one."""
         q_order = _as_order(q_order)
         if self.q_order is not None and (q_order is None or q_order > self.q_order):
             q_order = self.q_order
-        return Series(self.frame, dict(self.terms), q_order, self.window)
+        return Series._from_slices(self.frame, self.slices, q_order, self.window)
 
     # -- serialization -----------------------------------------------------
 
@@ -848,14 +852,15 @@ def _euler_solve(frame, kernel, seed, finish, first, top, keys=(None, None), sol
     """``S_W = finish(W, seed_W + sum_l K_l * S_{W-l})`` for W = first..top.
 
     ``kernel`` lists packed ``(l, K_l)``, ascending in ``l > 0``; ``seed``
-    maps weights to ``{key: coefficient}`` dicts (consumed); ``solved`` holds
-    slices known beforehand.  Products run through ``madd`` cut to the p-key
+    maps weights to ``{key: coefficient}`` dicts (read, never changed, so a
+    series' stored slices may seed it); ``solved`` holds slices known
+    beforehand.  Products run through ``madd`` cut to the p-key
     range ``keys``.  Returns the nonempty slices as ``{W: PackedSlice}``.
     """
     solved = dict(solved or {})
     low = min(solved, default=first)
     for W in range(first, top + 1):
-        acc = seed.pop(W, None) or {}
+        acc = dict(seed.get(W, ()))
         for l, k in kernel:
             if W - l < low:
                 break
@@ -868,11 +873,6 @@ def _euler_solve(frame, kernel, seed, finish, first, top, keys=(None, None), sol
             if out:
                 solved[W] = PackedSlice(out)
     return solved
-
-
-def _joined(slices, keep=None):
-    """The packed terms of all ``slices``, those of p-key ``>= keep`` dropped."""
-    return {k: c for s in slices.values() for k, c in s.items if keep is None or k < keep}
 
 
 def _qdiv_by_weight(W, acc):
@@ -897,16 +897,16 @@ def _power_window(frame, window, n):
     result declares ``Window((n+1)*lo, hi + n*lo, True)``, where the cut
     products are exact (for ``lo = 0`` that is the window as given).  A
     floor above 0 would lie above the constant term and raises
-    :class:`WindowUnderflow`.  Returns the declared window, the p-key range
-    of the cut and the key bound above the declared window.
+    :class:`WindowUnderflow`.  Returns the declared window and the p-key
+    range of the cut.
     """
     if window is None:
-        return None, (None, None), None
+        return None, (None, None)
     if window.lo > 0:
         raise WindowUnderflow(f"exp/log of a p-windowed series needs a floor <= 0, got {window!r}")
     lo = n * window.lo
     declared = Window(lo + window.lo, window.hi + lo, True)
-    return declared, _p_keys(frame, lo, window.hi), _p_keys(frame, lo, declared.hi)[1]
+    return declared, _p_keys(frame, lo, window.hi)
 
 
 def divide_exact(num, den):
@@ -937,12 +937,12 @@ def divide_exact(num, den):
         num._check_frame(den)
     if num.window is not None or den.window is not None:
         raise WindowUnderflow("exact division requires p-exact operands")
-    if not den.terms:
+    if not den.slices:
         raise InexactDivision("division by the zero series")
     frame = num.frame
-    wds = min(map(frame.weight_scaled, den.terms))
+    wds = next(iter(den.slices))
     wd = Fraction(wds, frame.wden)
-    d0 = {e: c for e, c in den.terms.items() if frame.weight_scaled(e) == wds}
+    d0 = _unpack(frame, den.slices[wds])
     if any(isinstance(c, LinExpr) for c in d0.values()):
         raise InexactDivision("divisor leading slice carries symbols")
     cands = []
@@ -951,11 +951,11 @@ def divide_exact(num, den):
     if den.q_order is not None:
         cands.append(den.q_order - 2 * wd + (num.wmin() or 0))
     q_out = min(cands) if cands else None
-    if not num.terms:
-        return Series(frame, {}, q_out, None, _clean=True)
+    if not num.slices:
+        return Series._from_slices(frame, {}, q_out)
     bound = None if q_out is None else q_out + wd  # keep remainder below this weight
-    ns = _pack(frame, num.terms)
-    wmin_num = min(ns)
+    ns = num.slices
+    wmin_num = next(iter(ns))
     # With two exact operands the quotient must itself be finite: its top
     # weight cannot exceed wmax(num) - wmax(den), so anything deeper means a
     # nonterminating (hence inexact) division, and no remainder slice lies
@@ -963,13 +963,13 @@ def divide_exact(num, den):
     exact_top = None
     if bound is None:
         wtop = max(ns)
-        exact_top = wtop - max(map(frame.weight_scaled, den.terms))
+        exact_top = wtop - max(den.slices)
     else:
         wtop = _top(frame, bound)
     kernel = [(w - wds, PackedSlice({k: -c for k, c in t.items()}))
-              for w, t in sorted(_pack(frame, den.terms).items()) if w != wds]
+              for w, t in den.slices.items() if w != wds]
 
-    a_num, a_den, a_0 = _amax(num.terms), _amax(den.terms), _amax(d0)
+    a_num, a_den, a_0 = (_amax(frame, x) for x in (ns, den.slices, {wds: den.slices[wds]}))
     steps = max(0, wtop - wmin_num) // kernel[0][0] if kernel else 0
     bounds = [n + z + steps * (d + z) for n, d, z in zip(a_num, a_den, a_0)]
     weighted = [i for i, w in enumerate(frame.wnum) if w]
@@ -986,7 +986,7 @@ def divide_exact(num, den):
         bounds = [b + m * w for b, w in zip(bounds, span)]
     _guard(frame, map(max, bounds, a_den), "division")
     if wtop < wmin_num:
-        return Series(frame, {}, q_out, None, _clean=True)
+        return Series._from_slices(frame, {}, q_out)
 
     divide = _slice_divider(frame, d0)
 
@@ -996,7 +996,8 @@ def divide_exact(num, den):
         return divide(rhs)
 
     quo = _euler_solve(frame, kernel, ns, finish, wmin_num, wtop)
-    return Series(frame, _unpack(frame, _joined(quo)), q_out, None, _clean=True)
+    # the slice solved at product weight W is the quotient's slice of weight W - wds
+    return Series._from_slices(frame, {W - wds: s for W, s in quo.items()}, q_out)
 
 
 def _slice_divider(frame, dslice):
@@ -1076,21 +1077,21 @@ def exp_series(f):
     Window contract: :func:`_power_window`, with ``N`` the largest n such
     that ``n * wmin(f)`` is below the truncation order.
     """
-    if f.terms and (f.wmin() or 0) <= 0:
+    if f.slices and (f.wmin() or 0) <= 0:
         raise BadConstantTerm("exp argument must have strictly positive weight")
-    if f.terms and f.q_order is None:
+    if f.slices and f.q_order is None:
         raise BadConstantTerm("exp of an exact series is infinite; set a truncation order")
     frame, target = f.frame, f.q_order
-    if not f.terms:
+    if not f.slices:
         return Series.one(frame, target, _power_window(frame, f.window, 0)[0])
     top = _top(frame, target)
-    _guard(frame, _cut_bounds(frame, ((e, frame.weight_scaled(e)) for e in f.terms), top), "exp")
-    fs = _pack(frame, f.terms)
-    window, keys, keep = _power_window(frame, f.window, top // min(fs))
-    kernel = [(l, PackedSlice({k: l * c for k, c in t.items()})) for l, t in sorted(fs.items())]
+    fs = f.slices
+    _guard(frame, _cut_bounds(frame, ((_amax(frame, {l: t}), l) for l, t in fs.items()), top), "exp")
+    window, keys = _power_window(frame, f.window, top // min(fs))
+    kernel = [(l, PackedSlice({k: l * c for k, c in t.items()})) for l, t in fs.items()]
     slices = _euler_solve(frame, kernel, {}, _qdiv_by_weight, 1, top, keys,
                           {0: PackedSlice({frame.base: 1})})
-    return Series(frame, _unpack(frame, _joined(slices, keep)), target, window, _clean=True)
+    return Series._from_slices(frame, slices, target, window)
 
 
 def log_series(f):
@@ -1115,25 +1116,26 @@ def log_series(f):
     hold wrong zeros; this result agrees with it on the narrower window.
     """
     frame = f.frame
-    lead = {e: c for e, c in f.terms.items() if frame.weight_scaled(e) <= 0}
-    if lead != {frame.zero_exp(): 1}:
+    if [(W, s) for W, s in f.slices.items() if W <= 0] != [(0, {frame.base: 1})]:
         raise BadConstantTerm("log argument must have constant slice 1")
     h = f - 1
-    if h.terms and h.q_order is None:
+    if h.slices and h.q_order is None:
         raise BadConstantTerm("log of an exact series is infinite; set a truncation order")
     target = h.q_order
-    if not h.terms:
+    if not h.slices:
         return Series.zero(frame, target, _power_window(frame, f.window, 0)[0])
     top = _top(frame, target)
-    _guard(frame, _cut_bounds(frame, ((e, frame.weight_scaled(e)) for e in h.terms), top), "log")
-    hs = _pack(frame, h.terms)  # F - 1 by scaled weight, every weight > 0
-    window, keys, keep = _power_window(frame, f.window, top // min(hs))
-    kernel = [(l, PackedSlice({k: -c for k, c in t.items()})) for l, t in sorted(hs.items())]
+    hs = h.slices  # F - 1 by scaled weight, every weight > 0
+    _guard(frame, _cut_bounds(frame, ((_amax(frame, {l: t}), l) for l, t in hs.items()), top), "log")
+    window, keys = _power_window(frame, f.window, top // min(hs))
+    kernel = [(l, PackedSlice({k: -c for k, c in t.items()})) for l, t in hs.items()]
     seed = {l: {k: l * c for k, c in t.items()} for l, t in hs.items()}
     dl = _euler_solve(frame, kernel, seed, lambda W, acc: acc, min(hs), top, keys)
-    inv = {W: rat(1, W) for W in dl}  # L_W = (DL)_W / W
-    terms = {k: c * inv[W] for W, s in dl.items() for k, c in s.items if keep is None or k < keep}
-    return Series(frame, _unpack(frame, terms), target, window, _clean=True)
+    slices = {}
+    for W, s in dl.items():
+        inv = rat(1, W)  # L_W = (DL)_W / W
+        slices[W] = PackedSlice({k: c * inv for k, c in s.items()})
+    return Series._from_slices(frame, slices, target, window)
 
 
 def adams(f, k):
@@ -1151,7 +1153,9 @@ def product_expand(frame, factors, q_order, window=None):
     :class:`NonConvergentFactor`), and exponents are ints or exact
     rationals.  This is the one place that decides the truncation cut: a
     factor or family member of weight >= q_order is dropped, and a family
-    is enumerated only while its members fall below the order.  A kept
+    is enumerated only while its members fall below the order.  A factor of
+    exponent 0 is 1: once its first member is checked like any other, the
+    factor or family is dropped without enumerating the rest.  A kept
     member whose own exponent leaves a packed field raises
     :class:`FieldOverflow` at once, before the rest of its family.
 
@@ -1204,8 +1208,9 @@ def product_expand(frame, factors, q_order, window=None):
                 )
             if x is None:
                 raise TypeError(f"factor exponent {e!r} is not an exact rational")
-            if x:
-                _guard(frame, map(abs, exps), "product_expand")
+            if not x:
+                break  # (1 - m)^0 = 1: the factor, or its whole family, is dropped
+            _guard(frame, map(abs, exps), "product_expand")
             kept.append((exps, ws, x))
             if step is None:
                 break
@@ -1215,8 +1220,8 @@ def product_expand(frame, factors, q_order, window=None):
         return Series.one(frame, q_order, window)
     if hi < 0:
         # the window excludes p^0, so even the constant term is cut
-        return Series(frame, {}, q_order, window, _clean=True)
-    _guard(frame, _cut_bounds(frame, ((x, ws) for x, ws, e in kept if e), top), "product_expand")
+        return Series._from_slices(frame, {}, q_order, window)
+    _guard(frame, _cut_bounds(frame, ((x, ws) for x, ws, _ in kept), top), "product_expand")
     base = frame.base
     # DA grouped by scaled weight: {l: {packed key: coefficient}}, m^k kept while p^k <= hi
     da = {}
@@ -1231,7 +1236,7 @@ def product_expand(frame, factors, q_order, window=None):
     integral = all(type(e) is int for _, _, e in kept)
     slices = _euler_solve(frame, kernel, {}, _divide_by_weight if integral else _qdiv_by_weight,
                           1, top, keys, {0: PackedSlice({base: 1})})
-    return Series(frame, _unpack(frame, _joined(slices)), q_order, window, _clean=True)
+    return Series._from_slices(frame, slices, q_order, window)
 
 
 def agree(a, b):
@@ -1242,29 +1247,21 @@ def agree(a, b):
     if a.frame != b.frame:
         return False, {"reason": "frame mismatch"}
     frame = a.frame
-    q_order = _min_order(a.q_order, b.q_order)
-    bn, bd = _bounds(frame, q_order)
-
-    def valid(e):
-        if bd and frame.weight_scaled(e) * bd >= bn:
-            return False
-        for w in (a.window, b.window):
-            if w is not None and e[frame.p_index] > w.hi:
-                return False
-        return True
-
-    mismatches = []
-    for e in set(a.terms) | set(b.terms):
-        if not valid(e):
+    top = _top(frame, _min_order(a.q_order, b.q_order))
+    tops = [_p_keys(frame, 0, w.hi)[1] for w in (a.window, b.window) if w is not None]
+    hi = min(tops, default=None)  # keys at or above it lie above a window
+    mismatches = {}
+    for W in a.slices.keys() | b.slices.keys():
+        sa, sb = a.slices.get(W, {}), b.slices.get(W, {})
+        if (top is not None and W > top) or sa == sb:
             continue
-        ca = a.terms.get(e, 0)
-        cb = b.terms.get(e, 0)
-        if ca != cb:
-            mismatches.append((e, ca, cb))
+        for k in sa.keys() | sb.keys():
+            ca, cb = sa.get(k, 0), sb.get(k, 0)
+            if ca != cb and (hi is None or k < hi):
+                mismatches[k] = ca, cb
     if not mismatches:
         return True, None
-    mismatches.sort(key=lambda m: m[0])
-    e, ca, cb = mismatches[0]
+    e, (ca, cb) = min(_unpack(frame, mismatches).items(), key=lambda m: m[0])
     mono = {n: str(Fraction(e[i], frame.denoms[i])) for i, n in enumerate(frame.names) if e[i]}
     return False, {
         "monomial": mono,

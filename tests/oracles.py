@@ -6,13 +6,14 @@ and ``divide_exact`` as they were written on it.  ``exp_series_oracle`` is
 the power loop that the graded Euler solve replaced in ``exp_series``,
 ``plethystic_exp_oracle`` the Adams-sum route of ``plethystic_exp`` fed to
 it, and ``specialize_oracle`` is ``Series.specialize`` on ``Fraction``
-exponents.  Their products run on the tuple kernel.
+exponents.  Their products run on the tuple kernel.  ``agree_oracle`` is
+``agree`` as a scan of the tuple-keyed terms, before series stored slices.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from enrq.ring import LinExpr, qdiv, rat
+from enrq.ring import LinExpr, coeff_to_json, qdiv, rat
 from enrq.series import (
     BadConstantTerm,
     InexactDivision,
@@ -22,6 +23,7 @@ from enrq.series import (
     Window,
     WindowUnderflow,
     _bounds,
+    _min_order,
     _mul_order,
     _window_mul,
 )
@@ -78,7 +80,7 @@ def mul_oracle(a, b):
     q_order = _mul_order(a, b)
     frame = a.frame
     if not a.terms or not b.terms:
-        return Series(frame, {}, q_order, window, _clean=True)
+        return Series(frame, {}, q_order, window)
     f, g = a.terms, b.terms
     if len(g) < len(f):
         f, g = g, f
@@ -88,7 +90,7 @@ def mul_oracle(a, b):
         tuple_madd(out, f, g, frame.wnum, bn, bd, frame.p_index, window.lo, window.hi)
     else:
         tuple_madd(out, f, g, frame.wnum, bn, bd, -1, 0, 0)
-    return Series(frame, out, q_order, window, _clean=True)
+    return Series(frame, out, q_order, window)
 
 
 def divide_exact_oracle(num, den):
@@ -131,7 +133,7 @@ def divide_exact_oracle(num, den):
         qslice = _divide_slice(rslice, d0, frame)
         g.update(qslice)
         tuple_madd(r, qslice, neg_den, frame.wnum, bn, bd, -1, 0, 0)
-    return Series(frame, g, q_out, None, _clean=True)
+    return Series(frame, g, q_out, None)
 
 
 def _divide_slice(nslice, dslice, frame):
@@ -280,3 +282,26 @@ def specialize_oracle(f, mapping):
     if window is not None and "p" not in new_frame.index:
         window = None
     return Series(new_frame, out, f.q_order, window)
+
+
+def agree_oracle(a, b):
+    """``agree`` as a scan of every exponent tuple of both series."""
+    if a.frame != b.frame:
+        return False, {"reason": "frame mismatch"}
+    frame = a.frame
+    bn, bd = _bounds(frame, _min_order(a.q_order, b.q_order))
+
+    def valid(e):
+        if bd and frame.weight_scaled(e) * bd >= bn:
+            return False
+        return all(w is None or e[frame.p_index] <= w.hi for w in (a.window, b.window))
+
+    mismatches = sorted((e, a.terms.get(e, 0), b.terms.get(e, 0))
+                        for e in set(a.terms) | set(b.terms) if valid(e))
+    mismatches = [m for m in mismatches if m[1] != m[2]]
+    if not mismatches:
+        return True, None
+    e, ca, cb = mismatches[0]
+    mono = {n: str(Fraction(e[i], frame.denoms[i])) for i, n in enumerate(frame.names) if e[i]}
+    return False, {"monomial": mono, "left": coeff_to_json(ca), "right": coeff_to_json(cb),
+                   "count": len(mismatches)}

@@ -8,8 +8,11 @@ from enrq.series import FRAME_QPU, FRAME_QPUTS, FRAME_X, _p_keys, _pack, _unpack
 
 
 def _packed(frame, terms):
-    (bucket,) = _pack(frame, terms, graded=False).values()
-    return PackedSlice(bucket)
+    """All weight slices of ``terms`` joined into one slice."""
+    out = PackedSlice()
+    for s in _pack(frame, terms).values():
+        out.update(s)
+    return out
 
 
 def _random_terms(rng, nvars, nterms):

@@ -8,11 +8,13 @@ import pytest
 
 from conftest import assert_agree, random_series
 from oracles import (
+    agree_oracle,
     divide_exact_oracle,
     exp_series_oracle,
     mul_oracle,
     plethystic_exp_oracle,
     specialize_oracle,
+    tuple_madd,
 )
 from enrq import cli, enriques, perverse, qfunc
 from enrq.cli import SERIES_IDS
@@ -43,6 +45,7 @@ from enrq.series import (
     TruncationLoss,
     Window,
     WindowUnderflow,
+    _unpack,
     agree,
     divide_exact,
     exp_series,
@@ -95,7 +98,7 @@ def test_unfloored_windows_are_refused():
     w = Window(-2, 4, False)
     builds = [
         lambda: Series(FRAME_QP, {(24, 2): 1}, 3, w),
-        lambda: Series(FRAME_QP, {}, 3, w, _clean=True),
+        lambda: Series(FRAME_QP, {}, 3, w),
         lambda: Series.one(FRAME_QP, q_order=3, window=w),
         lambda: Series.zero(FRAME_QP, 3, window=Window(0, 4, False)),
         lambda: Series.const(FRAME_QP, 2, window=w),
@@ -221,7 +224,7 @@ def invert_oracle(f):
     frame = f.frame
     w0s = min(map(frame.weight_scaled, f.terms))
     (e0, c0), = [(e, c) for e, c in f.terms.items() if frame.weight_scaled(e) == w0s]
-    inv_mono = Series(frame, {tuple(-x for x in e0): rat(1) / c0}, None, None, _clean=True)
+    inv_mono = Series(frame, {tuple(-x for x in e0): rat(1) / c0}, None, None)
     h = mul_oracle(f, inv_mono) - 1
     target = h.q_order
     acc = Series.one(frame, target)
@@ -440,6 +443,52 @@ class TestPackedKernelOracle:
             assert_same_outcome(divide_exact, divide_exact_oracle, num, den)
 
 
+def assert_slices_labelled(f):
+    """Every stored key lies in the slice of its own weight; slices ascend, none is empty."""
+    assert list(f.slices) == sorted(f.slices)
+    for W, s in f.slices.items():
+        assert s and all(f.frame.weight_scaled(e) == W for e in _unpack(f.frame, s)), W
+
+
+class TestStoredSlices:
+    """A series stores weight slices: each key must sit under its own weight."""
+
+    def test_every_cli_series_id_and_the_jacobi_main_term(self):
+        for name in SERIES_IDS:
+            args = cli._parser().parse_args(["expand", name, "--q-order", "8"])
+            assert_slices_labelled(cli._build_series(name, args))
+        assert_slices_labelled(perverse.ph_main_term_jacobi(8))
+
+    def test_quotient_slices_feed_an_unpadded_product(self):
+        # with prefactors the divisor eta(1)^16 leads at weight 16/24, so the
+        # solve's slice at weight W is the quotient's slice at W - 16/24
+        q = 6
+        num = qfunc.eta(2, q).embed(FRAME_QPU) ** 8
+        den = qfunc.eta(1, q).embed(FRAME_QPU) ** 16
+        quo, quo_ref = divide_exact(num, den), divide_exact_oracle(num, den)
+        assert_identical(quo, quo_ref)
+        assert_slices_labelled(quo)
+        th = qfunc.theta({"u": 2}, 1, q, FRAME_QPU)
+        got, ref = quo * th, mul_oracle(quo_ref, th)
+        assert_identical(got, ref)
+        assert_slices_labelled(got)
+        for d in range(q):
+            want = {e[1:]: c for e, c in ref.terms.items() if e[0] == 24 * d}
+            assert got.coefficient({"q": d}).terms == want
+
+    def test_agree_matches_the_tuple_scan(self, rng):
+        # slice-wise agree reports the same first mismatch and count as the scan
+        for _ in range(300):
+            frame, kind = rng.choice((FRAME_QP, FRAME_QPU)), rng.choice(("int", "rat", "lin_int"))
+            a = _random_operand(rng, frame, kind, _random_order(rng), _random_window(rng, rng.choice((None, 1))))
+            b = a
+            if rng.random() < 0.8:
+                b = a + _random_operand(rng, frame, kind, _random_order(rng),
+                                        _random_window(rng, rng.choice((None, 1))), max_terms=3)
+            assert agree(a, b) == agree_oracle(a, b)
+            assert agree(b, a) == agree_oracle(b, a)
+
+
 class TestFieldGuard:
     """Each packed operation raises FieldOverflow where a field could wrap."""
 
@@ -450,8 +499,11 @@ class TestFieldGuard:
         c = Series(FRAME_QPU, {(0, 0, BIAS // 2): 1})
         with pytest.raises(FieldOverflow):
             a * c
-        # the true product needs u = BIAS, one past the field: a wrap would carry into p
-        assert (0, 0, BIAS) in mul_oracle(a, c).terms
+        # the true product needs u = BIAS, one past the field: a wrap would carry
+        # into p, so no series holds it
+        assert (0, 0, BIAS) in tuple_madd({}, a.terms, c.terms, FRAME_QPU.wnum, 0, 0, -1, 0, 0)
+        with pytest.raises(FieldOverflow, match="series"):
+            mul_oracle(a, c)
         with pytest.raises(FieldOverflow):
             a * Series(FRAME_QPU, {(0, 0, -BIAS // 2 - 1): 1, (0, 0, BIAS // 2): 1})
 
@@ -465,7 +517,9 @@ class TestFieldGuard:
     def test_product_expand(self):
         s = BIAS // 2 + 1
         factors = [({"q": 1, "u": Fraction(s, 2)}, -1)]
-        assert (48, 0, 2 * s) in product_expand_oracle(FRAME_QPU, factors, 3).terms
+        # the true expansion holds q^2 u^s, past the field: the oracle cannot build it
+        with pytest.raises(FieldOverflow, match="series: scaled exponent of u may reach 524290"):
+            product_expand_oracle(FRAME_QPU, factors, 3)
         with pytest.raises(FieldOverflow):
             product_expand(FRAME_QPU, factors, 3)
 
@@ -478,7 +532,8 @@ class TestFieldGuard:
     def test_log_series(self):
         s = BIAS // 2 + 1
         f = Series(FRAME_QPU, {(0, 0, 0): 1, (24, 0, s): 1}, 3)
-        assert (48, 0, 2 * s) in log_series_oracle(f).terms
+        with pytest.raises(FieldOverflow, match="series: scaled exponent of u may reach 524290"):
+            log_series_oracle(f)
         with pytest.raises(FieldOverflow):
             log_series(f)
 
@@ -486,7 +541,8 @@ class TestFieldGuard:
         s = BIAS // 2 + 1
         den = Series(FRAME_QPU, {(0, 0, 0): 1, (24, 0, s): -1}, 3)
         num = Series.one(FRAME_QPU, 3)
-        assert (48, 0, 2 * s) in divide_exact_oracle(num, den).terms
+        with pytest.raises(FieldOverflow, match="series: scaled exponent of u may reach 524290"):
+            divide_exact_oracle(num, den)
         with pytest.raises(FieldOverflow):
             divide_exact(num, den)
         with pytest.raises(FieldOverflow):
@@ -707,6 +763,20 @@ class TestProductExpand:
         with pytest.raises(NonConvergentFactor):
             product_expand(FRAME_QP, [({"q": 1, "p": 1}, -1), ({"p": 1}, 2)], 3, Window(0, 8, True))
 
+    def test_zero_exponent_family_returns_at_once(self):
+        # (1 - m)^0 = 1: the family is dropped after its first member, not
+        # enumerated to the order
+        got = product_expand(FRAME_XY, [({"x": 1}, 0, {"x": 1})], 10**20)
+        assert_identical(got, Series.one(FRAME_XY, 10**20))
+        got = product_expand(FRAME_XY, [({"x": 1}, 0, {"x": 1}), ({"y": 1}, -1)], 3)
+        assert_identical(got, product_expand(FRAME_XY, [({"y": 1}, -1)], 3))
+        # the step and the first member are still checked
+        for family in (({"x": 1}, 0, {"x": -1}), ({"x": -1}, 0, {"x": 1})):
+            with pytest.raises(NonConvergentFactor):
+                product_expand(FRAME_XY, [family], 10**20)
+        with pytest.raises(TypeError):
+            product_expand(FRAME_XY, [({"x": 1}, 0.0, {"x": 1})], 10**20)
+
 
 def product_expand_oracle(frame, factors, q_order, window=None):
     """Reference for product_expand: one windowed sparse product per factor.
@@ -777,7 +847,7 @@ def _oracle_binomial(frame, exps, e, q_order, window):
             terms[ej] = rat((-1) ** j * comb(e, j))
         else:
             terms[ej] = rat(comb(j - e - 1, -e - 1))
-    return Series(frame, terms, q_order, window, _clean=True)
+    return Series(frame, terms, q_order, window)
 
 
 def assert_exact(f):
