@@ -1,14 +1,26 @@
 """The sparse product kernel, over packed exponent keys.
 
 Packed layout: an exponent tuple of a frame with ``n`` variables is one
-non-negative int made of ``n`` fields of ``FIELD_BITS`` bits.  Each field
-holds its exponent plus ``BIAS``, so it stores exponents in ``[-BIAS, BIAS)``.
-The window variable ``p`` sits in the most significant field, the other
-variables below it in tuple order (the first one lowest).  Hence
+non-negative int made of ``n + 1`` fields of ``FIELD_BITS`` bits.  The
+lowest field is the symbol field (unbiased, see below).  Each variable
+field above it holds its exponent plus ``BIAS``, so it stores exponents in
+``[-BIAS, BIAS)``.  The window variable ``p`` sits in the most significant
+field, the other variables below it in tuple order (the first one lowest,
+just above the symbol field).  Hence
 
 * sorting keys sorts terms by ``p`` first, and a p-range is a key range;
 * ``key(a) + key(b) - base == key(a + b)`` while every field of ``a + b``
   stays in range, where ``base == key(0)`` is the all-bias key.
+
+Symbol field: a coefficient ``c0 + sum_s c_s * b_s`` (``b_s`` a formal Betti
+symbol, see :mod:`enrq.ring`) at exponent ``e`` is stored as the entries
+``key(e) -> c0`` and ``key(e) + id(b_s) -> c_s``, with the fixed id
+``id(b(d, i)) = 1 + 2 d^2 + d + i`` (:func:`enrq.ring.symbol_id`) and 0 for
+the constant part.  Every stored coefficient is an ``int`` or a
+``Fraction``.  A product of a symbol entry and a constant entry keeps the
+symbol's id, since the constant's field is 0; a product of two symbol
+entries would be quadratic in the symbols, and the callers refuse it per
+slice before they multiply (see :meth:`PackedSlice.symbolic`).
 
 Nothing here checks the field range: before a packed operation the caller
 bounds every field a priori and raises (see ``enrq.series.FieldOverflow``)
@@ -37,7 +49,13 @@ FIELD_MASK = (1 << FIELD_BITS) - 1
 class PackedSlice(dict):
     """One weight slice, ``{packed key: coefficient}``; never changed once stored."""
 
-    __slots__ = ("_by_key",)
+    __slots__ = ("_by_key", "_symbolic")
+
+    def symbolic(self):
+        """Whether some key has a nonzero symbol field, computed on first use."""
+        if not hasattr(self, "_symbolic"):
+            self._symbolic = any(map(FIELD_MASK.__and__, self))
+        return self._symbolic
 
     def by_key(self):
         """The ``(key, coefficient)`` pairs and the keys in key order, sorted on first use."""

@@ -13,7 +13,7 @@ scaled exponent by k).
 
 from fractions import Fraction
 
-from .ring import LinExpr, exact, rat
+from .ring import exact, rat
 from .series import (
     FRAME_Q,
     FRAME_TS,
@@ -178,7 +178,7 @@ def plethystic_log(F):
     """Log(F): plethystic inverse of Exp, via Moebius inversion over Adams ops.
 
     Rational coefficients of the Moebius sum come back as ``int`` when
-    integral; ``LinExpr`` ones pass through.
+    integral, as do the rational parts of a symbol-carrying coefficient.
     """
     L = log_series(F)
     if L.is_zero():
@@ -193,7 +193,7 @@ def plethystic_log(F):
         if m:
             acc = acc + L.adams(k) * rat(m, k)
         k += 1
-    return acc.map_coeffs(lambda c: c if isinstance(c, LinExpr) else exact(c))
+    return acc.map_coeffs(exact)
 
 
 def virtual_shift(f, dim):

@@ -12,9 +12,18 @@ would give a float.  Only affine-linear expressions in the symbols are
 supported: every identity in scope is linear in the unknown Betti numbers,
 so a genuinely quadratic product signals a pipeline bug and raises
 :class:`SymbolDegreeOverflow`.
+
+:class:`LinExpr` is a view and boundary type.  A series never stores one:
+it keeps each symbol in its own key field under the fixed id
+:func:`symbol_id`, so every stored coefficient is an ``int`` or a
+``Fraction`` (layout in :mod:`enrq.kernel`).  A ``LinExpr`` is built from
+those entries for the ``terms`` view, a single coefficient, JSON, table
+cells and mismatch reports, and taken apart again where one enters a
+series.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 __all__ = [
     "RATIONAL_BACKEND",
@@ -26,6 +35,9 @@ __all__ = [
     "qdiv",
     "is_rational",
     "betti_symbol",
+    "symbol_id",
+    "SYMBOL_BY_ID",
+    "linexpr",
     "coeff_to_json",
     "coeff_from_json",
 ]
@@ -76,7 +88,7 @@ def qdiv(a, b):
     elif not is_rational(b):
         b = rat(b)
     if isinstance(a, LinExpr):
-        return _make(qdiv(a.const, b), {s: qdiv(c, b) for s, c in a.terms.items()})
+        return linexpr(qdiv(a.const, b), {s: qdiv(c, b) for s, c in a.terms.items()})
     if type(a) is int and type(b) is int:
         quo, rem = divmod(a, b)
         return rat(a, b) if rem else quo
@@ -115,8 +127,31 @@ class BettiSymbol(tuple):
         return f"b[{self.i},{self.d}]"
 
 
-def _make(const, terms):
-    # Demote to a plain rational when all symbols cancelled.
+def symbol_id(sym):
+    """The fixed id ``1 + 2 d^2 + d + i`` of ``b(d, i)``: injective, and 0 is left
+    for the constant part (ids of degree d fill ``[2d^2 + d + 1, 2d^2 + 5d + 3]``)."""
+    d, i = sym
+    return 1 + 2 * d * d + d + i
+
+
+class _SymbolById(dict):
+    """``{id: BettiSymbol}``, the inverse of :func:`symbol_id`, filled on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, sid):
+        m = sid - 1
+        d = (isqrt(8 * m + 1) - 1) // 4  # the largest d with 2d^2 + d <= m
+        self[sid] = sym = BettiSymbol(d, m - 2 * d * d - d)
+        return sym
+
+
+SYMBOL_BY_ID = _SymbolById()
+
+
+def linexpr(const, terms):
+    """``const + sum c * s`` over ``terms = {BettiSymbol: nonzero rational}``, no
+    argument checked; a plain rational when ``terms`` is empty (all symbols cancelled)."""
     if terms:
         e = LinExpr.__new__(LinExpr)
         e.const = const
@@ -161,15 +196,15 @@ class LinExpr:
                     t[s] = v
                 else:
                     t.pop(s, None)
-            return _make(self.const + other.const, t)
+            return linexpr(self.const + other.const, t)
         if is_rational(other):
-            return _make(self.const + other, dict(self.terms))
+            return linexpr(self.const + other, dict(self.terms))
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.const, {s: -c for s, c in self.terms.items()})
+        return linexpr(-self.const, {s: -c for s, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -190,7 +225,7 @@ class LinExpr:
             return NotImplemented
         if not other:
             return 0
-        return _make(self.const * other, {s: c * other for s, c in self.terms.items()})
+        return linexpr(self.const * other, {s: c * other for s, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -247,4 +282,4 @@ def coeff_from_json(obj):
         v = exact(t["coef"])
         if v:
             terms[BettiSymbol(t["d"], t["i"])] = v
-    return _make(exact(obj["const"]), terms)
+    return linexpr(exact(obj["const"]), terms)

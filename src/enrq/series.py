@@ -2,7 +2,9 @@
 
 Coefficients follow :mod:`enrq.ring`: an ``int`` while integral, otherwise a
 ``Fraction``, or a ``LinExpr`` over those, never a float; every coefficient
-division goes through :func:`enrq.ring.qdiv`.
+division goes through :func:`enrq.ring.qdiv`.  A ``LinExpr`` is never stored:
+its Betti symbols live in the lowest key field (see below), so every stored
+coefficient is an ``int`` or a ``Fraction``.
 
 Exponents live on a fixed fractional lattice: each variable has an integer
 denominator (q carries 1/24 steps for eta prefactors, the others 1/2 steps
@@ -30,7 +32,16 @@ multiplies slices, and its solved slices are the result's: it runs
 :func:`product_expand`, :func:`exp_series`, :func:`log_series` and
 :func:`divide_exact`.  A key is one int of fixed-width biased fields with
 ``p`` most significant (layout in :mod:`enrq.kernel`), so a p-window is a key
-range.  Field guard: the constructor refuses an exponent outside a field, and
+range.  Below the variable fields sits the symbol field: a coefficient
+``c0 + sum_s c_s * b_s`` at exponent ``e`` is stored as ``key(e) -> c0`` and
+``key(e) + id(b_s) -> c_s``, with ``id(b(d, i)) = 1 + 2 d^2 + d + i``
+(:func:`enrq.ring.symbol_id`), so products, sums, solves and comparisons run
+on plain numbers, and ``terms``, ``coeff``, JSON and :func:`agree`'s
+mismatch report rebuild the ``LinExpr``.  Each stored slice caches whether
+it carries symbols (:meth:`enrq.kernel.PackedSlice.symbolic`), and a product
+or solve raises :class:`enrq.ring.SymbolDegreeOverflow` before it multiplies
+two symbol-carrying slices.  Field guard: the constructor refuses an
+exponent outside a field or a symbol id beyond the symbol field, and
 every variable's exponent of a packed operation is bounded a priori -- by the
 operand maxima for a product, and for a solve by the factors that fit under
 the weight cut (see :func:`_cut_bounds` and :func:`divide_exact`) --
@@ -43,7 +54,19 @@ from math import gcd, lcm
 from operator import add, lshift, mul, neg
 
 from .kernel import BIAS, FIELD_BITS, FIELD_MASK, PackedSlice, madd
-from .ring import LinExpr, coeff_from_json, coeff_to_json, exact, is_rational, qdiv, rat
+from .ring import (
+    SYMBOL_BY_ID,
+    LinExpr,
+    SymbolDegreeOverflow,
+    coeff_from_json,
+    coeff_to_json,
+    exact,
+    is_rational,
+    linexpr,
+    qdiv,
+    rat,
+    symbol_id,
+)
 
 __all__ = [
     "Frame",
@@ -184,12 +207,13 @@ class Frame:
         # windowing applies to an unweighted variable named p
         i = self.index.get("p")
         self.p_index = i if (i is not None and self.weights[i] == 0) else -1
-        # packed keys: p in the most significant field, the rest below in tuple order
+        # packed keys: the symbol field lowest, then the variables in tuple
+        # order, p in the most significant field
         order = [j for j in range(self.nvars) if j != self.p_index]
         if self.p_index >= 0:
             order.append(self.p_index)
         shifts = [0] * self.nvars
-        for pos, j in enumerate(order):
+        for pos, j in enumerate(order, 1):
             shifts[j] = pos * FIELD_BITS
         self.shifts = tuple(shifts)
         self.base = sum(BIAS << sh for sh in shifts)
@@ -288,8 +312,9 @@ def _add_shifted(terms, s, mono):
 
 
 def _pack(frame, terms):
-    """Tuple-keyed terms as ``{scaled weight: PackedSlice}``, zero coefficients dropped;
-    an exponent outside its packed field raises :class:`FieldOverflow`."""
+    """Tuple-keyed terms as ``{scaled weight: PackedSlice}``, zero coefficients dropped
+    and a ``LinExpr`` split into its symbol entries; an exponent outside its packed
+    field, or a symbol id beyond the symbol field, raises :class:`FieldOverflow`."""
     _guard(frame, [max(map(abs, col)) for col in zip(*terms)], "series")
     base, wnum, n = frame.base, frame.wnum, frame.nvars
     out = {}
@@ -302,12 +327,42 @@ def _pack(frame, terms):
         s = out.get(w)
         if s is None:
             out[w] = s = PackedSlice()
-        s[base + _offset(frame, e)] = c
+        k = base + _offset(frame, e)
+        if isinstance(c, LinExpr):
+            if c.const:
+                s[k] = c.const
+            for sym, v in c.terms.items():
+                sid = symbol_id(sym)
+                if sid > FIELD_MASK:
+                    raise FieldOverflow(f"symbol {sym!r} has id {sid}; the symbol field holds ids <= {FIELD_MASK}")
+                s[k + sid] = v
+        else:
+            s[k] = c
+    return out
+
+
+def _gather(packed):
+    """``{monomial key: coefficient}``: symbol entries join their constant in a ``LinExpr``."""
+    out, syms, symbol = {}, {}, SYMBOL_BY_ID
+    for k, c in packed.items():
+        sid = k & FIELD_MASK
+        if sid:
+            m = k - sid
+            t = syms.get(m)
+            if t is None:
+                syms[m] = t = {}
+            t[symbol[sid]] = c
+        else:
+            out[k] = c
+    for k, t in syms.items():
+        out[k] = linexpr(out.get(k, 0), t)
     return out
 
 
 def _unpack(frame, packed):
-    """Tuple-keyed terms from one ``{packed key: coefficient}`` dict."""
+    """Tuple-keyed terms from one ``{packed key: coefficient}`` dict, symbols gathered."""
+    if any(map(FIELD_MASK.__and__, packed)):
+        packed = _gather(packed)
     if not frame.nvars:
         return {(): c for c in packed.values()}
     keys = list(packed)
@@ -452,7 +507,7 @@ class Series:
         return (min(ends) >> sh) - BIAS, (max(ends) >> sh) - BIAS
 
     def has_symbols(self):
-        return any(isinstance(c, LinExpr) for s in self.slices.values() for c in s.values())
+        return any(s.symbolic() for s in self.slices.values())
 
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -482,12 +537,18 @@ class Series:
             for W, s in other.slices.items():
                 t = slices.get(W)
                 if t is not None:
-                    s, t = PackedSlice(t), s
+                    # add the smaller slice into a copy of the larger
+                    s, t = (PackedSlice(s), t) if len(t) <= len(s) else (PackedSlice(t), s)
                     for k, c in t.items():
-                        v = s.pop(k, None)
-                        v = c if v is None else v + c
-                        if v:
-                            s[k] = v
+                        v = s.get(k)
+                        if v is None:
+                            s[k] = c
+                        else:
+                            v += c
+                            if v:
+                                s[k] = v
+                            else:
+                                del s[k]
                 slices[W] = s
             return Series._from_slices(self.frame, slices, q_order, window)
         if is_rational(other) or isinstance(other, LinExpr):
@@ -497,7 +558,8 @@ class Series:
     __radd__ = __add__
 
     def __neg__(self):
-        return self.map_coeffs(neg)
+        slices = {W: PackedSlice(zip(s, map(neg, s.values()))) for W, s in self.slices.items()}
+        return Series._from_slices(self.frame, slices, self.q_order, self.window)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Series) else -_coerce_coeff(other))
@@ -516,16 +578,21 @@ class Series:
             _guard(frame, map(add, _amax(frame, self.slices), _amax(frame, other.slices)), "product")
             top = _top(frame, q_order)
             lo, hi = (None, None) if window is None else _p_keys(frame, window.lo, window.hi)
+            both = self.has_symbols() and other.has_symbols()
             acc = {}
             for wf, sf in self.slices.items():
                 for wg, sg in other.slices.items():
                     w = wf + wg
                     if top is not None and w > top:
                         break
+                    if both and sf.symbolic() and sg.symbolic():
+                        raise SymbolDegreeOverflow(f"product of symbol-carrying slices at weights {wf}, {wg}")
                     a, b = (sf, sg) if len(sf) <= len(sg) else (sg, sf)
                     madd(acc.setdefault(w, PackedSlice()), a, b, frame.base, lo, hi)
             return Series._from_slices(frame, acc, q_order, window)
-        if is_rational(other) or isinstance(other, LinExpr):
+        if isinstance(other, LinExpr):
+            return self * Series.const(self.frame, other)
+        if is_rational(other):
             if not other:
                 return Series.zero(self.frame, self.q_order, self.window)
             return self.map_coeffs(lambda c: c * other)
@@ -558,9 +625,7 @@ class Series:
         if isinstance(other, Series):
             return self.frame == other.frame and self.slices == other.slices
         if is_rational(other) or isinstance(other, LinExpr):
-            if not other:
-                return not self.slices
-            return self.slices == {0: {self.frame.base: other}}
+            return self.slices == _pack(self.frame, {self.frame.zero_exp(): other})
         return NotImplemented
 
     # -- structural operations ---------------------------------------------
@@ -575,9 +640,12 @@ class Series:
         frame = self.frame
         if self.slices:
             _guard(frame, [k * a for a in _amax(frame, self.slices)], "adams")
-        # key(k*e) = base + k*(key(e) - base), and the weight scales by k
+        # key(k*e) = base + k*(key(e) - base), and the weight scales by k; the
+        # symbol field, scaled along, is set back
         shift = (k - 1) * frame.base
-        slices = {k * W: PackedSlice({k * key - shift: c for key, c in s.items()})
+        slices = {k * W: PackedSlice({k * key - shift - (k - 1) * (key & FIELD_MASK): c
+                                      for key, c in s.items()} if s.symbolic()
+                                     else {k * key - shift: c for key, c in s.items()})
                   for W, s in self.slices.items()}
         q_order = None if self.q_order is None else self.q_order * k
         window = None if self.window is None else self.window.scaled(k)
@@ -597,11 +665,11 @@ class Series:
             raise NonUnitLeadingTerm("zero series has no inverse")
         frame = self.frame
         w0s, lead = next(iter(self.slices.items()))
+        if lead.symbolic():
+            raise NonUnitLeadingTerm("leading coefficient carries symbols")
         if len(lead) != 1:
             raise NonUnitLeadingTerm(f"leading slice has {len(lead)} terms")
         (k0, c0), = lead.items()
-        if isinstance(c0, LinExpr):
-            raise NonUnitLeadingTerm("leading coefficient carries symbols")
         if len(self.slices) == 1:
             q_order = None if self.q_order is None else self.q_order - 2 * Fraction(w0s, frame.wden)
             inv_mono = PackedSlice({2 * frame.base - k0: qdiv(1, c0)})  # key(-e) = 2*base - key(e)
@@ -693,16 +761,20 @@ class Series:
             window = None
         remaining = [n for i, n in enumerate(frame.names) if i not in fixed]
         new_frame = frame.subframe(remaining)
-        keep_idx = [frame.index[n] for n in remaining]
-        if list(fixed) == [i for i, w in enumerate(frame.wnum) if w]:
-            # the one weighted variable fixes the weight: one slice holds the terms
-            (i, x), = fixed.items()
-            terms = _unpack(frame, self.slices.get(x * frame.wnum[i], {}))
-        else:
-            terms = self.terms
-        out = {tuple(e[i] for i in keep_idx): c for e, c in terms.items()
-               if all(e[i] == v for i, v in fixed.items())}
         q_order = self.q_order - wfix if self.q_order is not None and any(new_frame.weights) else None
+        if list(fixed) == [i for i, w in enumerate(frame.wnum) if w]:
+            # the one weighted variable fixes the weight: one slice holds the
+            # terms, and deleting its field from each key gives the key in the
+            # new frame (the other fields keep their order and bias)
+            (i, x), = fixed.items()
+            s = self.slices.get(x * frame.wnum[i])
+            lo = frame.shifts[i]
+            hi, low = lo + FIELD_BITS, (1 << lo) - 1
+            slices = {0: PackedSlice({((k >> hi) << lo) | (k & low): c for k, c in s.items()})} if s else {}
+            return Series._from_slices(new_frame, slices, q_order, window)
+        keep_idx = [frame.index[n] for n in remaining]
+        out = {tuple(e[i] for i in keep_idx): c for e, c in self.terms.items()
+               if all(e[i] == v for i, v in fixed.items())}
         return Series(new_frame, out, q_order, window)
 
     def embed(self, frame):
@@ -731,6 +803,9 @@ class Series:
         return Series(frame, out, self.q_order, window)
 
     def map_coeffs(self, fn):
+        """Apply ``fn`` to every stored coefficient: the rational constant and each
+        symbol's rational coefficient, one by one.  ``fn`` must be a linear map of
+        the coefficients (negation, a rational scale or quotient) or ``exact``."""
         slices = {W: PackedSlice((k, v) for k, v in zip(s, map(fn, s.values())) if v)
                   for W, s in self.slices.items()}
         return Series._from_slices(self.frame, slices, self.q_order, self.window)
@@ -849,23 +924,34 @@ def _window_mul(f, g):
 
 
 def _euler_solve(frame, kernel, seed, finish, first, top, keys=(None, None), solved=None):
-    """``S_W = finish(W, seed_W + sum_l K_l * S_{W-l})`` for W = first..top.
+    """``S_W = finish(W, seed_W + sum_l K_l * S_{W-l})`` for ascending W in first..top.
 
     ``kernel`` lists packed ``(l, K_l)``, ascending in ``l > 0``; ``seed``
     maps weights to ``{key: coefficient}`` dicts (read, never changed, so a
     series' stored slices may seed it); ``solved`` holds slices known
     beforehand.  Products run through ``madd`` cut to the p-key
     range ``keys``.  Returns the nonempty slices as ``{W: PackedSlice}``.
+
+    Only the weights that can hold a slice are visited: every ``K_l`` has
+    ``l`` a multiple of ``g``, the gcd of the kernel weights, so a solved
+    weight is congruent mod ``g`` to a seed or beforehand-solved weight
+    (see :func:`_reachable`).  A step that would multiply a symbol-carrying
+    ``K_l`` by a symbol-carrying ``S_{W-l}`` raises
+    :class:`enrq.ring.SymbolDegreeOverflow`.
     """
     solved = dict(solved or {})
     low = min(solved, default=first)
-    for W in range(first, top + 1):
+    kernel = [(l, k, k.symbolic()) for l, k in kernel]
+    for W in _reachable(first, top, gcd(*(l for l, _, _ in kernel)), seed.keys() | solved.keys()):
         acc = dict(seed.get(W, ()))
-        for l, k in kernel:
+        for l, k, ksym in kernel:
             if W - l < low:
                 break
             s = solved.get(W - l)
             if s:
+                if ksym and s.symbolic():
+                    raise SymbolDegreeOverflow(f"solve step {W}: symbol-carrying kernel slice {l} "
+                                               f"times a symbol-carrying slice")
                 a, b = (k, s) if len(k) <= len(s) else (s, k)
                 madd(acc, a, b, frame.base, *keys)
         if acc:
@@ -873,6 +959,15 @@ def _euler_solve(frame, kernel, seed, finish, first, top, keys=(None, None), sol
             if out:
                 solved[W] = PackedSlice(out)
     return solved
+
+
+def _reachable(first, top, g, starts):
+    """The weights in ``first..top``, ascending, congruent mod ``g`` to one of
+    ``starts``: a kernel whose weights are multiples of ``g`` reaches no other
+    (``g = 0``, an empty kernel, leaves ``starts`` alone)."""
+    if not g:
+        return sorted(W for W in starts if first <= W <= top)
+    return sorted(W for r in {W % g for W in starts} for W in range(first + (r - first) % g, top + 1, g))
 
 
 def _qdiv_by_weight(W, acc):
@@ -942,9 +1037,9 @@ def divide_exact(num, den):
     frame = num.frame
     wds = next(iter(den.slices))
     wd = Fraction(wds, frame.wden)
-    d0 = _unpack(frame, den.slices[wds])
-    if any(isinstance(c, LinExpr) for c in d0.values()):
+    if den.slices[wds].symbolic():
         raise InexactDivision("divisor leading slice carries symbols")
+    d0 = _unpack(frame, den.slices[wds])
     cands = []
     if num.q_order is not None:
         cands.append(num.q_order - wd)
@@ -1242,7 +1337,10 @@ def product_expand(frame, factors, q_order, window=None):
 def agree(a, b):
     """Compare two series on the common guaranteed-valid region.
 
-    Returns (True, None) or (False, info) with the first mismatch.
+    Returns (True, None) or (False, info) with the first mismatch.  The
+    stored entries are compared one by one; ``info`` rebuilds the two
+    coefficients of the first mismatching monomial and counts the
+    mismatching monomials.
     """
     if a.frame != b.frame:
         return False, {"reason": "frame mismatch"}
@@ -1250,18 +1348,19 @@ def agree(a, b):
     top = _top(frame, _min_order(a.q_order, b.q_order))
     tops = [_p_keys(frame, 0, w.hi)[1] for w in (a.window, b.window) if w is not None]
     hi = min(tops, default=None)  # keys at or above it lie above a window
-    mismatches = {}
+    mismatches = {}  # monomial key (symbol field cleared) -> weight
     for W in a.slices.keys() | b.slices.keys():
         sa, sb = a.slices.get(W, {}), b.slices.get(W, {})
         if (top is not None and W > top) or sa == sb:
             continue
         for k in sa.keys() | sb.keys():
-            ca, cb = sa.get(k, 0), sb.get(k, 0)
-            if ca != cb and (hi is None or k < hi):
-                mismatches[k] = ca, cb
+            if (hi is None or k < hi) and sa.get(k, 0) != sb.get(k, 0):
+                mismatches[k & ~FIELD_MASK] = W
     if not mismatches:
         return True, None
-    e, (ca, cb) = min(_unpack(frame, mismatches).items(), key=lambda m: m[0])
+    e, k = min(_unpack(frame, {k: k for k in mismatches}).items(), key=lambda m: m[0])
+    W = mismatches[k]
+    ca, cb = (_coefficient_at(k, x.slices.get(W, {})) for x in (a, b))
     mono = {n: str(Fraction(e[i], frame.denoms[i])) for i, n in enumerate(frame.names) if e[i]}
     return False, {
         "monomial": mono,
@@ -1269,3 +1368,8 @@ def agree(a, b):
         "right": coeff_to_json(cb),
         "count": len(mismatches),
     }
+
+
+def _coefficient_at(k, s):
+    """The coefficient of the monomial key ``k`` in the slice ``s``, symbols gathered."""
+    return _gather({x: c for x, c in s.items() if (x & ~FIELD_MASK) == k}).get(k, 0)

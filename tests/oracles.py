@@ -8,6 +8,10 @@ the power loop that the graded Euler solve replaced in ``exp_series``,
 it, and ``specialize_oracle`` is ``Series.specialize`` on ``Fraction``
 exponents.  Their products run on the tuple kernel.  ``agree_oracle`` is
 ``agree`` as a scan of the tuple-keyed terms, before series stored slices.
+
+A chain of oracle steps (the power loops, the product of binomials) keeps
+its intermediates as :class:`Terms`, tuple-keyed term dicts with the
+truncation state of a series, and builds one ``Series`` at the end.
 """
 
 from fractions import Fraction
@@ -22,9 +26,11 @@ from enrq.series import (
     TruncationLoss,
     Window,
     WindowUnderflow,
+    _as_order,
     _bounds,
     _min_order,
     _mul_order,
+    _window_add,
     _window_mul,
 )
 
@@ -73,24 +79,89 @@ def tuple_madd(out, f, g, wnum, bn, bd, p_idx, p_lo, p_hi):
     return out
 
 
-def mul_oracle(a, b):
-    """``a * b`` for two series, on the tuple kernel."""
-    a._check_frame(b)
+class Terms:
+    """A tuple-keyed series: ``{exponent tuple: coefficient}`` plus truncation state.
+
+    The constructor cuts as the ``Series`` constructor does: zero
+    coefficients and terms at or above the order or above the window top
+    are dropped, and a term below the window floor raises ``ValueError``.
+    It has what ``_mul_order``, ``_window_mul`` and ``_window_add`` read of
+    a series, so the oracle steps below take a ``Terms`` or a ``Series``.
+    """
+
+    def __init__(self, frame, terms, q_order=None, window=None):
+        self.frame, self.q_order, self.window = frame, _as_order(q_order), window
+        bn, bd = _bounds(frame, self.q_order)
+        pi = frame.p_index
+        self.terms = {}
+        for e, c in terms.items():
+            if not c or (bd and frame.weight_scaled(e) * bd >= bn):
+                continue
+            if window is not None:
+                if e[pi] < window.lo:
+                    raise ValueError("term below declared window floor")
+                if e[pi] > window.hi:
+                    continue
+            self.terms[e] = c
+
+    def wmin(self):
+        if not self.terms:
+            return None
+        return Fraction(min(map(self.frame.weight_scaled, self.terms)), self.frame.wden)
+
+    def p_support(self):
+        pi = self.frame.p_index
+        if pi < 0 or not self.terms:
+            return None
+        ps = [e[pi] for e in self.terms]
+        return min(ps), max(ps)
+
+    def series(self):
+        return Series(self.frame, self.terms, self.q_order, self.window)
+
+
+def mul_terms(a, b):
+    """``a * b`` for two series or :class:`Terms`, on the tuple kernel, as ``Terms``."""
+    if a.frame != b.frame:
+        raise ValueError(f"frame mismatch: {a.frame!r} vs {b.frame!r}")
     window = _window_mul(a, b)
     q_order = _mul_order(a, b)
     frame = a.frame
-    if not a.terms or not b.terms:
-        return Series(frame, {}, q_order, window)
     f, g = a.terms, b.terms
     if len(g) < len(f):
         f, g = g, f
     out = {}
-    bn, bd = _bounds(frame, q_order)
-    if window is not None:
-        tuple_madd(out, f, g, frame.wnum, bn, bd, frame.p_index, window.lo, window.hi)
-    else:
-        tuple_madd(out, f, g, frame.wnum, bn, bd, -1, 0, 0)
-    return Series(frame, out, q_order, window)
+    if f:
+        bn, bd = _bounds(frame, q_order)
+        if window is not None:
+            tuple_madd(out, f, g, frame.wnum, bn, bd, frame.p_index, window.lo, window.hi)
+        else:
+            tuple_madd(out, f, g, frame.wnum, bn, bd, -1, 0, 0)
+    return Terms(frame, out, q_order, window)
+
+
+def add_terms(a, b):
+    """``a + b`` for two series or :class:`Terms`, as ``Terms``."""
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        v = out.get(e)
+        out[e] = c if v is None else v + c
+    return Terms(a.frame, out, _min_order(a.q_order, b.q_order), _window_add(a, b))
+
+
+def scale_terms(a, r):
+    """``a * r`` for a rational or ``LinExpr`` scalar ``r``, as ``Terms``."""
+    return Terms(a.frame, {e: c * r for e, c in a.terms.items()}, a.q_order, a.window)
+
+
+def cut_terms(a, q_order):
+    """``a.with_q_order(q_order)`` for an order no larger than ``a``'s, as ``Terms``."""
+    return Terms(a.frame, a.terms, q_order, a.window)
+
+
+def mul_oracle(a, b):
+    """``a * b`` for two series, on the tuple kernel."""
+    return mul_terms(a, b).series()
 
 
 def divide_exact_oracle(num, den):
@@ -200,14 +271,14 @@ def exp_series_oracle(f):
     if f.terms and f.q_order is None:
         raise BadConstantTerm("exp of an exact series is infinite; set a truncation order")
     target = f.q_order
-    acc = Series.one(f.frame, target, f.window)
+    acc = Terms(f.frame, {f.frame.zero_exp(): 1}, target, f.window)
     term = acc
     n = 1
     while term.terms:
-        term = (mul_oracle(term, f) * rat(1, n)).with_q_order(target)
+        term = cut_terms(scale_terms(mul_terms(term, f), rat(1, n)), target)
         if not term.terms:
             break
-        acc = acc + term
+        acc = add_terms(acc, term)
         n += 1
     window = f.window
     if f.terms and window is not None and window.floored and window.lo < 0:
@@ -215,8 +286,8 @@ def exp_series_oracle(f):
         # at most N factors of f fit below the truncation order
         N = (bn - 1) // (min(map(f.frame.weight_scaled, f.terms)) * bd)
         window = Window((N + 1) * window.lo, window.hi + N * window.lo, True)
-        acc = Series(f.frame, acc.terms, target, window)
-    return acc
+        return Series(f.frame, acc.terms, target, window)
+    return acc.series()
 
 
 def plethystic_exp_oracle(f):

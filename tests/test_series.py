@@ -8,11 +8,16 @@ import pytest
 
 from conftest import assert_agree, random_series
 from oracles import (
+    Terms,
+    add_terms,
     agree_oracle,
+    cut_terms,
     divide_exact_oracle,
     exp_series_oracle,
     mul_oracle,
+    mul_terms,
     plethystic_exp_oracle,
+    scale_terms,
     specialize_oracle,
     tuple_madd,
 )
@@ -227,11 +232,11 @@ def invert_oracle(f):
     inv_mono = Series(frame, {tuple(-x for x in e0): rat(1) / c0}, None, None)
     h = mul_oracle(f, inv_mono) - 1
     target = h.q_order
-    acc = Series.one(frame, target)
+    acc = Terms(frame, {frame.zero_exp(): 1}, target)
     p = acc
     while p.terms:
-        p = mul_oracle(p, -h).with_q_order(target)
-        acc = acc + p
+        p = cut_terms(mul_terms(p, -h), target)
+        acc = add_terms(acc, p)
     return mul_oracle(acc, inv_mono)
 
 
@@ -787,11 +792,11 @@ def product_expand_oracle(frame, factors, q_order, window=None):
     ``(monomial, exponent, step)`` is unpacked by :func:`_oracle_members`.
     """
     q_order = Fraction(q_order)
-    acc = Series.one(frame, q_order, window)
+    acc = Terms(frame, {frame.zero_exp(): 1}, q_order, window)
     for mono, e, *step in factors:
         for exps in _oracle_members(frame, mono, step, q_order):
-            acc = mul_oracle(acc, _oracle_binomial(frame, exps, e, q_order, window))
-    return acc
+            acc = mul_terms(acc, _oracle_binomial(frame, exps, e, q_order, window))
+    return acc.series()
 
 
 def _oracle_members(frame, mono, step, q_order):
@@ -1113,16 +1118,16 @@ def log_series_oracle(f):
     if h.terms and h.q_order is None:
         raise BadConstantTerm("log of an exact series is infinite; set a truncation order")
     target = h.q_order
-    acc = Series.zero(f.frame, target, f.window)
-    term = Series.one(f.frame, target, f.window)
+    acc = Terms(f.frame, {}, target, f.window)
+    term = Terms(f.frame, {zero_exp: 1}, target, f.window)
     n = 1
     while term.terms:
-        term = mul_oracle(term, h).with_q_order(target)
+        term = cut_terms(mul_terms(term, h), target)
         if not term.terms:
             break
-        acc = acc + term * rat((-1) ** (n + 1), n)
+        acc = add_terms(acc, scale_terms(term, rat((-1) ** (n + 1), n)))
         n += 1
-    return acc
+    return acc.series()
 
 
 def _random_log_argument(rng, frame, window=None):
