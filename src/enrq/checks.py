@@ -10,7 +10,6 @@ from fractions import Fraction
 from . import enriques, perverse
 from .ring import LinExpr, rat
 from .series import (
-    FRAME_QPU,
     FRAME_QPUTS,
     FRAME_QTS,
     Series,
@@ -81,14 +80,8 @@ def _grid_matches(table, expected):
     return problems
 
 
-def _table_context(q_order, betti):
-    main = perverse.ph_main_term(q_order)
-    second = perverse.ph_betti_term(betti, q_order)
-    return main, second
-
-
 def check_table1(betti, q_order=8, eta_prefactor=True, **_):
-    main, second = _table_context(4, betti)
+    _, main, second = perverse._identity_terms(betti, 4)
     table = perverse.perverse_table(0, betti, 4, main, second)
     problems = _grid_matches(table, TABLE_D0)
     if table.unknown_cells():
@@ -111,7 +104,7 @@ def check_table1(betti, q_order=8, eta_prefactor=True, **_):
 
 
 def check_table2(betti, q_order=8, **_):
-    main, second = _table_context(4, betti)
+    _, main, second = perverse._identity_terms(betti, 4)
     table = perverse.perverse_table(1, betti, 4, main, second)
     problems = _grid_matches(table, TABLE_D1)
     if table.unknown_cells():
@@ -120,7 +113,7 @@ def check_table2(betti, q_order=8, **_):
 
 
 def check_tables34(betti, q_order=8, **_):
-    main, second = _table_context(5, betti)
+    _, main, second = perverse._identity_terms(betti, 5)
     problems = []
     for d, expected in ((2, TABLE_D2_DETERMINED), (3, TABLE_D3_DETERMINED)):
         table = perverse.perverse_table(d, betti, 5, main, second)
@@ -250,7 +243,7 @@ def check_euler_specialization(betti=None, q_order=6, **_):
     window = _default_window()
     refined = enriques.pt_fiber_full(q_order, window)
     specialized = refined.specialize({"t": 1, "s": 1})
-    direct = enriques.pt_fiber_full(q_order, window, frame=FRAME_QPU, euler=True)
+    direct = enriques.pt_fiber_full(q_order, window, euler=True)
     ok, info = agree(specialized, direct)
     return _result("euler-specialization", ok, "" if ok else f"first mismatch {info}")
 
@@ -285,19 +278,16 @@ def check_properties(betti, q_order=8, **_):
             problems.append(f"GV degree {d} asymmetric")
     # table duality and Betti recovery (recovery sums the full slice: for
     # d >= 3 a symbol cell sits just outside the table's support box)
-    main, second = _table_context(5, betti)
-    diff = main - second
+    _, main, second = perverse._identity_terms(betti, 5)
     for d in range(4):
         table = perverse.perverse_table(d, betti, 5, main, second)
         if table.duality_violations():
             problems.append(f"d={d} duality violations {table.duality_violations()}")
-        slice_d = diff.coefficient({"q": d})
         sums = {}
-        for (ep, eu), c in slice_d.terms.items():
-            k = (ep + eu) // 2
-            sums[k] = sums.get(k, rat(0)) + rat((-1) ** (k % 2)) * c
+        for (i, j), c in perverse.identity_cells(d, betti, 5, main, second).items():
+            sums[i + j] = sums.get(i + j, 0) + c
         for k in range(-(2 * d + 1), 2 * d + 2):
-            total = sums.get(k, rat(0))
+            total = sums.get(k, 0)
             want = betti.entry(d, k + 2 * d + 1)
             if total != want:
                 problems.append(f"d={d}: sum over i+j={k} gives {total!r}, want {want!r}")

@@ -15,14 +15,15 @@ from math import ceil, comb, gcd
 from operator import add
 
 from .config import hodge_inputs, parse_hodge
-from .perverse import _main_prefactor
-from .qfunc import inv_zero_mode, plethystic_exp, plethystic_log, quantum_integer
+from .perverse import _main_prefactor, signed_cells
+from .qfunc import inv_zero_mode, plethystic_exp, plethystic_log, quantum_integer, virtual_shift
 from .ring import qdiv, rat
 from .series import (
     FRAME_P0,
     FRAME_PU,
     FRAME_PU0,
     FRAME_QP,
+    FRAME_QPU,
     FRAME_QPUTS,
     FRAME_QTS,
     FRAME_TS,
@@ -109,8 +110,8 @@ def chi_vir(hodge, dim):
     The sign is (-(ts)^(1/2))^(-dim), the Hodge realization of the canonical
     square root of the Lefschetz motive.
     """
-    shift = Series.monomial(FRAME_TS, {"t": Fraction(-dim, 2), "s": Fraction(-dim, 2)}, (-1) ** (dim % 2))
-    return hodge_chi(hodge) * shift
+    shifted = virtual_shift(hodge_chi(hodge), dim)
+    return -shifted if dim % 2 else shifted
 
 
 def _hodge_entry(name):
@@ -316,16 +317,23 @@ def dt_fiber_table(q_order):
     return table
 
 
-def assemble_pt_from_dt(dt_table, q_order, window=None, frame=FRAME_QPUTS, euler=False):
+def _fiber_frame(euler):
+    """The fiber-class frame: (q, p, t, s), or (q, p, u) in Euler mode (t = s = 1)."""
+    return FRAME_QPU if euler else FRAME_QPUTS
+
+
+def assemble_pt_from_dt(dt_table, q_order, window=None, euler=False):
     """Wallcrossing assembly: exp(sum (-1)^{r-1} [n+r] DT(r,d,n) q^d p^{+-n}).
 
     Keys (r, d, n) contribute p^n always and p^{-n} additionally when both
     r > 0 and n > 0.  In Euler mode the table must hold Euler-specialized
-    values and the wallcrossing factor degenerates to the integer n + r.
+    values, the wallcrossing factor degenerates to the integer n + r and the
+    result lives in (q, p, u).
     Under a p-window (top ``hi``, scaled units) a term p^m with 2m > hi is
     dropped, and a kept one with m != 0 floors the argument at min(0, 2m).
     """
     q_order = _as_order(q_order)
+    frame = _fiber_frame(euler)
     terms, floors = {}, []
     for (r, d, n), val in sorted(dt_table.items()):
         if val.is_zero():
@@ -355,7 +363,7 @@ def assemble_pt_from_dt(dt_table, q_order, window=None, frame=FRAME_QPUTS, euler
 
 # -- the all-n completion in fiber classes ------------------------------------
 
-def quantum_sum_prefactor(q_order, window, frame=FRAME_QPUTS, euler=False):
+def quantum_sum_prefactor(q_order, window, euler=False):
     """-p/((1-(ts)^{1/2}p)(1-(ts)^{-1/2}p)) = -sum_{m>=1} [m]_{ts} p^m.
 
     Expanded ascending in p by :func:`enrq.qfunc.inv_zero_mode`, so the
@@ -363,7 +371,7 @@ def quantum_sum_prefactor(q_order, window, frame=FRAME_QPUTS, euler=False):
     coefficient of p^m degenerates to -m.
     """
     y = {} if euler else {"t": Fraction(1, 2), "s": Fraction(1, 2)}
-    return -inv_zero_mode({"p": 1}, y, q_order, frame, window)
+    return -inv_zero_mode({"p": 1}, y, q_order, _fiber_frame(euler), window)
 
 
 def rank0_dt(d, n):
@@ -384,14 +392,15 @@ def rank0_dt(d, n):
     return acc
 
 
-def rank0_exp_argument(q_order, window, frame=FRAME_QPUTS, euler=False):
+def rank0_exp_argument(q_order, window, euler=False):
     """The plethystic-exponential argument of the all-n completion:
 
     -p/((1-(ts)^{1/2}p)(1-(ts)^{-1/2}p)) [ sum_{d odd} 8 chi([E]^vir) q^d
                                           + sum_{d even} chi([Q]^vir) q^d ].
     """
     q_order = _as_order(q_order)
-    pref = quantum_sum_prefactor(q_order, window, frame, euler=euler)
+    frame = _fiber_frame(euler)
+    pref = quantum_sum_prefactor(q_order, window, euler)
     if euler:
         e_vir = Series.const(
             frame, elliptic_curve_chi_vir().specialize({"t": 1, "s": 1}).coeff({})
@@ -424,14 +433,13 @@ def rank0_ordinary_log_from_dt(q_order, window):
     return Series(FRAME_QPUTS, terms, q_order, Window(0, window.hi, True))
 
 
-def pt_fiber_full(q_order, window, frame=FRAME_QPUTS, euler=False):
-    """Conjectural full fiber-class stable-pair series in (q, p, t, s)."""
+def pt_fiber_full(q_order, window, euler=False):
+    """Conjectural full fiber-class stable-pair series in (q, p, t, s), or its
+    Euler limit in (q, p, u)."""
     q_order = _as_order(q_order)
-    if euler:
-        base = pt_fiber_series_euler(q_order).embed(frame)
-    else:
-        base = pt_fiber_series(q_order).embed(frame)
-    return base * plethystic_exp(rank0_exp_argument(q_order, window, frame, euler=euler))
+    base = pt_fiber_series_euler(q_order) if euler else pt_fiber_series(q_order)
+    arg = rank0_exp_argument(q_order, window, euler)
+    return base.embed(arg.frame) * plethystic_exp(arg)
 
 
 # -- Gopakumar-Vafa extraction -------------------------------------------------
@@ -494,7 +502,7 @@ def gv_refined_extract(Z, q_order):
                 raise UnstableWindow(
                     f"degree {d}: support reaches within {_TAIL_GUARD} columns of the window edge"
                 )
-        out[d] = GVPolynomial(Series(FRAME_PU0, dict(sl.terms)))
+        out[d] = GVPolynomial(sl)
         d += 1
     return out
 
@@ -524,13 +532,7 @@ def gv_fiber_closed(d):
 
 def gv_to_ph_grid(gv):
     """Perverse-Hodge grid from a GV polynomial via the sign rule (-1)^{i+j}."""
-    grid = {}
-    for (ep, eu), c in gv.poly.terms.items():
-        if ep % 2 or eu % 2:
-            raise ValueError("grid extraction needs integer exponents")
-        i, j = ep // 2, eu // 2
-        grid[(i, j)] = (-1) ** ((i + j) % 2) * c
-    return grid
+    return signed_cells(gv.poly)
 
 
 def fiber_ph_grid(parity):

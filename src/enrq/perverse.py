@@ -6,6 +6,10 @@ minus a Betti-dependent correction:
 
     main_term(q, p, u) - betti_sum(u; q) * correction_product(q, p, u).
 
+A grid cell (i, j) is (-1)^{i+j} times the coefficient of p^i u^j q^d: every
+grid (tables, support reports, stabilization, fiber grids) is read by
+:func:`signed_cells`, the one place that halves the scaled (p, u) exponents and
+applies the sign, fed the q^d slice of main - second by :func:`identity_cells`.
 Known Betti numbers make table entries Determined; missing ones enter as
 formal symbols and surface as "?" cells.  The module also carries the
 odd-class primitive stable-pair identity chain (the same data written as a
@@ -17,7 +21,7 @@ from fractions import Fraction
 from math import ceil
 
 from .config import betti_defaults
-from .qfunc import eta, inv_theta_pair, inv_zero_mode, quantum_integer, theta, theta_pair
+from .qfunc import eta, inv_theta_pair, inv_zero_mode, quantum_integer, theta, theta_pair, theta_product
 from .ring import LinExpr, betti_symbol, coeff_to_json, exact, qdiv
 from .series import (
     FRAME_QPU,
@@ -39,6 +43,8 @@ __all__ = [
     "ph_main_term",
     "ph_main_term_jacobi",
     "ph_betti_term",
+    "signed_cells",
+    "identity_cells",
     "perverse_table",
     "support_report",
     "omega_half_integral_series",
@@ -301,7 +307,7 @@ def grid_to_csv(entries, rows, cols):
     return "\n".join(lines) + "\n"
 
 
-def _identity_terms(betti, q_order, main, second):
+def _identity_terms(betti, q_order, main=None, second=None):
     """Betti table, main term and Betti term, each built only when not given."""
     betti = betti or BettiTable.default()
     if main is None:
@@ -311,48 +317,54 @@ def _identity_terms(betti, q_order, main, second):
     return betti, main, second
 
 
-def _degree_slice(d, betti, q_order, main, second):
-    """The q^d slice of main - second, taken from each term before subtracting."""
+def signed_cells(series):
+    """Grid cells {(i, j): (-1)^{i+j} c} of a Laurent polynomial in (p, u).
+
+    c is the coefficient of p^i u^j, so the scaled exponents (half-steps) are
+    halved; a half-integral exponent raises ``ValueError``.
+    """
+    cells = {}
+    for (ep, eu), c in series.terms.items():
+        if ep % 2 or eu % 2:
+            raise ValueError("half-integral exponent in a perverse-Hodge grid slice")
+        i, j = ep // 2, eu // 2
+        cells[(i, j)] = -c if (i + j) % 2 else c
+    return cells
+
+
+def identity_cells(d, betti=None, q_order=None, main=None, second=None):
+    """Signed cells of the q^d slice of main - second, each term sliced before subtracting."""
+    if q_order is None:
+        q_order = d + 1
     _, main, second = _identity_terms(betti, q_order, main, second)
-    return main.coefficient({"q": d}) - second.coefficient({"q": d})
+    return signed_cells(main.coefficient({"q": d}) - second.coefficient({"q": d}))
 
 
 def perverse_table(d, betti=None, q_order=None, main=None, second=None):
     """Table of perverse Hodge numbers for degree d.
 
-    entry(i, j) = (-1)^{i+j} [coefficient of p^i u^j q^d in main - second];
+    entry(i, j) = (-1)^{i+j} [coefficient of p^i u^j q^d in main - second],
+    read by :func:`identity_cells` inside the box |i| <= d+1, |j| <= d;
     cells are Determined exactly when no Betti symbol survives.
     """
     if q_order is None:
         q_order = d + 1
     if _as_order(q_order) <= d:
         raise ValueError(f"q_order {q_order} does not cover degree {d}")
-    diff = _degree_slice(d, betti, q_order, main, second)
-    entries = {}
-    for (ep, eu), c in diff.terms.items():
-        if ep % 2 or eu % 2:
-            raise ValueError("stray fractional exponent in a table slice")
-        i, j = ep // 2, eu // 2
-        if abs(i) <= d + 1 and abs(j) <= d:
-            entries[(i, j)] = -c if (i + j) % 2 else c
-    return PerverseTable(d, entries)
+    cells = identity_cells(d, betti, q_order, main, second)
+    return PerverseTable(d, {(i, j): c for (i, j), c in cells.items() if abs(i) <= d + 1 and abs(j) <= d})
 
 
 def support_report(d, betti=None, q_order=None, main=None, second=None):
     """Inspect the slice outside the expected support box |i| <= d+1, |j| <= d.
 
-    Determined leakage is a genuine violation.  Symbol-carrying leakage is
-    reported as an implied constraint: consistency of the identity forces the
-    symbol to the value making the cell vanish.
+    Values are table-signed, (-1)^{i+j} times the coefficient, as in
+    :func:`perverse_table`.  Determined leakage is a genuine violation.
+    Symbol-carrying leakage is reported as an implied constraint: consistency
+    of the identity forces the symbol to the value making the cell vanish.
     """
-    if q_order is None:
-        q_order = d + 1
-    diff = _degree_slice(d, betti, q_order, main, second)
-    violations = []
-    implied = {}
-    conflicts = []
-    for (ep, eu), c in diff.terms.items():
-        i, j = ep // 2, eu // 2
+    violations, implied, conflicts = [], {}, []
+    for (i, j), c in identity_cells(d, betti, q_order, main, second).items():
         if abs(i) <= d + 1 and abs(j) <= d:
             continue
         if isinstance(c, LinExpr):
@@ -431,8 +443,7 @@ def primitive_pt_forms(betti, q_order, window, eta_prefactor=True):
 
     y = {"t": Fraction(1, 2), "s": Fraction(1, 2)}
     x = {"p": 1}
-    zm = Series.monomial(frame, y) - Series.monomial(frame, {"t": Fraction(-1, 2), "s": Fraction(-1, 2)})
-    th_ts_ratio = divide_exact(theta({"t": 1, "s": 1}, 2, pad, frame), zm)
+    th_ts = theta_product({"t": 1, "s": 1}, 2, pad, frame)
     pair2 = theta_pair(x, y, 2, pad, frame)
     e2 = eta(2, pad, prefactor=eta_prefactor).embed(frame)
     e1 = eta(1, pad, prefactor=eta_prefactor).embed(frame)
@@ -442,11 +453,11 @@ def primitive_pt_forms(betti, q_order, window, eta_prefactor=True):
     ip2 = inv_theta_pair(x, y, 2, q_order, frame, window)
 
     first_block = pair2 * e2_8 * e1_4_inv * ip1
-    second_term = oi * th_ts_ratio * ip2
-    form2 = oh * th_ts_ratio * first_block - second_term
+    second_term = oi * th_ts * ip2
+    form2 = oh * th_ts * first_block - second_term
 
-    t3den = (e1**12) * theta({"t": 1, "s": 1}, 1, pad, frame)
-    f3_head = divide_exact(theta({"t": 1, "s": 1}, 2, pad, frame), t3den) * 8
+    t3den = (e1**12) * theta_product({"t": 1, "s": 1}, 1, pad, frame)
+    f3_head = divide_exact(th_ts, t3den) * 8
     form3 = f3_head * first_block - second_term
 
     # truncated(), not with_q_order(): with a tampered eta convention the
@@ -470,11 +481,10 @@ def primitive_betti_display(betti, q_order, window, eta_prefactor=True):
     q_order = _as_order(q_order)
     pad = q_order + 1
     first = _jacobi_core(q_order, eta_prefactor) * 8
-    zm = Series.monomial(frame, {"u": 1}) - Series.monomial(frame, {"u": -1})
-    th_ratio = divide_exact(theta({"u": 2}, 2, pad, frame), zm)
+    th_u = theta_product({"u": 2}, 2, pad, frame)
     ip2 = inv_theta_pair({"p": 1}, {"u": 1}, 2, q_order, frame, window)
     oi = omega_integral_series(betti, q_order, frame)
-    return first - oi * th_ratio * ip2
+    return first - oi * th_u * ip2
 
 
 def check_primitive_chain(betti=None, q_order=6, window=None, eta_prefactor=True):
@@ -529,23 +539,18 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
     """
     q_order = d_hi + 1
     betti, main, second = _identity_terms(betti, q_order, main, second)
-    diff = main - second
     gf = asymptotic_ph_gf(q_order)
     report = {"shifted": [], "vanishing": [], "stable": [], "ok": True}
 
     for d in range(d_lo, d_hi + 1):
+        cells = identity_cells(d, betti, q_order, main, second)
         for i in range((d - 1) // 2 + 1):
-            if 2 * i >= d:
-                continue
             for j in range((d - 1) // 2):
-                if 2 * j >= d - 2:
-                    continue
-                c = diff.coeff({"q": d, "p": i - d - 1, "u": j - d})
-                if isinstance(c, LinExpr):
+                got = cells.get((i - d - 1, j - d), 0)
+                if isinstance(got, LinExpr):
                     report["ok"] = False
                     report["shifted"].append({"d": d, "i": i, "j": j, "error": "symbolic"})
                     continue
-                got = c if (i + j + 1) % 2 == 0 else -c
                 want = gf.coeff({"x": i, "y": j})
                 ok = got == want
                 report["ok"] &= ok
@@ -554,26 +559,20 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
                 )
 
     for d in range(1, d_hi + 1):
-        for i in range(-(d + 1), d + 2):
-            if 2 * i >= -d - 2:
-                continue
-            for j in range(-d, d + 1):
-                if 2 * j >= -d - 2:
-                    continue
-                c = second.coeff({"q": d, "p": i, "u": j})
-                ok = not c
+        cells = signed_cells(second.coefficient({"q": d}))
+        for i in range(-(d + 1), -((d + 2) // 2)):
+            for j in range(-d, -((d + 2) // 2)):
+                ok = not cells.get((i, j), 0)
                 report["ok"] &= ok
                 report["vanishing"].append({"d": d, "i": i, "j": j, "ok": ok})
 
+    main_cells = {d: signed_cells(main.coefficient({"q": d})) for d in range(2, d_hi + 1)}
     for i in range(4):
         for j in range(4):
             # onset: one degree beyond 3(i+j)/4 (the tighter bound misses by
             # one at e.g. (3,3), where d=5 still differs from the limit)
             d_start = (3 * (i + j)) // 4 + 2
-            vals = []
-            for d in range(d_start, d_hi + 1):
-                c = main.coeff({"q": d, "p": i - d - 1, "u": j - d})
-                vals.append(c if (i + j + 1) % 2 == 0 else -c)
+            vals = [main_cells[d].get((i - d - 1, j - d), 0) for d in range(d_start, d_hi + 1)]
             stable = len(set(map(str, vals))) == 1
             match = stable and vals[0] == gf.coeff({"x": i, "y": j})
             report["ok"] &= match

@@ -29,6 +29,7 @@ __all__ = [
     "quantum_integer",
     "eta",
     "theta",
+    "theta_product",
     "theta_pair",
     "inv_zero_mode",
     "inv_theta_pair",
@@ -78,13 +79,18 @@ def _combine(a, b):
 
 
 def theta(x, scale, q_order, frame):
-    """Theta(x, q^scale) for a monomial x; x^(1/2) must lie on the lattice."""
-    qs = {"q": int(scale)}
-    x = {v: Fraction(e) for v, e in dict(x).items()}
-    half = {v: e / 2 for v, e in x.items()}
+    """Theta(x, q^scale) = (x^(1/2) - x^(-1/2)) theta_product(x, scale) for a monomial x."""
+    half = {v: Fraction(e) / 2 for v, e in dict(x).items()}
     zero_mode = Series.monomial(frame, half) - Series.monomial(frame, _inverse(half))
+    return zero_mode * theta_product(x, scale, q_order, frame)
+
+
+def theta_product(x, scale, q_order, frame):
+    """Theta(x, q^scale) without its zero mode:
+    prod_{m>=1} (1 - x q^{sm})(1 - x^{-1} q^{sm}) / (1 - q^{sm})^2, s = scale."""
+    qs = {"q": int(scale)}
     factors = [(dict(x, **qs), 1, qs), (dict(_inverse(x), **qs), 1, qs), (qs, -2, qs)]
-    return zero_mode * product_expand(frame, factors, q_order)
+    return product_expand(frame, factors, q_order)
 
 
 def theta_pair(x, y, scale, q_order, frame):

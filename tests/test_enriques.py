@@ -191,9 +191,7 @@ class TestAssembly:
         table = dt_fiber_table(6)
         euler_table = {k: v.specialize({"t": 1, "s": 1}) for k, v in table.items()}
         refined = assemble_pt_from_dt(table, 6).specialize({"t": 1, "s": 1})
-        direct = assemble_pt_from_dt(euler_table, 6, frame=FRAME_QPU, euler=True).specialize(
-            {"u": 1}
-        )
+        direct = assemble_pt_from_dt(euler_table, 6, euler=True).specialize({"u": 1})
         assert_agree(refined.specialize({"u": 1}), direct)
 
 

@@ -15,7 +15,13 @@ builder still cut its own factor list.  ``SUM_GOLDEN`` pins the sum builders
 (the wallcrossing assembly, refined, Euler and windowed, the rank-0 exponent
 argument and ordinary log, and both brackets of the three-form chain); they
 were taken while each sum added one series at a time and the assembly
-multiplied one exponential per DT key.
+multiplied one exponential per DT key.  ``GRID_GOLDEN`` pins the grid
+readers (stabilization, support reports, the extremal column, the fiber
+grids and the properties check); they were taken while each reader halved
+exponents and applied the sign (-1)^(i+j) on its own.  The support-report
+pin is the report of that code with each violation value multiplied by
+(-1)^(i+j): support reports became table-signed in the same change, and
+implied Betti values do not depend on the sign.
 """
 
 import hashlib
@@ -24,8 +30,8 @@ from fractions import Fraction
 
 import pytest
 
-from enrq import cli, enriques, perverse
-from enrq.series import FRAME_QPU, FRAME_QPUTS, Window
+from enrq import checks, cli, enriques, perverse
+from enrq.series import FRAME_QPUTS, Window
 
 GOLDEN = {
     "ph_main_term": "022bf0841c20e22758f876beec89a8c146e3efc992f18896b3ae876e888ec236",
@@ -55,6 +61,13 @@ SUM_GOLDEN = {
     "rank0-exp-argument": "997ce143af4ff6cd934e3ba0132308af0a7340b940b61113c7065e629c268531",
     "bracket-odd": "4b1e1dfc92129918f023aba41411987841371dc3afa717d31e60d067dd933b75",
     "bracket-even": "7be870c44a7f16c3e014b79838d7726f059fb9e6199a731f412860edf5221b97",
+}
+GRID_GOLDEN = {
+    "stabilization": "e0acfda71870b67f68603a34d36eb26512e80d2b4caf19f93153e90e94be2a08",
+    "support": "3790a390835fed7fcc2c29dc87ab1aa816a7b848685cb5dd953fc6dec7d217a0",
+    "extremal": "35309d1bbe83a2575663eddda7c7e7cc6980bc74d96900eb66e16f11e2556aae",
+    "fiber": "6e0812e55bd272b8354ecc2f8d64e7e69f09356d67429441eb4e47eed860ad23",
+    "properties": "786bff3437b3688971c4d4c5dda78cc9a624e52c563ece6790609dc47728c5f3",
 }
 EULER_FIBER_9 = "e89e167fa7584decac0af2321931fc1ce0574ed2f2b32221ca2858163138b3c6"
 WINDOW = Window(-20, 20, False)
@@ -133,7 +146,7 @@ def _windowed_assembly():
 
 def _euler_assembly():
     table = {k: v.specialize({"t": 1, "s": 1}) for k, v in enriques.dt_fiber_table(6).items()}
-    return enriques.assemble_pt_from_dt(table, 6, frame=FRAME_QPU, euler=True)
+    return enriques.assemble_pt_from_dt(table, 6, euler=True)
 
 
 SUM_BUILDERS = {
@@ -150,3 +163,40 @@ SUM_BUILDERS = {
 @pytest.mark.parametrize("name", sorted(SUM_GOLDEN))
 def test_sum_builders(name):
     assert sha(SUM_BUILDERS[name]().to_json_dict()) == SUM_GOLDEN[name]
+
+
+def _support_doc(rep):
+    return {
+        "d": rep["d"],
+        "violations": sorted([list(cell), v] for cell, v in rep["violations"]),
+        "implied_betti": sorted([s.d, s.i, str(v)] for s, v in rep["implied_betti"].items()),
+        "conflicts": [[s.d, s.i, str(a), str(b)] for s, a, b in rep["conflicts"]],
+    }
+
+
+def test_stabilization_report():
+    rep = perverse.stabilization_check(perverse.BettiTable.default(), 5, 12)
+    assert sha(rep) == GRID_GOLDEN["stabilization"]
+
+
+def test_support_reports():
+    betti = perverse.BettiTable.default()
+    main, second = perverse.ph_main_term(8), perverse.ph_betti_term(betti, 8)
+    docs = [_support_doc(perverse.support_report(d, betti, 8, main, second)) for d in range(8)]
+    assert sha(docs) == GRID_GOLDEN["support"]
+
+
+def test_extremal_report():
+    assert sha(perverse.extremal_report(6)) == GRID_GOLDEN["extremal"]
+
+
+def test_fiber_grids():
+    grids = {
+        parity: [[i, j, str(v)] for (i, j), v in sorted(enriques.fiber_ph_grid(parity).items())]
+        for parity in ("odd", "even")
+    }
+    assert sha(grids) == GRID_GOLDEN["fiber"]
+
+
+def test_properties_check():
+    assert sha(checks.check_properties(perverse.BettiTable.default())) == GRID_GOLDEN["properties"]

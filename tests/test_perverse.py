@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_agree
+from enrq.enriques import GVPolynomial, gv_to_ph_grid
 from enrq.perverse import (
     BettiTable,
     asymptotic_betti_gf,
@@ -20,7 +21,7 @@ from enrq.perverse import (
     stabilization_check,
     support_report,
 )
-from enrq.ring import BettiSymbol, LinExpr, betti_symbol, rat
+from enrq.ring import BettiSymbol, LinExpr, betti_symbol, coeff_to_json, rat
 from enrq.series import FRAME_QPU, FRAME_QPUTS, Series, Window
 
 
@@ -193,6 +194,38 @@ class TestSupport:
             old = perverse_table(d, betti, 8, diff, zero)
             assert new.to_json_dict() == old.to_json_dict()
             assert support_report(d, betti, 8, main, second) == support_report(d, betti, 8, diff, zero)
+
+    def test_half_integral_exponent_raises_in_every_grid_reader(self, betti):
+        # p^(1/2) u^3 q: outside the d = 1 box, so a floored p exponent would
+        # report it as a violation at (0, 3)
+        bad = Series(FRAME_QPU, {FRAME_QPU.exps({"q": 1, "p": Fraction(1, 2), "u": 3}): 1}, 2)
+        zero = Series.zero(FRAME_QPU)
+        readers = (
+            lambda: perverse_table(1, betti, 2, bad, zero),
+            lambda: support_report(1, betti, 2, bad, zero),
+            lambda: gv_to_ph_grid(GVPolynomial(bad.coefficient({"q": 1}))),
+        )
+        messages = set()
+        for read in readers:
+            with pytest.raises(ValueError) as exc:
+                read()
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
+    def test_violations_are_table_signed(self, betti):
+        # cells outside the d = 1 box, as coefficients of p^i u^j q
+        b3, b5 = betti_symbol(2, 3), betti_symbol(2, 5)
+        coeffs = {(0, 3): 5, (0, -4): 7, (1, 2): b3 + b5 + 3, (-1, 2): 4 - 2 * b3}
+        main = Series(
+            FRAME_QPU,
+            {FRAME_QPU.exps({"q": 1, "p": i, "u": j}): c for (i, j), c in coeffs.items()},
+            2,
+        )
+        rep = support_report(1, betti, 2, main, Series.zero(FRAME_QPU))
+        assert sorted(rep["violations"], key=str) == sorted(
+            [((0, 3), "-5"), ((0, -4), "7"), ((1, 2), coeff_to_json(-(b3 + b5 + 3)))], key=str
+        )
+        assert rep["implied_betti"] == {BettiSymbol(2, 3): 2} and not rep["conflicts"]
 
     def test_structural_p_bound(self, betti, main5, second5):
         diff = main5 - second5
