@@ -24,7 +24,7 @@ from . import __version__, enriques, perverse
 from .checks import CHECKS, run_checks
 from .kernel import BACKEND
 from .ring import RATIONAL_BACKEND
-from .series import FieldOverflow, Window
+from .series import FieldOverflow, Window, json_text
 
 SERIES_IDS = (
     "pt-fiber",
@@ -248,7 +248,7 @@ def cmd_tables(args):
         elif args.format == "csv":
             _emit(table.to_csv(), args, f"table_d{d}.csv")
         else:
-            _emit(json.dumps(table.to_json_dict(), indent=2, sort_keys=True) + "\n", args, f"table_d{d}.json")
+            _emit(json_text(table.to_json_dict(), 2) + "\n", args, f"table_d{d}.json")
     for parity in ("odd", "even"):
         grid = enriques.fiber_ph_grid(parity)
         i_range = range(-1, 2)
@@ -259,7 +259,7 @@ def cmd_tables(args):
             _emit(perverse.grid_to_csv(grid, i_range, j_range), args, f"table_fiber_{parity}.csv")
         else:
             data = [{"i": i, "j": j, "value": str(v)} for (i, j), v in sorted(grid.items()) if v]
-            _emit(json.dumps(data, indent=2, sort_keys=True) + "\n", args, f"table_fiber_{parity}.json")
+            _emit(json_text(data, 2) + "\n", args, f"table_fiber_{parity}.json")
     return 0
 
 
@@ -277,7 +277,7 @@ def cmd_check(args):
         eta_prefactor=not args.eta_no_prefactor,
     )
     report = {"passed": all(r["passed"] for r in results), "checks": results}
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args, "check_report.json")
+    _emit(json_text(report, 2) + "\n", args, "check_report.json")
     for r in results:
         status = "pass" if r["passed"] else "FAIL"
         line = f"{status}  {r['name']}"

@@ -21,8 +21,9 @@ from fractions import Fraction
 from math import ceil
 
 from .config import betti_defaults
+from .kernel import BIAS, FIELD_MASK
 from .qfunc import eta, inv_theta_pair, inv_zero_mode, quantum_integer, theta, theta_pair, theta_product
-from .ring import LinExpr, betti_symbol, coeff_to_json, exact, qdiv
+from .ring import SYMBOL_BY_ID, LinExpr, betti_symbol, coeff_to_json, exact, linexpr, qdiv
 from .series import (
     FRAME_QPU,
     FRAME_QPUTS,
@@ -185,14 +186,16 @@ def _jacobi_core(q_order, eta_prefactor=True):
     """Theta(u^2,q^2)/Theta(u^2,q) * eta(q^2)^8/eta(q)^16
     * Theta(pu,q^2)Theta(p/u,q^2) / (Theta(pu,q)Theta(p/u,q)), in (q, p, u)."""
     frame = FRAME_QPU
-    pad = _as_order(q_order) + 1
-    A = divide_exact(theta({"u": 2}, 2, pad, frame), theta({"u": 2}, 1, pad, frame))
-    e2 = eta(2, pad, prefactor=eta_prefactor).embed(frame)
-    e1 = eta(1, pad, prefactor=eta_prefactor).embed(frame)
-    B = divide_exact(e2**8, e1**16)
-    N = theta({"p": 1, "u": 1}, 2, pad, frame) * theta({"p": 1, "u": -1}, 2, pad, frame)
-    C = divide_exact(N, theta({"p": 1, "u": 1}, 1, pad, frame))
-    C = divide_exact(C, theta({"p": 1, "u": -1}, 1, pad, frame))
+    q_order = _as_order(q_order)
+    # a theta divisor leads at weight 0 and costs no order; eta(q)^16 leads
+    # at q^(2/3) with the prefactor, so only the eta quotient is padded
+    A = divide_exact(theta({"u": 2}, 2, q_order, frame), theta({"u": 2}, 1, q_order, frame))
+    e2 = eta(2, q_order + 1, prefactor=eta_prefactor).embed(frame)
+    e1 = eta(1, q_order + 1, prefactor=eta_prefactor).embed(frame)
+    B = divide_exact(e2**8, e1**16).with_q_order(q_order)
+    N = theta({"p": 1, "u": 1}, 2, q_order, frame) * theta({"p": 1, "u": -1}, 2, q_order, frame)
+    C = divide_exact(N, theta({"p": 1, "u": 1}, 1, q_order, frame))
+    C = divide_exact(C, theta({"p": 1, "u": -1}, 1, q_order, frame))
     return (A * B * C).with_q_order(q_order)
 
 
@@ -321,14 +324,36 @@ def signed_cells(series):
     """Grid cells {(i, j): (-1)^{i+j} c} of a Laurent polynomial in (p, u).
 
     c is the coefficient of p^i u^j, so the scaled exponents (half-steps) are
-    halved; a half-integral exponent raises ``ValueError``.
+    halved; a half-integral exponent raises ``ValueError``.  The cells are
+    gathered from the packed slices as ``Series.terms`` gathers them, with
+    the sign put on each stored number first, so a symbol-carrying cell is
+    built once.  BIAS is 0 mod 4, so bit 0 of a packed p (u) field is the
+    parity of the scaled exponent and bit 1 that of i (j).
     """
+    sp, su = series.frame.shifts
+    half = 1 << sp | 1 << su
     cells = {}
-    for (ep, eu), c in series.terms.items():
-        if ep % 2 or eu % 2:
+    for s in series.slices.values():
+        gathered, syms = {}, {}
+        for k, c in s.items():
+            if (k >> sp ^ k >> su) & 2:
+                c = -c
+            sid = k & FIELD_MASK
+            if sid:
+                m = k - sid
+                t = syms.get(m)
+                if t is None:
+                    syms[m] = t = {}
+                t[SYMBOL_BY_ID[sid]] = c
+            else:
+                gathered[k] = c
+        for m, t in syms.items():
+            gathered[m] = linexpr(gathered.get(m, 0), t)
+        if any(map(half.__and__, gathered)):
             raise ValueError("half-integral exponent in a perverse-Hodge grid slice")
-        i, j = ep // 2, eu // 2
-        cells[(i, j)] = -c if (i + j) % 2 else c
+        keys = list(gathered)
+        cols = [[((k >> sh & FIELD_MASK) - BIAS) >> 1 for k in keys] for sh in (sp, su)]
+        cells.update(zip(zip(*cols), gathered.values()))
     return cells
 
 

@@ -273,13 +273,22 @@ def coeff_to_json(c):
     return str(c)
 
 
+def _exact_text(s):
+    """``exact(s)``, read by ``int`` when ``s`` is a ``str`` matching ``-?[0-9]+``."""
+    if type(s) is str:
+        t = s.removeprefix("-")
+        if t.isascii() and t.isdigit():
+            return int(s)
+    return exact(s)
+
+
 def coeff_from_json(obj):
     """Inverse of :func:`coeff_to_json`; integral values (also in a LinExpr) come back as ints."""
     if isinstance(obj, str):
-        return exact(obj)
+        return _exact_text(obj)
     terms = {}
     for t in obj.get("terms", ()):
-        v = exact(t["coef"])
+        v = _exact_text(t["coef"])
         if v:
             terms[BettiSymbol(t["d"], t["i"])] = v
-    return linexpr(exact(obj["const"]), terms)
+    return linexpr(_exact_text(obj["const"]), terms)

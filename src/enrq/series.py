@@ -50,6 +50,7 @@ the weight cut (see :func:`_cut_bounds` and :func:`divide_exact`) --
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd, lcm
 from operator import add, lshift, mul, neg
 
@@ -88,6 +89,7 @@ __all__ = [
     "adams",
     "product_expand",
     "agree",
+    "json_text",
     "FRAME_Q",
     "FRAME_QP",
     "FRAME_QPU",
@@ -530,27 +532,7 @@ class Series:
 
     def __add__(self, other):
         if isinstance(other, Series):
-            self._check_frame(other)
-            q_order = _min_order(self.q_order, other.q_order)
-            window = _window_add(self, other)
-            slices = dict(self.slices)
-            for W, s in other.slices.items():
-                t = slices.get(W)
-                if t is not None:
-                    # add the smaller slice into a copy of the larger
-                    s, t = (PackedSlice(s), t) if len(t) <= len(s) else (PackedSlice(t), s)
-                    for k, c in t.items():
-                        v = s.get(k)
-                        if v is None:
-                            s[k] = c
-                        else:
-                            v += c
-                            if v:
-                                s[k] = v
-                            else:
-                                del s[k]
-                slices[W] = s
-            return Series._from_slices(self.frame, slices, q_order, window)
+            return self._merge(other, False)
         if is_rational(other) or isinstance(other, LinExpr):
             return self + Series.const(self.frame, other, self.q_order, self.window)
         return NotImplemented
@@ -558,11 +540,43 @@ class Series:
     __radd__ = __add__
 
     def __neg__(self):
-        slices = {W: PackedSlice(zip(s, map(neg, s.values()))) for W, s in self.slices.items()}
+        slices = {W: _negated(s) for W, s in self.slices.items()}
         return Series._from_slices(self.frame, slices, self.q_order, self.window)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Series) else -_coerce_coeff(other))
+        if isinstance(other, Series):
+            return self._merge(other, True)
+        return self + -_coerce_coeff(other)
+
+    def _merge(self, other, negate):
+        """``self - other`` when ``negate``, else ``self + other``: at a weight both
+        carry, the smaller slice is merged into a copy of the larger."""
+        self._check_frame(other)
+        q_order = _min_order(self.q_order, other.q_order)
+        window = _window_add(self, other)
+        slices = dict(self.slices)
+        for W, s in other.slices.items():
+            t = slices.get(W)
+            if t is None:
+                slices[W] = _negated(s) if negate else s
+                continue
+            if len(t) <= len(s):
+                acc = _negated(s) if negate else PackedSlice(s)
+                s, neg_s = t, False
+            else:
+                acc, neg_s = PackedSlice(t), negate
+            for k, c in s.items():
+                v = acc.get(k)
+                if v is None:
+                    acc[k] = -c if neg_s else c
+                else:
+                    v = v - c if neg_s else v + c
+                    if v:
+                        acc[k] = v
+                    else:
+                        del acc[k]
+            slices[W] = acc
+        return Series._from_slices(self.frame, slices, q_order, window)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -841,7 +855,7 @@ class Series:
         }
 
     def dumps(self, indent=None):
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+        return json_text(self.to_json_dict(), indent)
 
     @classmethod
     def from_json_dict(cls, obj):
@@ -871,6 +885,68 @@ class Series:
         tail = "" if self.q_order is None else f" + O(wt {self.q_order})"
         win = "" if self.window is None else f" {self.window!r}"
         return f"Series[{','.join(frame.names)}]({' + '.join(bits) or '0'}{tail}{win})"
+
+
+def json_text(obj, indent=None):
+    """Exactly ``json.dumps(obj, indent=indent, sort_keys=True)``.
+
+    With an ``indent`` the standard library leaves its C encoder for a
+    generator-based one; this writer is one recursive function that appends
+    to one list, escapes strings with the C helper of :mod:`json` and joins a
+    list of plain ints in one step, as the ``"exp"`` lists are.  Every other
+    value -- floats, bools, ``None``, empty containers, tuples, subclasses and
+    dicts with a non-``str`` key -- is written by ``json.dumps`` and indented
+    to its depth, so the text is the same byte for byte.
+    """
+    if indent is None:
+        return json.dumps(obj, sort_keys=True)
+    if not isinstance(indent, str):
+        indent = " " * indent
+    out = []
+    _write_json(obj, out, "\n", indent)
+    return "".join(out)
+
+
+_INT_ONLY, _STR_ONLY = {int}, {str}
+
+
+def _write_json(obj, out, nl, step):
+    """Append the text of ``obj`` at the depth whose line break is ``nl``."""
+    t = type(obj)
+    if t is str:
+        out.append(_json_str(obj))
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif t is list and obj:
+        inner = nl + step
+        if set(map(type, obj)) == _INT_ONLY:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+            return
+        sep = "[" + inner
+        for x in obj:
+            out.append(sep)
+            _write_json(x, out, inner, step)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict and obj and set(map(type, obj)) == _STR_ONLY:
+        inner = nl + step
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):  # keys are distinct: sorted by key alone
+            if type(v) is str:
+                out.append(sep + _json_str(k) + ": " + _json_str(v))
+            else:
+                out.append(sep + _json_str(k) + ": ")
+                _write_json(v, out, inner, step)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        # a JSON string holds no raw line break, so each one is a new line
+        out.append(json.dumps(obj, indent=step, sort_keys=True).replace("\n", nl))
+
+
+def _negated(s):
+    """A new slice holding the negated entries of ``s``."""
+    return PackedSlice(zip(s, map(neg, s.values())))
 
 
 def _coerce_coeff(x):

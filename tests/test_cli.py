@@ -1,11 +1,16 @@
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
-from enrq import cli
+import pytest
+
+from enrq import cli, enriques, perverse
+from enrq.checks import run_checks
 from enrq.cli import SERIES_IDS, main
 from enrq.ring import LinExpr, is_rational
-from enrq.series import Series
+from enrq.series import Series, json_text
 
 BETTI_RECORDS = [
     {"d": 0, "betti": [1, 2, 1], "complete": True},
@@ -316,6 +321,55 @@ class TestCheck:
         report = json.loads(out)
         assert not report["passed"]
         assert "mismatch" in report["checks"][0]["detail"]
+
+
+# sha256 of the stdout bytes, taken while the CLI wrote its JSON with
+# json.dumps(indent=2, sort_keys=True): the text must stay the same byte for
+# byte, and with it the series cache's entries
+STDOUT_SHA256 = {
+    ("expand", "pt-fiber"): "b53a57337cbeb03cc0437bbbfa3d395b93825196493578111a3aee3ff29be1be",
+    ("expand", "pt-fiber-full"): "655f14f06de14f5e810b0469c751e3af5f1a929a802f80245433c46db50da93f",
+    ("expand", "keyeq-rhs1"): "04b50f94da616650bb66f5720ce9aec2e6ff0e9c255c319929eea0beed60d20b",
+    ("expand", "keyeq-rhs2"): "921c6e57693caff1b5924fe52dff306e4e34a1324a276ac6d2e286d17caf5890",
+    ("expand", "ky-logZ"): "589bc44cde49be30642b9d925e0fc10ca56f55a52ff8d7f3709422719bc9e964",
+    ("expand", "asympt-gf"): "c954ab3341ae38061fa13b7bf2d244f8891f59578f3469d22b01102e27bcfa78",
+    ("expand", "betti-infty"): "9ed93d3ec689ed78f91bcfaabb655ae196f6bef65c9a87fd31ffa16397f9dd1b",
+    ("expand", "omega-half-integral"): "54252e7419b2e01724fbacd465b6164e8be32e52e2e78009398d32ddcfd1146e",
+    ("expand", "pt-fiber-full", "--p-window=-6:6"):
+        "306414f0439af37267e3419d5f326af464d46aa2922bbd32ed71cf20a4a32a3e",
+    ("tables", "--format", "json"): "6072d3550ef7726e00310a59d36fc00be451c83f05eb9acecb55411352107d77",
+    ("tables", "--d", "0:6", "--format", "json"):
+        "526aa51488dddb54f0f01262d73b5168947a6dd40318852ccb138862e5d7a38d",
+    ("check",): "2b40c50cafabf0a067f75db74c2449c20f0d6e07c0542e729a68eb795ddb9fb3",
+}
+# expand at --q-order 6, the tables at 8; the rest at the defaults
+STDOUT_ARGS = {"expand": ["--q-order", "6"], "tables": ["--q-order", "8"], "check": []}
+
+
+def test_every_series_id_has_a_stdout_pin():
+    assert {k[1] for k in STDOUT_SHA256 if k[0] == "expand"} == set(SERIES_IDS)
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=" ".join)
+def test_stdout_bytes_are_pinned(argv, capsys):
+    code, out, _ = run([*argv, *STDOUT_ARGS[argv[0]]], capsys)
+    assert code == (1 if argv[0] == "check" else 0)  # check: dt-special-value fails by design
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+def test_writer_matches_json_dumps_on_tables_grids_and_reports():
+    betti = perverse.BettiTable.default()
+    main_term, second = perverse.ph_main_term(6), perverse.ph_betti_term(betti, 6)
+    docs = [perverse.perverse_table(d, betti, 6, main_term, second).to_json_dict() for d in range(6)]
+    assert any(isinstance(c["value"], dict) for c in docs[-1]["entries"])
+    for parity in ("odd", "even"):
+        grid = enriques.fiber_ph_grid(parity)
+        docs.append([{"i": i, "j": j, "value": str(v)} for (i, j), v in sorted(grid.items()) if v])
+    results = run_checks(["table1", "asymptotics", "dt-special-value"], betti=betti,
+                         q_order=Fraction(6), eta_prefactor=True)
+    docs.append({"passed": all(r["passed"] for r in results), "checks": results})
+    for doc in docs:
+        assert json_text(doc, 2) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_console_entry_point():

@@ -18,11 +18,14 @@ from enrq.perverse import (
     ph_main_term_jacobi,
     primitive_betti_display,
     primitive_pt_forms,
+    signed_cells,
     stabilization_check,
     support_report,
 )
+from enrq import perverse
+from enrq.qfunc import eta, theta
 from enrq.ring import BettiSymbol, LinExpr, betti_symbol, coeff_to_json, rat
-from enrq.series import FRAME_QPU, FRAME_QPUTS, Series, Window
+from enrq.series import FRAME_PU, FRAME_QPU, FRAME_QPUTS, Series, Window, divide_exact
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +95,24 @@ class TestMainTerm:
 
     def test_jacobi_leading_weight_zero(self):
         assert ph_main_term_jacobi(3).wmin() == 0
+
+    @pytest.mark.parametrize("q_order", [8, Fraction(7, 2)])
+    @pytest.mark.parametrize("eta_prefactor", [True, False])
+    def test_jacobi_core_matches_the_padded_build(self, q_order, eta_prefactor):
+        # the core used to build every block one order higher and cut the
+        # product; only the eta quotient loses order, so only it is padded now
+        frame, pad = FRAME_QPU, q_order + 1
+        A = divide_exact(theta({"u": 2}, 2, pad, frame), theta({"u": 2}, 1, pad, frame))
+        e2 = eta(2, pad, prefactor=eta_prefactor).embed(frame)
+        e1 = eta(1, pad, prefactor=eta_prefactor).embed(frame)
+        B = divide_exact(e2**8, e1**16)
+        N = theta({"p": 1, "u": 1}, 2, pad, frame) * theta({"p": 1, "u": -1}, 2, pad, frame)
+        C = divide_exact(N, theta({"p": 1, "u": 1}, 1, pad, frame))
+        C = divide_exact(C, theta({"p": 1, "u": -1}, 1, pad, frame))
+        want = (A * B * C).with_q_order(q_order)
+        got = perverse._jacobi_core(q_order, eta_prefactor)
+        assert got.terms == want.terms
+        assert (got.q_order, got.window) == (want.q_order, want.window)
 
 
 class TestBettiTerm:
@@ -165,6 +186,33 @@ class TestTables:
     def test_csv_unknowns(self, betti, main5, second5):
         csv = perverse_table(2, betti, 5, main5, second5).to_csv()
         assert "0,0,?" in csv.splitlines()
+
+    def test_signed_cells_match_the_terms_view(self, betti, main5, second5):
+        b = betti_symbol(1, 2)
+        odd = Series(FRAME_PU, {(2, 0): 3, (-2, 4): rat(1, 2) + b, (0, -2): -b, (4, 2): 2 * b}, 3)
+        series = [odd] + [main5.coefficient({"q": d}) - second5.coefficient({"q": d}) for d in range(5)]
+        for f in series:
+            want = {}
+            for (ep, eu), c in f.terms.items():
+                i, j = ep // 2, eu // 2
+                want[(i, j)] = -c if (i + j) % 2 else c
+            got = signed_cells(f)
+            assert list(got.items()) == list(want.items())
+        assert signed_cells(odd)[(-1, 2)] == -(rat(1, 2) + b)
+
+    @pytest.mark.parametrize("exps", [(1, 0), (0, -1), (-3, 2)])
+    def test_signed_cells_refuse_half_integral_exponents(self, exps):
+        with pytest.raises(ValueError, match="half-integral"):
+            signed_cells(Series(FRAME_PU, {exps: 1, (2, 2): betti_symbol(1, 2)}, 3))
+
+    def test_tables_negate_no_expression(self, betti, main5, second5, monkeypatch):
+        # the sign goes on the stored numbers before a cell is built
+        def refuse(self):
+            raise AssertionError("LinExpr negated while reading a grid")
+
+        monkeypatch.setattr(LinExpr, "__neg__", refuse)
+        tables = [perverse_table(d, betti, 5, main5, second5) for d in range(5)]
+        assert any(t.unknown_cells() for t in tables)
 
     def test_json_preserves_symbols(self, betti, main5, second5):
         blob = perverse_table(2, betti, 5, main5, second5).to_json_dict()

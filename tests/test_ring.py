@@ -107,6 +107,40 @@ def test_json_round_trip():
     assert coeff_from_json(coeff_to_json(rat(-5, 3))) == rat(-5, 3)
 
 
+def _read(reader, obj):
+    """Value and types of ``reader(obj)`` (a LinExpr's parts one by one), or the
+    type of the error it raises."""
+    try:
+        v = reader(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+    if isinstance(v, LinExpr):
+        return v, type(v.const), [(s, type(c)) for s, c in v.terms.items()]
+    return v, type(v)
+
+
+def _exact_record(obj):
+    """The reading of a coefficient record by ``exact`` alone."""
+    if isinstance(obj, str):
+        return exact(obj)
+    terms = {BettiSymbol(t["d"], t["i"]): exact(t["coef"]) for t in obj["terms"]}
+    return ring.linexpr(exact(obj["const"]), {s: c for s, c in terms.items() if c})
+
+
+@pytest.mark.parametrize(
+    "text", ["-0", "007", " 3", "+3", "3/4", "-12", "\u0663", "-\u0663", "1_000", "--3", "-", "", "12\n"]
+)
+def test_json_reader_matches_exact(text):
+    # the int shortcut takes only ASCII -?[0-9]+; every other string, a
+    # non-ASCII digit included, is read by exact() as before
+    assert _read(coeff_from_json, text) == _read(_exact_record, text)
+    for record in (
+        {"const": text, "terms": [{"d": 1, "i": 2, "coef": text}]},
+        {"const": "1/2", "terms": [{"d": 1, "i": 2, "coef": text}, {"d": 2, "i": 0, "coef": "-5"}]},
+    ):
+        assert _read(coeff_from_json, record) == _read(_exact_record, record)
+
+
 _sym = st.tuples(st.integers(0, 3), st.integers(0, 6)).filter(lambda di: di[1] <= 4 * di[0] + 2)
 _coef = st.integers(-9, 9).map(rat)
 

@@ -1,3 +1,4 @@
+import json
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
@@ -5,6 +6,8 @@ from itertools import count
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_agree, random_series
 from oracles import (
@@ -54,6 +57,7 @@ from enrq.series import (
     agree,
     divide_exact,
     exp_series,
+    json_text,
     log_series,
     product_expand,
 )
@@ -140,6 +144,45 @@ class TestAdd:
     def test_frame_mismatch(self):
         with pytest.raises(ValueError):
             Series.one(FRAME_Q) + Series.one(FRAME_QP)
+
+    def test_sub_matches_adding_the_negation(self, rng):
+        syms = [betti_symbol(1, 2), betti_symbol(2, 3), betti_symbol(0, 1)]
+
+        def draw(q_order, window):
+            floor = -4 if window is None else window.lo
+            terms = {}
+            for _ in range(rng.randint(0, 8)):
+                e = (24 * rng.randint(0, 3), rng.randint(floor, floor + 8), rng.randint(-2, 2))
+                c = rat(rng.randint(-3, 3), rng.randint(1, 2))
+                if rng.random() < 0.4:
+                    c = c + rng.randint(-2, 2) * rng.choice(syms)
+                if c:
+                    terms[e] = c
+            return Series(FRAME_QPU, terms, q_order, window)
+
+        orders = [None, 1, 2, Fraction(7, 3), 4]
+        windows = [None, Window(-4, 4, True), Window(-2, 3, True)]
+        for _ in range(150):
+            a = draw(rng.choice(orders), rng.choice(windows))
+            b = draw(rng.choice(orders), rng.choice(windows))
+            # share a's slices with b, so some weights cancel to nothing
+            b = rng.choice([b, a, a + b, b - a])
+            for x, y in ((a, b), (b, a), (a, a)):
+                got, want = x - y, x + (-y)
+                assert got == want
+                assert (got.q_order, got.window) == (want.q_order, want.window)
+                assert list(got.slices) == list(want.slices)
+                for W, sl in got.slices.items():
+                    assert sl and list(sl.items()) == list(want.slices[W].items())
+                    assert [type(c) for c in sl.values()] == [type(c) for c in want.slices[W].values()]
+            assert (a - a).is_zero()
+
+    def test_sub_of_a_coefficient(self):
+        f = Series(FRAME_QPU, {(0, 0, 0): 3, (24, 2, 0): 1}, 2)
+        b = betti_symbol(1, 2)
+        assert f - 3 == f + (-3)
+        assert f - (2 + b) == f + (-(2 + b))
+        assert 5 - f == -f + 5
 
 
 class TestMul:
@@ -1319,6 +1362,74 @@ class TestSerialization:
             assert back.terms == s.terms
             assert coeff_types(back) == coeff_types(s)
         assert any(type(c) is int for c in series[0].terms.values())
+
+
+def stdlib_text(obj, indent=2):
+    return json.dumps(obj, indent=indent, sort_keys=True)
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "a\"b\\c"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.integers(), max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    max_leaves=25,
+)
+
+
+class TestJsonText:
+    """``json_text`` is ``json.dumps(..., indent=..., sort_keys=True)`` byte for byte."""
+
+    @pytest.mark.parametrize("name", SERIES_IDS)
+    def test_every_cli_series(self, name):
+        parser = cli._parser()
+        args = parser.parse_args(["expand", name, "--q-order", "6"])
+        doc = cli._build_series(name, args).to_json_dict()
+        assert json_text(doc, 2) == stdlib_text(doc)
+
+    def test_symbols_and_window(self):
+        parser = cli._parser()
+        rhs2 = cli._build_series("keyeq-rhs2", parser.parse_args(["expand", "keyeq-rhs2", "--q-order", "4"]))
+        assert rhs2.has_symbols()
+        args = parser.parse_args(["expand", "pt-fiber-full", "--q-order", "4", "--p-window=-6:6"])
+        windowed = cli._build_series("pt-fiber-full", args)
+        assert windowed.window is not None
+        for f in (rhs2, windowed):
+            doc = f.to_json_dict()
+            assert f.dumps(indent=2) == json_text(doc, 2) == stdlib_text(doc)
+            assert f.dumps() == json.dumps(doc, sort_keys=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_JSON_VALUES, indent=st.sampled_from([2, 0, 4, "\t", None]))
+    def test_nested_values(self, obj, indent):
+        assert json_text(obj, indent) == stdlib_text(obj, indent)
+
+    @pytest.mark.parametrize("obj", [
+        {"a": [], "b": {}, "c": [[], {}], "d": [1, True, None, 1.5], "e": (1, 2)},
+        {"q": {1: "x", 2.5: [1]}, "r": {False: 0, True: {"x": [2]}}},
+        [10**30, -(10**30), 0, -1],
+        {"\u00e9": "\x00", "\"": "\\"},
+    ])
+    def test_fixed_values(self, obj):
+        assert json_text(obj, 2) == stdlib_text(obj)
+
+    def test_unsortable_keys_raise_as_json_does(self):
+        for obj in ({"a": {1: 0, "b": 1}}, [{1: 0, "b": 1}]):
+            with pytest.raises(TypeError):
+                stdlib_text(obj)
+            with pytest.raises(TypeError):
+                json_text(obj, 2)
 
 
 def coeff_types(s):
