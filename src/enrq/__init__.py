@@ -33,7 +33,6 @@ from .series import (
     TruncationLoss,
     Window,
     WindowUnderflow,
-    adams,
     agree,
     divide_exact,
     exp_series,

@@ -80,7 +80,7 @@ def _grid_matches(table, expected):
     return problems
 
 
-def check_table1(betti, q_order=8, eta_prefactor=True, **_):
+def check_table1(betti, q_order=8, **_):
     _, main, second = perverse._identity_terms(betti, 4)
     table = perverse.perverse_table(0, betti, 4, main, second)
     problems = _grid_matches(table, TABLE_D0)
@@ -144,7 +144,7 @@ def check_gv_closed_forms(betti=None, q_order=8, **_):
     q_order = min(_as_order(q_order), Fraction(7))
     window = _default_window()
     Z = enriques.pt_fiber_full(q_order, window)
-    Zb = Z.specialize({"t": {"u": 1}, "s": {"u": 1}})
+    Zb = enriques.betti_realization(Z)
     gv = enriques.gv_refined_extract(Zb, q_order)
     problems = []
     if not gv[0].is_zero():
@@ -168,9 +168,9 @@ def check_toda_vs_prop(betti=None, q_order=9, **_):
     return _result("toda-vs-prop", ok, "" if ok else f"first mismatch {info}")
 
 
-def check_jacobi_vs_product(betti=None, q_order=9, eta_prefactor=True, **_):
+def check_jacobi_vs_product(betti=None, q_order=9, **_):
     q_order = max(_as_order(q_order), Fraction(9))
-    jac = perverse.ph_main_term_jacobi(q_order, eta_prefactor=eta_prefactor)
+    jac = perverse.ph_main_term_jacobi(q_order)
     plain = perverse.ph_main_term(q_order)
     ok, info = agree(jac, plain)
     return _result("jacobi-vs-product", ok, "" if ok else f"first mismatch {info}")
@@ -272,19 +272,20 @@ def check_properties(betti, q_order=8, **_):
     problems = []
     # GV inversion symmetry on every extracted polynomial
     window = _default_window()
-    Zb = enriques.pt_fiber_full(5, window).specialize({"t": {"u": 1}, "s": {"u": 1}})
+    Zb = enriques.betti_realization(enriques.pt_fiber_full(5, window))
     for d, gv in enriques.gv_refined_extract(Zb, 5).items():
         if not (gv.symmetric_p() and gv.symmetric_u()):
             problems.append(f"GV degree {d} asymmetric")
-    # table duality and Betti recovery (recovery sums the full slice: for
-    # d >= 3 a symbol cell sits just outside the table's support box)
+    # duality and Betti recovery, both over the full slice (for d >= 3 a
+    # symbol cell sits just outside the table's support box)
     _, main, second = perverse._identity_terms(betti, 5)
     for d in range(4):
-        table = perverse.perverse_table(d, betti, 5, main, second)
-        if table.duality_violations():
-            problems.append(f"d={d} duality violations {table.duality_violations()}")
+        cells = perverse.identity_cells(d, betti, 5, main, second)
+        violations = perverse.PerverseTable(d, cells).duality_violations()
+        if violations:
+            problems.append(f"d={d} duality violations {violations}")
         sums = {}
-        for (i, j), c in perverse.identity_cells(d, betti, 5, main, second).items():
+        for (i, j), c in cells.items():
             sums[i + j] = sums.get(i + j, 0) + c
         for k in range(-(2 * d + 1), 2 * d + 2):
             total = sums.get(k, 0)

@@ -9,7 +9,6 @@ All refined values live in the variables (t, s); the Betti realization sets
 t = s = u, the chi_t specialization sets s = 1, the Euler limit t = s = 1.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, gcd
 from operator import add
@@ -44,7 +43,6 @@ __all__ = [
     "MissingDivisor",
     "UnstableWindow",
     "NotInBasisSpan",
-    "DTKey",
     "DTValue",
     "GVPolynomial",
     "hodge_chi",
@@ -75,8 +73,6 @@ __all__ = [
     "local_enriques_gv",
     "smooth_curve_pt_series",
     "smooth_curve_pt_closed",
-    "dt_table_to_json",
-    "dt_table_from_json",
     "dt_reference_values",
 ]
 
@@ -178,32 +174,6 @@ def equivariant_hilb_vir_series(fixed_points, resolution_vir, q_order):
 
 # -- DT / Omega values -------------------------------------------------------
 
-@dataclass(frozen=True)
-class DTKey:
-    """Chern-character key (r, d, n) for sheaves on fiber classes beta = d*f.
-
-    The value is determined by the square v^2 = -2rn - r^2 (fiber classes have
-    beta^2 = 0), the divisibility and the parity of beta; ``kind`` carries the
-    opaque type metadata and is never computed from geometry here.
-    """
-
-    r: int
-    d: int
-    n: int
-    kind: str = ""
-
-    @property
-    def square(self):
-        return -2 * self.r * self.n - self.r * self.r
-
-    @property
-    def divisibility(self):
-        g = gcd(gcd(self.r, self.d), self.n)
-        if g == 0:
-            raise ValueError("zero Chern character")
-        return g
-
-
 class DTValue:
     """A refined invariant stored as numerator/denominator of (t,s)-Laurent polynomials.
 
@@ -226,14 +196,6 @@ class DTValue:
         return DTValue(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
-
-    def __mul__(self, scalar):
-        return DTValue(self.num * scalar, self.den)
-
-    __rmul__ = __mul__
-
-    def adams(self, k):
-        return DTValue(self.num.adams(k), self.den.adams(k))
 
     def specialize(self, mapping):
         return DTValue(self.num.specialize(mapping), self.den.specialize(mapping))
@@ -291,10 +253,14 @@ def _divisors(n):
 
 
 def bps_to_dt(omega_table, key):
-    """DT(v) = sum_{k|v} Omega(v/k)|_{adams k} / (k [k])."""
+    """DT(v) = sum_{k | gcd(r, d, n)} Omega(v/k)|_{adams k} / (k [k]) for v = (r, d, n)."""
+    r, d, n = key
+    g = gcd(r, d, n)
+    if not g:
+        raise ValueError("zero Chern character")
     acc = DTValue(Series.zero(FRAME_TS))
-    for k in _divisors(key.divisibility):
-        sub = (key.r // k, key.d // k, key.n // k)
+    for k in _divisors(g):
+        sub = (r // k, d // k, n // k)
         if sub not in omega_table:
             raise MissingDivisor(f"no Omega value for {sub}")
         om = omega_table[sub]
@@ -664,25 +630,6 @@ def smooth_curve_pt_closed(g, order):
     )
     mono = Series.monomial(frame, {"p": 1 - g}, (-1) ** ((1 - g) % 2))
     return (inner * mono).with_q_order(q_order)
-
-
-# -- serialization of DT / Omega tables ---------------------------------------------
-
-def dt_table_to_json(table):
-    """JSON array keyed by (r, d, n), each value a num/den pair of series dumps."""
-    return [
-        {"r": r, "d": d, "n": n, "num": v.num.to_json_dict(), "den": v.den.to_json_dict()}
-        for (r, d, n), v in sorted(table.items())
-    ]
-
-
-def dt_table_from_json(records):
-    return {
-        (rec["r"], rec["d"], rec["n"]): DTValue(
-            Series.from_json_dict(rec["num"]), Series.from_json_dict(rec["den"])
-        )
-        for rec in records
-    }
 
 
 # -- reference values -------------------------------------------------------------

@@ -182,16 +182,17 @@ def ph_main_term(q_order):
     return _main_prefactor(FRAME_QPU) * product_expand(FRAME_QPU, factors, q_order)
 
 
-def _jacobi_core(q_order, eta_prefactor=True):
+def _jacobi_core(q_order):
     """Theta(u^2,q^2)/Theta(u^2,q) * eta(q^2)^8/eta(q)^16
     * Theta(pu,q^2)Theta(p/u,q^2) / (Theta(pu,q)Theta(p/u,q)), in (q, p, u)."""
     frame = FRAME_QPU
     q_order = _as_order(q_order)
     # a theta divisor leads at weight 0 and costs no order; eta(q)^16 leads
-    # at q^(2/3) with the prefactor, so only the eta quotient is padded
+    # at q^(2/3) with the prefactor, so only the eta quotient is padded (the
+    # prefactors cancel, q^(8*2/24) / q^(16/24) = 1: no eta convention reaches the core)
     A = divide_exact(theta({"u": 2}, 2, q_order, frame), theta({"u": 2}, 1, q_order, frame))
-    e2 = eta(2, q_order + 1, prefactor=eta_prefactor).embed(frame)
-    e1 = eta(1, q_order + 1, prefactor=eta_prefactor).embed(frame)
+    e2 = eta(2, q_order + 1).embed(frame)
+    e1 = eta(1, q_order + 1).embed(frame)
     B = divide_exact(e2**8, e1**16).with_q_order(q_order)
     N = theta({"p": 1, "u": 1}, 2, q_order, frame) * theta({"p": 1, "u": -1}, 2, q_order, frame)
     C = divide_exact(N, theta({"p": 1, "u": 1}, 1, q_order, frame))
@@ -199,14 +200,14 @@ def _jacobi_core(q_order, eta_prefactor=True):
     return (A * B * C).with_q_order(q_order)
 
 
-def ph_main_term_jacobi(q_order, eta_prefactor=True):
+def ph_main_term_jacobi(q_order):
     """The main term assembled from theta/eta building blocks and exact division.
 
     Must agree with :func:`ph_main_term` coefficientwise; a mismatch (or an
     inexact division on the way) signals a wrong theta/eta convention.
     """
     q_order = _as_order(q_order)
-    core = _jacobi_core(q_order, eta_prefactor)
+    core = _jacobi_core(q_order)
     return (_main_prefactor(FRAME_QPU) * core).with_q_order(q_order)
 
 
@@ -495,7 +496,7 @@ def primitive_pt_forms(betti, q_order, window, eta_prefactor=True):
     }
 
 
-def primitive_betti_display(betti, q_order, window, eta_prefactor=True):
+def primitive_betti_display(betti, q_order, window):
     """The Betti-realized (t = s = u) primitive series, built directly in (q,p,u):
 
     8 Theta(u^2,q^2)/Theta(u^2,q) eta(q^2)^8/eta(q)^16
@@ -505,14 +506,14 @@ def primitive_betti_display(betti, q_order, window, eta_prefactor=True):
     frame = FRAME_QPU
     q_order = _as_order(q_order)
     pad = q_order + 1
-    first = _jacobi_core(q_order, eta_prefactor) * 8
+    first = _jacobi_core(q_order) * 8
     th_u = theta_product({"u": 2}, 2, pad, frame)
     ip2 = inv_theta_pair({"p": 1}, {"u": 1}, 2, q_order, frame, window)
     oi = omega_integral_series(betti, q_order, frame)
     return first - oi * th_u * ip2
 
 
-def check_primitive_chain(betti=None, q_order=6, window=None, eta_prefactor=True):
+def check_primitive_chain(betti=None, q_order=6, eta_prefactor=True):
     """Coefficientwise comparison of the three primitive forms (symbols carried).
 
     Also checks that the Betti specialization t = s = u of the eta_form equals
@@ -521,13 +522,12 @@ def check_primitive_chain(betti=None, q_order=6, window=None, eta_prefactor=True
     from .series import agree
 
     betti = betti or BettiTable.default()
-    if window is None:
-        window = Window(-2 * (int(q_order) + 4), 2 * (int(q_order) + 4), False)
-    forms = primitive_pt_forms(betti, q_order, window, eta_prefactor=eta_prefactor)
+    window = Window(-2 * (int(q_order) + 4), 2 * (int(q_order) + 4), False)
+    forms = primitive_pt_forms(betti, q_order, window, eta_prefactor)
     ok12, info12 = agree(forms["sum_form"], forms["theta_form"])
     ok13, info13 = agree(forms["sum_form"], forms["eta_form"])
     spec = forms["eta_form"].specialize({"t": {"u": 1}, "s": {"u": 1}})
-    disp = primitive_betti_display(betti, q_order, window, eta_prefactor=eta_prefactor)
+    disp = primitive_betti_display(betti, q_order, window)
     okb, infob = agree(spec, disp)
     return {
         "sum_vs_theta": {"ok": ok12, "mismatch": info12},
@@ -563,12 +563,15 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
         and their limits again match the asymptotic series.
     """
     q_order = d_hi + 1
-    betti, main, second = _identity_terms(betti, q_order, main, second)
+    _, main, second = _identity_terms(betti, q_order, main, second)
     gf = asymptotic_ph_gf(q_order)
     report = {"shifted": [], "vanishing": [], "stable": [], "ok": True}
+    # each term sliced once per degree: (a) reads both from d_lo, (b) second from 1, (c) main from 2
+    ms = {d: main.coefficient({"q": d}) for d in range(min(d_lo, 2), d_hi + 1)}
+    ss = {d: second.coefficient({"q": d}) for d in range(min(d_lo, 1), d_hi + 1)}
 
     for d in range(d_lo, d_hi + 1):
-        cells = identity_cells(d, betti, q_order, main, second)
+        cells = signed_cells(ms[d] - ss[d])
         for i in range((d - 1) // 2 + 1):
             for j in range((d - 1) // 2):
                 got = cells.get((i - d - 1, j - d), 0)
@@ -584,14 +587,14 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
                 )
 
     for d in range(1, d_hi + 1):
-        cells = signed_cells(second.coefficient({"q": d}))
+        cells = signed_cells(ss[d])
         for i in range(-(d + 1), -((d + 2) // 2)):
             for j in range(-d, -((d + 2) // 2)):
                 ok = not cells.get((i, j), 0)
                 report["ok"] &= ok
                 report["vanishing"].append({"d": d, "i": i, "j": j, "ok": ok})
 
-    main_cells = {d: signed_cells(main.coefficient({"q": d})) for d in range(2, d_hi + 1)}
+    main_cells = {d: signed_cells(ms[d]) for d in range(2, d_hi + 1)}
     for i in range(4):
         for j in range(4):
             # onset: one degree beyond 3(i+j)/4 (the tighter bound misses by

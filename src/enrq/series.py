@@ -86,7 +86,6 @@ __all__ = [
     "divide_exact",
     "exp_series",
     "log_series",
-    "adams",
     "product_expand",
     "agree",
     "json_text",
@@ -1307,10 +1306,6 @@ def log_series(f):
         inv = rat(1, W)  # L_W = (DL)_W / W
         slices[W] = PackedSlice({k: c * inv for k, c in s.items()})
     return Series._from_slices(frame, slices, target, window)
-
-
-def adams(f, k):
-    return f.adams(k)
 
 
 def product_expand(frame, factors, q_order, window=None):

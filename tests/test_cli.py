@@ -322,6 +322,17 @@ class TestCheck:
         assert not report["passed"]
         assert "mismatch" in report["checks"][0]["detail"]
 
+    def test_negative_control_reaches_only_the_three_form_chain(self, capsys):
+        # the Jacobi main term's eta prefactors cancel, so jacobi-vs-product
+        # still passes; dt-special-value fails with or without the control
+        code, out, _ = run(["check", "--eta-no-prefactor"], capsys)
+        assert code == 1
+        checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+        assert checks["jacobi-vs-product"]
+        assert sorted(n for n, ok in checks.items() if not ok) == [
+            "chain-three-forms", "dt-special-value",
+        ]
+
 
 # sha256 of the stdout bytes, taken while the CLI wrote its JSON with
 # json.dumps(indent=2, sort_keys=True): the text must stay the same byte for

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from math import comb
 
@@ -6,7 +5,6 @@ import pytest
 
 from conftest import assert_agree
 from enrq.enriques import (
-    DTKey,
     DTValue,
     MissingDivisor,
     NotInBasisSpan,
@@ -154,16 +152,16 @@ class TestDTValues:
 
     def test_bps_inversion_reconstructs_dt(self):
         table = {(1, 1, 0): omega_fiber(1, 1), (2, 2, 0): omega_fiber(2, 2)}
-        rec = bps_to_dt(table, DTKey(2, 2, 0))
+        rec = bps_to_dt(table, (2, 2, 0))
         assert rec.same_as(dt_fiber(2, 2))
 
     def test_primitive_key_is_identity(self):
         table = {(1, 3, 0): omega_fiber(1, 3)}
-        assert bps_to_dt(table, DTKey(1, 3, 0)).same_as(omega_fiber(1, 3))
+        assert bps_to_dt(table, (1, 3, 0)).same_as(omega_fiber(1, 3))
 
     def test_missing_divisor(self):
         with pytest.raises(MissingDivisor):
-            bps_to_dt({}, DTKey(2, 2, 0))
+            bps_to_dt({}, (2, 2, 0))
 
     def test_euler_value_is_exact(self):
         # integer numerator and denominator whose quotient is not an integer
@@ -173,10 +171,20 @@ class TestDTValues:
         assert dt_fiber(1, 1).euler() == 8 and type(dt_fiber(1, 1).euler()) is int
 
     def test_key_metadata(self):
-        k = DTKey(2, 4, 1)
-        assert k.square == -2 * 2 * 1 - 4
-        assert k.divisibility == 1
-        assert DTKey(2, 4, 0).divisibility == 2
+        # the divisors of gcd(r, d, n) decide which Omega values are read
+        class Asked(dict):
+            def __contains__(self, key):
+                self.setdefault(key, omega_fiber(key[0], key[1]))
+                return True
+
+        for key, want in (((2, 4, 1), [(2, 4, 1)]), ((2, 4, 0), [(2, 4, 0), (1, 2, 0)])):
+            asked = Asked()
+            bps_to_dt(asked, key)
+            assert list(asked) == want
+
+    def test_zero_key_is_refused(self):
+        with pytest.raises(ValueError, match="zero Chern character"):
+            bps_to_dt({}, (0, 0, 0))
 
 
 class TestAssembly:
@@ -398,7 +406,7 @@ class TestReferenceValues:
 
     def test_rank2_value_consistent_with_bps_route(self):
         vals = dt_reference_values()
-        rec = bps_to_dt({(1, 1, 0): omega_fiber(1, 1), (2, 2, 0): omega_fiber(2, 2)}, DTKey(2, 2, 0))
+        rec = bps_to_dt({(1, 1, 0): omega_fiber(1, 1), (2, 2, 0): omega_fiber(2, 2)}, (2, 2, 0))
         assert vals["dt_2_2f_0"].same_as(rec)
         assert vals["dt_2_2f_0"].euler() == 0
 
@@ -416,13 +424,3 @@ class TestReferenceValues:
             {frame.exps({"t": -1}): rat(1), frame.exps({}): rat(-2), frame.exps({"t": 1}): rat(1)},
         )
         assert chit.num == tri * rat(-1)
-
-
-def test_dt_table_json_round_trip():
-    from enrq.enriques import dt_table_from_json, dt_table_to_json
-
-    table = dt_fiber_table(5)
-    text = json.dumps(dt_table_to_json(table), sort_keys=True)
-    back = dt_table_from_json(json.loads(text))
-    assert set(back) == set(table)
-    assert all(back[k].same_as(table[k]) for k in table)

@@ -100,7 +100,8 @@ class TestMainTerm:
     @pytest.mark.parametrize("eta_prefactor", [True, False])
     def test_jacobi_core_matches_the_padded_build(self, q_order, eta_prefactor):
         # the core used to build every block one order higher and cut the
-        # product; only the eta quotient loses order, so only it is padded now
+        # product; only the eta quotient loses order, so only it is padded now.
+        # Both prefactor builds give the one core: the eta prefactors cancel
         frame, pad = FRAME_QPU, q_order + 1
         A = divide_exact(theta({"u": 2}, 2, pad, frame), theta({"u": 2}, 1, pad, frame))
         e2 = eta(2, pad, prefactor=eta_prefactor).embed(frame)
@@ -110,7 +111,7 @@ class TestMainTerm:
         C = divide_exact(N, theta({"p": 1, "u": 1}, 1, pad, frame))
         C = divide_exact(C, theta({"p": 1, "u": -1}, 1, pad, frame))
         want = (A * B * C).with_q_order(q_order)
-        got = perverse._jacobi_core(q_order, eta_prefactor)
+        got = perverse._jacobi_core(q_order)
         assert got.terms == want.terms
         assert (got.q_order, got.window) == (want.q_order, want.window)
 
@@ -342,6 +343,44 @@ class TestStabilization:
     def test_full_report(self, betti):
         rep = stabilization_check(betti, 5, 8)
         assert rep["ok"]
+
+    @pytest.mark.parametrize("d_lo, d_hi, calls", [(5, 8, 15), (0, 4, 10), (1, 3, 6)])
+    def test_each_term_is_sliced_once_per_degree(self, betti, d_lo, d_hi, calls, monkeypatch):
+        main, second = ph_main_term(d_hi + 1), ph_betti_term(betti, d_hi + 1)
+        want = stabilization_check(betti, d_lo, d_hi, main, second)
+        seen = []
+        coefficient = Series.coefficient
+
+        def counting(self, *args, **kwargs):
+            seen.append(self is main)
+            return coefficient(self, *args, **kwargs)
+
+        monkeypatch.setattr(Series, "coefficient", counting)
+        assert stabilization_check(betti, d_lo, d_hi, main, second) == want
+        # main from min(d_lo, 2) and second from min(d_lo, 1), each through d_hi
+        assert len(seen) == calls
+        assert seen.count(True) == d_hi + 1 - min(d_lo, 2)
+
+    def test_properties_check_slices_each_term_once_per_degree(self, betti, monkeypatch):
+        from enrq import checks
+
+        terms, seen = [], []
+        identity_terms = perverse._identity_terms
+        coefficient = Series.coefficient
+
+        def keeping(*args):
+            out = identity_terms(*args)
+            terms.extend(out[1:])
+            return out
+
+        def counting(self, *args, **kwargs):
+            seen.append(any(self is t for t in terms))
+            return coefficient(self, *args, **kwargs)
+
+        monkeypatch.setattr(perverse, "_identity_terms", keeping)
+        monkeypatch.setattr(Series, "coefficient", counting)
+        assert checks.check_properties(betti)["passed"]
+        assert seen.count(True) == 2 * 4  # main and second at d = 0..3
 
     def test_specific_shifted_values(self, betti):
         main = ph_main_term(9)
