@@ -26,18 +26,6 @@ from .kernel import BACKEND
 from .ring import RATIONAL_BACKEND
 from .series import FieldOverflow, Window, json_text
 
-SERIES_IDS = (
-    "pt-fiber",
-    "pt-fiber-full",
-    "keyeq-rhs1",
-    "keyeq-rhs2",
-    "ky-logZ",
-    "asympt-gf",
-    "betti-infty",
-    "omega-half-integral",
-)
-
-
 # flags whose value may start with "-", which argparse would take for an option
 SIGNED_FLAGS = ("--p-window", "--d", "--q-order")
 
@@ -153,26 +141,23 @@ def _emit(text, args, filename):
             sys.stdout.write("\n")
 
 
+# every series id once: its builder, and the options besides --q-order that
+# the builder reads (the cache key holds only those)
+_SERIES = {
+    "pt-fiber": (lambda args: enriques.pt_fiber_series(args.q_order), ()),
+    "pt-fiber-full": (lambda args: enriques.pt_fiber_full(args.q_order, _window(args)), ("p_window",)),
+    "keyeq-rhs1": (lambda args: perverse.ph_main_term(args.q_order), ()),
+    "keyeq-rhs2": (lambda args: perverse.ph_betti_term(_betti(args), args.q_order), ("betti_file",)),
+    "ky-logZ": (lambda args: enriques.local_enriques_log_pt(args.q_order), ()),
+    "asympt-gf": (lambda args: perverse.asymptotic_ph_gf(args.q_order), ()),
+    "betti-infty": (lambda args: perverse.asymptotic_betti_gf(args.q_order), ()),
+    "omega-half-integral": (lambda args: perverse.omega_half_integral_series(args.q_order), ()),
+}
+SERIES_IDS = tuple(_SERIES)
+
+
 def _build_series(name, args):
-    q_order = args.q_order
-    window = _window(args)
-    if name == "pt-fiber":
-        return enriques.pt_fiber_series(q_order)
-    if name == "pt-fiber-full":
-        return enriques.pt_fiber_full(q_order, window)
-    if name == "keyeq-rhs1":
-        return perverse.ph_main_term(q_order)
-    if name == "keyeq-rhs2":
-        return perverse.ph_betti_term(_betti(args), q_order)
-    if name == "ky-logZ":
-        return enriques.local_enriques_log_pt(q_order)
-    if name == "asympt-gf":
-        return perverse.asymptotic_ph_gf(q_order)
-    if name == "betti-infty":
-        return perverse.asymptotic_betti_gf(q_order)
-    if name == "omega-half-integral":
-        return perverse.omega_half_integral_series(q_order)
-    raise KeyError(name)
+    return _SERIES[name][0](args)
 
 
 def cmd_expand(args):
@@ -184,15 +169,16 @@ def cmd_expand(args):
     cache_path = None
     if cache_dir:
         # content-addressed: only what the id reads, so equal text shares
-        # one entry (the window top of pt-fiber-full, the Betti bytes of
-        # keyeq-rhs2), plus the version and backends
-        betti = args.betti_file if name == "keyeq-rhs2" else None
+        # one entry (of a window only its top, of a Betti file its bytes),
+        # plus the version and backends
+        reads = _SERIES[name][1]
+        betti = args.betti_file if "betti_file" in reads else None
         key = hashlib.sha256(
             json.dumps(
                 {
                     "id": name,
                     "q_order": str(args.q_order),
-                    "p_hi": args.p_window[1] if name == "pt-fiber-full" else None,
+                    "p_hi": args.p_window[1] if "p_window" in reads else None,
                     "betti_sha256": betti and betti.sha256,
                     "version": __version__,
                     "kernel": BACKEND,

@@ -14,7 +14,7 @@ from math import ceil, comb, gcd
 from operator import add
 
 from .config import hodge_inputs, parse_hodge
-from .perverse import _main_prefactor, signed_cells
+from .perverse import _main_prefactor
 from .qfunc import inv_zero_mode, plethystic_exp, plethystic_log, quantum_integer, virtual_shift
 from .ring import qdiv, rat
 from .series import (
@@ -35,6 +35,7 @@ from .series import (
     divide_exact,
     exp_series,
     product_expand,
+    signed_cells,
 )
 
 FRAME_UTS = Frame(("u", "t", "s"), (2, 2, 2), (0, 0, 0))
@@ -436,9 +437,6 @@ class GVPolynomial:
         flipped = {(e[0], -e[1]): c for e, c in self.poly.terms.items()}
         return flipped == self.poly.terms
 
-    def at_u1(self):
-        return self.poly.specialize({"u": 1})
-
     def __repr__(self):
         return f"GVPolynomial({self.poly!r})"
 
@@ -521,8 +519,6 @@ def ng_from_gv(poly, basis="standard"):
     (-p)^{1-g}(1-p)^{2g-2} (g >= 1), the shape taken by Log-of-partition-
     function coefficients.
     """
-    if isinstance(poly, GVPolynomial):
-        poly = poly.at_u1()
     if poly.frame != FRAME_P0:
         poly = poly.embed(FRAME_P0)
     flipped = {(-e[0],): c for e, c in poly.terms.items()}

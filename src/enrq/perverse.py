@@ -8,8 +8,8 @@ minus a Betti-dependent correction:
 
 A grid cell (i, j) is (-1)^{i+j} times the coefficient of p^i u^j q^d: every
 grid (tables, support reports, stabilization, fiber grids) is read by
-:func:`signed_cells`, the one place that halves the scaled (p, u) exponents and
-applies the sign, fed the q^d slice of main - second by :func:`identity_cells`.
+:func:`enrq.series.signed_cells`, fed the q^d slice of main - second by
+:func:`identity_cells`, at the truncation order d + 1 unless one is given.
 Known Betti numbers make table entries Determined; missing ones enter as
 formal symbols and surface as "?" cells.  The module also carries the
 odd-class primitive stable-pair identity chain (the same data written as a
@@ -21,9 +21,8 @@ from fractions import Fraction
 from math import ceil
 
 from .config import betti_defaults
-from .kernel import BIAS, FIELD_MASK
 from .qfunc import eta, inv_theta_pair, inv_zero_mode, quantum_integer, theta, theta_pair, theta_product
-from .ring import SYMBOL_BY_ID, LinExpr, betti_symbol, coeff_to_json, exact, linexpr, qdiv
+from .ring import LinExpr, betti_symbol, coeff_to_json, exact, qdiv
 from .series import (
     FRAME_QPU,
     FRAME_QPUTS,
@@ -35,6 +34,7 @@ from .series import (
     _as_order,
     divide_exact,
     product_expand,
+    signed_cells,
 )
 
 __all__ = [
@@ -319,43 +319,6 @@ def _identity_terms(betti, q_order, main=None, second=None):
     if second is None:
         second = ph_betti_term(betti, q_order)
     return betti, main, second
-
-
-def signed_cells(series):
-    """Grid cells {(i, j): (-1)^{i+j} c} of a Laurent polynomial in (p, u).
-
-    c is the coefficient of p^i u^j, so the scaled exponents (half-steps) are
-    halved; a half-integral exponent raises ``ValueError``.  The cells are
-    gathered from the packed slices as ``Series.terms`` gathers them, with
-    the sign put on each stored number first, so a symbol-carrying cell is
-    built once.  BIAS is 0 mod 4, so bit 0 of a packed p (u) field is the
-    parity of the scaled exponent and bit 1 that of i (j).
-    """
-    sp, su = series.frame.shifts
-    half = 1 << sp | 1 << su
-    cells = {}
-    for s in series.slices.values():
-        gathered, syms = {}, {}
-        for k, c in s.items():
-            if (k >> sp ^ k >> su) & 2:
-                c = -c
-            sid = k & FIELD_MASK
-            if sid:
-                m = k - sid
-                t = syms.get(m)
-                if t is None:
-                    syms[m] = t = {}
-                t[SYMBOL_BY_ID[sid]] = c
-            else:
-                gathered[k] = c
-        for m, t in syms.items():
-            gathered[m] = linexpr(gathered.get(m, 0), t)
-        if any(map(half.__and__, gathered)):
-            raise ValueError("half-integral exponent in a perverse-Hodge grid slice")
-        keys = list(gathered)
-        cols = [[((k >> sh & FIELD_MASK) - BIAS) >> 1 for k in keys] for sh in (sp, su)]
-        cells.update(zip(zip(*cols), gathered.values()))
-    return cells
 
 
 def identity_cells(d, betti=None, q_order=None, main=None, second=None):

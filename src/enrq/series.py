@@ -88,6 +88,7 @@ __all__ = [
     "log_series",
     "product_expand",
     "agree",
+    "signed_cells",
     "json_text",
     "FRAME_Q",
     "FRAME_QP",
@@ -342,10 +343,13 @@ def _pack(frame, terms):
     return out
 
 
-def _gather(packed):
-    """``{monomial key: coefficient}``: symbol entries join their constant in a ``LinExpr``."""
+def _gather(packed, sign_bits=0):
+    """``{monomial key: coefficient}``: symbol entries join their constant in a ``LinExpr``,
+    each stored number first negated if its key sets an odd number of ``sign_bits``."""
     out, syms, symbol = {}, {}, SYMBOL_BY_ID
     for k, c in packed.items():
+        if sign_bits and (k & sign_bits).bit_count() & 1:
+            c = -c
         sid = k & FIELD_MASK
         if sid:
             m = k - sid
@@ -676,22 +680,16 @@ class Series:
             raise WindowUnderflow("cannot invert a p-windowed series")
         if not self.slices:
             raise NonUnitLeadingTerm("zero series has no inverse")
-        frame = self.frame
-        w0s, lead = next(iter(self.slices.items()))
+        lead = next(iter(self.slices.values()))
         if lead.symbolic():
             raise NonUnitLeadingTerm("leading coefficient carries symbols")
         if len(lead) != 1:
             raise NonUnitLeadingTerm(f"leading slice has {len(lead)} terms")
-        (k0, c0), = lead.items()
-        if len(self.slices) == 1:
-            q_order = None if self.q_order is None else self.q_order - 2 * Fraction(w0s, frame.wden)
-            inv_mono = PackedSlice({2 * frame.base - k0: qdiv(1, c0)})  # key(-e) = 2*base - key(e)
-            return Series._from_slices(frame, {-w0s: inv_mono}, q_order)
-        if self.q_order is None:
+        if self.q_order is None and len(self.slices) > 1:
             raise NonUnitLeadingTerm(
                 "inverse of a non-monomial exact series is an infinite series; set a truncation order"
             )
-        return divide_exact(Series.one(frame), self)
+        return divide_exact(Series.one(self.frame), self)
 
     def specialize(self, mapping):
         """Substitute monomials (or 1) for variables, e.g. {"t": {"u": 1}, "s": {"u": 1}}."""
@@ -1439,6 +1437,29 @@ def agree(a, b):
         "right": coeff_to_json(cb),
         "count": len(mismatches),
     }
+
+
+def signed_cells(series):
+    """Grid cells ``{(i, j): (-1)^(i+j) c}``, ``c`` the coefficient of ``x^i y^j``.
+
+    A frame of other than two variables on the 1/2 lattice, or a
+    half-integral exponent, raises ``ValueError``.  The sign goes on each
+    stored number before :func:`_gather` builds a cell: ``BIAS`` is 0 mod 4,
+    so bit 0 of a packed field is the parity of the scaled exponent, bit 1 that of i (j).
+    """
+    frame = series.frame
+    if frame.denoms != (2, 2):
+        raise ValueError(f"a perverse-Hodge grid reads two variables on the 1/2 lattice, not {frame!r}")
+    half = sum(1 << sh for sh in frame.shifts)
+    cells = {}
+    for s in series.slices.values():
+        gathered = _gather(s, half << 1)
+        if any(map(half.__and__, gathered)):
+            raise ValueError("half-integral exponent in a perverse-Hodge grid slice")
+        keys = list(gathered)
+        cols = [[((k >> sh & FIELD_MASK) - BIAS) >> 1 for k in keys] for sh in frame.shifts]
+        cells.update(zip(zip(*cols), gathered.values()))
+    return cells
 
 
 def _coefficient_at(k, s):

@@ -25,7 +25,7 @@ from enrq.perverse import (
 from enrq import perverse
 from enrq.qfunc import eta, theta
 from enrq.ring import BettiSymbol, LinExpr, betti_symbol, coeff_to_json, rat
-from enrq.series import FRAME_PU, FRAME_QPU, FRAME_QPUTS, Series, Window, divide_exact
+from enrq.series import FRAME_PU, FRAME_QPU, FRAME_QPUTS, FRAME_XY, Series, Window, divide_exact
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +205,13 @@ class TestTables:
     def test_signed_cells_refuse_half_integral_exponents(self, exps):
         with pytest.raises(ValueError, match="half-integral"):
             signed_cells(Series(FRAME_PU, {exps: 1, (2, 2): betti_symbol(1, 2)}, 3))
+
+    @pytest.mark.parametrize(
+        "series", [Series.monomial(FRAME_XY, {"x": 2}), Series.monomial(FRAME_QPU, {"p": 1})], ids=["xy", "qpu"]
+    )
+    def test_signed_cells_refuse_a_frame_off_the_half_lattice(self, series):
+        with pytest.raises(ValueError, match="1/2 lattice"):
+            signed_cells(series)
 
     def test_tables_negate_no_expression(self, betti, main5, second5, monkeypatch):
         # the sign goes on the stored numbers before a cell is built

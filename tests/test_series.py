@@ -235,6 +235,14 @@ class TestInvert:
         assert mono(FRAME_Q, {"q": Fraction(1, 2)}).invert() == mono(
             FRAME_Q, {"q": Fraction(-1, 2)}
         )
+        truncated = mono(FRAME_Q, {"q": 2}, 3, q_order=5)
+        inv = truncated.invert()
+        assert inv.terms == {(-48,): Fraction(1, 3)} and inv.q_order == 1
+        for m in (truncated, mono(FRAME_Q, {"q": Fraction(1, 2)}), mono(FRAME_QPU, {"p": 1, "u": -1}, -2)):
+            inv = m.invert()
+            want = divide_exact(Series.one(m.frame), m)
+            assert inv.slices == want.slices and inv.q_order == want.q_order
+            assert (inv.q_order is None) == (m.q_order is None)  # an exact inverse stays exact
 
     def test_two_term_slice_rejected(self):
         f = mono(FRAME_QPU, {"u": 1}) - mono(FRAME_QPU, {"u": -1})
