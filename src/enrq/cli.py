@@ -11,7 +11,6 @@ traceback), 3 insufficient truncation order for the requested tables.
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ from .series import FieldOverflow, Window, json_text
 # flags whose value may start with "-", which argparse would take for an option
 SIGNED_FLAGS = ("--p-window", "--d", "--q-order")
 
-BettiFile = namedtuple("BettiFile", "sha256 table")
+BettiFile = namedtuple("BettiFile", "data table")
 
 
 class UsageError(Exception):
@@ -89,7 +88,7 @@ def _read_betti_file(path):
         table = perverse.BettiTable.from_records(records)
     except (TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"{path!r}: {exc}") from None
-    return BettiFile(hashlib.sha256(data).hexdigest(), table)
+    return BettiFile(data, table)
 
 
 def _join_signed_values(argv):
@@ -160,39 +159,47 @@ def _build_series(name, args):
     return _SERIES[name][0](args)
 
 
+def _cache_path(cache_dir, name, args):
+    """The cache entry of ``name`` under ``cache_dir``, content-addressed by
+    only what the id reads, so equal text shares one entry (of a window only
+    its top, of a Betti file the sha256 of its bytes), plus the version and
+    backends.  ``hashlib`` is imported here and nowhere else, so a command
+    that builds no key never loads it."""
+    import hashlib
+
+    reads = _SERIES[name][1]
+    betti = args.betti_file if "betti_file" in reads else None
+    key = hashlib.sha256(
+        json.dumps(
+            {
+                "id": name,
+                "q_order": str(args.q_order),
+                "p_hi": args.p_window[1] if "p_window" in reads else None,
+                "betti_sha256": betti and hashlib.sha256(betti.data).hexdigest(),
+                "version": __version__,
+                "kernel": BACKEND,
+                "rational": RATIONAL_BACKEND,
+            },
+            sort_keys=True,
+        ).encode()
+    ).hexdigest()[:24]
+    return Path(cache_dir) / f"{name}-{key}.json"
+
+
 def cmd_expand(args):
     name = args.series_id
     if name not in SERIES_IDS:
         print(f"unknown series id {name!r}; known: {', '.join(SERIES_IDS)}", file=sys.stderr)
         return 2
     cache_dir = os.environ.get("SERIES_CACHE_DIR")
-    cache_path = None
-    if cache_dir:
-        # content-addressed: only what the id reads, so equal text shares
-        # one entry (of a window only its top, of a Betti file its bytes),
-        # plus the version and backends
-        reads = _SERIES[name][1]
-        betti = args.betti_file if "betti_file" in reads else None
-        key = hashlib.sha256(
-            json.dumps(
-                {
-                    "id": name,
-                    "q_order": str(args.q_order),
-                    "p_hi": args.p_window[1] if "p_window" in reads else None,
-                    "betti_sha256": betti and betti.sha256,
-                    "version": __version__,
-                    "kernel": BACKEND,
-                    "rational": RATIONAL_BACKEND,
-                },
-                sort_keys=True,
-            ).encode()
-        ).hexdigest()[:24]
-        cache_path = Path(cache_dir) / f"{name}-{key}.json"
+    cache_path = _cache_path(cache_dir, name, args) if cache_dir else None
     text = None
     if cache_path is not None:
         with _cache_errors(cache_dir):
-            if cache_path.exists():
+            try:
                 text = cache_path.read_text(encoding="utf-8")
+            except FileNotFoundError:  # a miss, also when the entry went since it was keyed
+                pass
     if text is None:
         text = _build_series(name, args).dumps(indent=2) + "\n"
         if cache_path is not None:

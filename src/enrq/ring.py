@@ -39,6 +39,7 @@ __all__ = [
     "SYMBOL_BY_ID",
     "linexpr",
     "coeff_to_json",
+    "coeff_entries_from_json",
     "coeff_from_json",
 ]
 
@@ -147,6 +148,20 @@ class _SymbolById(dict):
 
 
 SYMBOL_BY_ID = _SymbolById()
+
+
+class _IdByPair(dict):
+    """``{(d, i): symbol_id(b(d, i))}`` for the raw ``d`` and ``i`` of a JSON record,
+    checked by :class:`BettiSymbol` on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair):
+        self[pair] = sid = symbol_id(BettiSymbol(*pair))
+        return sid
+
+
+_ID_BY_PAIR = _IdByPair()
 
 
 def linexpr(const, terms):
@@ -282,13 +297,25 @@ def _exact_text(s):
     return exact(s)
 
 
-def coeff_from_json(obj):
-    """Inverse of :func:`coeff_to_json`; integral values (also in a LinExpr) come back as ints."""
+def coeff_entries_from_json(obj):
+    """A :func:`coeff_to_json` value in the form a series stores it: a rational when
+    no symbol term is nonzero, else ``(const, [(symbol_id(b), nonzero rational), ...])``;
+    integral values come back as ints."""
     if isinstance(obj, str):
         return _exact_text(obj)
-    terms = {}
+    entries = []
     for t in obj.get("terms", ()):
         v = _exact_text(t["coef"])
         if v:
-            terms[BettiSymbol(t["d"], t["i"])] = v
-    return linexpr(_exact_text(obj["const"]), terms)
+            entries.append((_ID_BY_PAIR[t["d"], t["i"]], v))
+    const = _exact_text(obj["const"])
+    return (const, entries) if entries else const
+
+
+def coeff_from_json(obj):
+    """Inverse of :func:`coeff_to_json`; integral values (also in a LinExpr) come back as ints."""
+    c = coeff_entries_from_json(obj)
+    if type(c) is tuple:
+        const, entries = c
+        return linexpr(const, {SYMBOL_BY_ID[sid]: v for sid, v in entries})
+    return c

@@ -59,7 +59,7 @@ from .ring import (
     SYMBOL_BY_ID,
     LinExpr,
     SymbolDegreeOverflow,
-    coeff_from_json,
+    coeff_entries_from_json,
     coeff_to_json,
     exact,
     is_rational,
@@ -315,7 +315,8 @@ def _add_shifted(terms, s, mono):
 
 def _pack(frame, terms):
     """Tuple-keyed terms as ``{scaled weight: PackedSlice}``, zero coefficients dropped
-    and a ``LinExpr`` split into its symbol entries; an exponent outside its packed
+    and a ``LinExpr`` split into its symbol entries, as is a coefficient already split
+    into ``(const, [(symbol id, nonzero value), ...])``; an exponent outside its packed
     field, or a symbol id beyond the symbol field, raises :class:`FieldOverflow`."""
     _guard(frame, [max(map(abs, col)) for col in zip(*terms)], "series")
     base, wnum, n = frame.base, frame.wnum, frame.nvars
@@ -330,16 +331,21 @@ def _pack(frame, terms):
         if s is None:
             out[w] = s = PackedSlice()
         k = base + _offset(frame, e)
-        if isinstance(c, LinExpr):
-            if c.const:
-                s[k] = c.const
-            for sym, v in c.terms.items():
-                sid = symbol_id(sym)
-                if sid > FIELD_MASK:
-                    raise FieldOverflow(f"symbol {sym!r} has id {sid}; the symbol field holds ids <= {FIELD_MASK}")
-                s[k + sid] = v
+        if type(c) is tuple:
+            const, entries = c
+        elif isinstance(c, LinExpr):
+            const, entries = c.const, [(symbol_id(sym), v) for sym, v in c.terms.items()]
         else:
             s[k] = c
+            continue
+        if const:
+            s[k] = const
+        for sid, v in entries:
+            if sid > FIELD_MASK:
+                raise FieldOverflow(
+                    f"symbol {SYMBOL_BY_ID[sid]!r} has id {sid}; the symbol field holds ids <= {FIELD_MASK}"
+                )
+            s[k + sid] = v
     return out
 
 
@@ -859,7 +865,7 @@ class Series:
         frame = Frame(obj["vars"], obj["denoms"], obj.get("weights") or [0] * len(obj["vars"]))
         w = obj.get("p_window")
         window = None if w is None else Window(w["lo"], w["hi"], w.get("floored", False))
-        terms = {tuple(t["exp"]): coeff_from_json(t["coef"]) for t in obj["terms"]}
+        terms = {tuple(t["exp"]): coeff_entries_from_json(t["coef"]) for t in obj["terms"]}
         return cls(frame, terms, obj.get("q_order"), window)
 
     @classmethod

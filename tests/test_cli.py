@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +99,23 @@ class TestExpand:
         monkeypatch.setattr(Series, "dumps", refuse)
         monkeypatch.setattr(Series, "loads", refuse)
         assert run(argv, capsys)[1] == fresh
+
+    def test_cache_entry_removed_before_its_read_is_a_miss(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SERIES_CACHE_DIR", str(cache))
+        argv = ["expand", "ky-logZ", "--q-order", "4"]
+        cold = run(argv, capsys)
+        read_text, removed = Path.read_text, []
+
+        def removed_first(path, *args, **kwargs):
+            if path.parent == cache:  # another process clears the cache just before the read
+                path.unlink()
+                removed.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", removed_first)
+        assert run(argv, capsys) == cold
+        assert len(removed) == 1 and [p.name for p in cache.iterdir()] == removed
 
     @staticmethod
     def cache_entries(name, argvs, cache, capsys):
@@ -391,3 +410,45 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["vars"] == ["x"]
+
+
+# In a fresh interpreter without ``site`` (which may preload modules), import
+# enrq.cli from the given ``src`` and run each command in-process, printing
+# which of hashlib and _hashlib are loaded after the import and each command.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import enrq.cli
+
+def loaded():
+    return sorted({"hashlib", "_hashlib"} & set(sys.modules))
+
+seen = [["import", None, loaded()]]
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = enrq.cli.main(argv)
+    seen.append([" ".join(argv), code, loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_hashlib_loads_only_where_a_cache_key_is_built(tmp_path):
+    betti = tmp_path / "betti.json"
+    betti.write_text(json.dumps(BETTI_RECORDS))
+    commands = [
+        ["check", "--checks", "table1"],
+        ["tables", "--d", "0:1"],
+        ["tables", "--d", "0:1", "--betti-file", str(betti)],
+        ["expand", "pt-fiber", "--q-order", "2"],  # the positive control: it builds a key
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "SERIES_CACHE_DIR": str(tmp_path / "cache")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, src, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen[:-1] == [["import", None, []]] + [[" ".join(argv), 0, []] for argv in commands[:-1]]
+    assert seen[-1] == [" ".join(commands[-1]), 0, ["_hashlib", "hashlib"]]
+    assert len(list((tmp_path / "cache").glob("pt-fiber-*.json"))) == 1

@@ -28,7 +28,7 @@ from enrq import cli, enriques, perverse, qfunc
 from enrq.cli import SERIES_IDS
 from enrq.cli import main as cli_main
 from enrq.kernel import BIAS
-from enrq.ring import LinExpr, betti_symbol, is_rational, rat
+from enrq.ring import LinExpr, betti_symbol, exact, is_rational, rat
 from enrq.series import (
     FRAME_P0,
     FRAME_PU,
@@ -1370,6 +1370,85 @@ class TestSerialization:
             assert back.terms == s.terms
             assert coeff_types(back) == coeff_types(s)
         assert any(type(c) is int for c in series[0].terms.values())
+
+    @staticmethod
+    def loads_through_linexpr(text):
+        """The read-back that builds a ``LinExpr`` per symbol record for the constructor."""
+
+        def coeff(c):
+            if isinstance(c, str):
+                return exact(c)
+            return LinExpr(exact(c["const"]), {(t["d"], t["i"]): exact(t["coef"]) for t in c["terms"]})
+
+        obj = json.loads(text)
+        w = obj["p_window"]
+        window = None if w is None else Window(w["lo"], w["hi"], w["floored"])
+        terms = {tuple(t["exp"]): coeff(t["coef"]) for t in obj["terms"]}
+        return Series(Frame(obj["vars"], obj["denoms"], obj["weights"]), terms, obj["q_order"], window)
+
+    def test_loads_equals_the_built_series(self, tmp_path):
+        # a Betti file that withholds b(1, 3) and b(d, 2) for d >= 2
+        path = tmp_path / "betti.json"
+        path.write_text(json.dumps([
+            {"d": 0, "betti": [1, 2, 1], "complete": True},
+            {"d": 1, "betti": [1, 0, 10], "complete": False},
+            {"d": None, "betti": [1, 0], "complete": False},
+        ]))
+        parser = cli._parser()
+        argvs = [["expand", n, "--q-order", "8"] for n in SERIES_IDS]
+        argvs.append(["expand", "keyeq-rhs2", "--q-order", "8", "--betti-file", str(path)])
+        series = [cli._build_series(argv[1], parser.parse_args(argv)) for argv in argvs]
+        withheld = {sym for c in series[-1].terms.values() if isinstance(c, LinExpr) for sym in c.terms}
+        assert {(1, 3), (2, 2)} <= withheld
+        b, c = betti_symbol(1, 2), betti_symbol(3, 5)
+        series.append(Series(FRAME_QPU, {
+            (0, 0, 0): rat(-7, 3), (24, 2, -2): rat(5, 2) + b * rat(1, 4), (24, 0, 2): 2 - 3 * b + c,
+            (48, -2, 0): c * rat(3, 2), (48, 4, 2): 6,
+        }, rat(5, 2), Window(-2, 6, True)))
+        for s in series:
+            text = s.dumps()
+            for back in (Series.loads(text), self.loads_through_linexpr(text)):
+                assert back.slices == s.slices
+                assert (back.frame, back.q_order, back.window) == (s.frame, s.q_order, s.window)
+                assert stored_types(back) == stored_types(s)
+
+    def test_loads_keeps_the_constructor_checks(self):
+        head = Series(FRAME_QPU, {}, 3).to_json_dict()
+
+        def doc(*records):
+            return json.dumps({**head, "terms": list(records)})
+
+        def sym(const, *terms):
+            return {"const": const, "terms": [{"d": d, "i": i, "coef": v} for d, i, v in terms]}
+
+        kept = [
+            # zeros dropped and integral values read as ints, in the constant and the symbols
+            doc({"exp": [24, 0, 0], "coef": "0"}, {"exp": [48, 0, 0], "coef": sym("4/2", (1, 2, "0"))},
+                {"exp": [0, 0, 0], "coef": sym("0", (1, 2, "6/3"), (2, 4, "1/2"))}),
+            # a zero record is dropped before its arity is checked
+            doc({"exp": [24], "coef": "0"}, {"exp": [0, 0, 0], "coef": sym("0", (1, 2, "0"))}),
+            # a repeated exponent keeps its last record
+            doc({"exp": [24, 0, 0], "coef": sym("1", (1, 2, "1"))}, {"exp": [24, 0, 0], "coef": "5"}),
+        ]
+        for text in kept:
+            new, old = Series.loads(text), self.loads_through_linexpr(text)
+            assert new.slices == old.slices and stored_types(new) == stored_types(old)
+            assert all(all(sl.values()) for sl in new.slices.values())
+        refused = [
+            (FieldOverflow, doc({"exp": [24, 0, 0], "coef": sym("1", (723, 2394, "1"))})),  # id 2^20
+            (FieldOverflow, doc({"exp": [24, BIAS, 0], "coef": "1"})),
+            (ValueError, doc({"exp": [24, 0], "coef": "1"})),
+            (ValueError, doc({"exp": [24, 0, 0], "coef": sym("1", (1, 7, "1"))})),  # b(1, 7)
+        ]
+        for exc, text in refused:
+            for read in (Series.loads, self.loads_through_linexpr):
+                with pytest.raises(exc):
+                    read(text)
+
+
+def stored_types(s):
+    """The type of every stored number, by weight and packed key."""
+    return {W: {k: type(c) for k, c in sl.items()} for W, sl in s.slices.items()}
 
 
 def stdlib_text(obj, indent=2):
