@@ -8,7 +8,7 @@ and the acceptance test suite.
 from fractions import Fraction
 
 from . import enriques, perverse
-from .ring import LinExpr, rat
+from .ring import rat
 from .series import (
     FRAME_QPUTS,
     FRAME_QTS,
@@ -65,26 +65,32 @@ def _result(name, passed, detail=""):
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _grid_matches(table, expected):
+def _table_problems(betti, expected_by_degree):
+    """Each degree-d table (at its own order d + 1) against its expected determined cells.
+
+    The nonzero determined cells must be exactly the expected ones, none
+    negative; unknowns sit on row 0 only, across every column, for d >= 2,
+    and nowhere below.
+    """
     problems = []
-    for cell, want in expected.items():
-        got = table.entry(*cell)
-        if isinstance(got, LinExpr) or got != want:
-            problems.append(f"{cell}: got {got!r}, want {want}")
-    for cell in table.determined_cells():
-        if table.entry(*cell) and cell not in expected:
-            problems.append(f"{cell}: unexpected determined entry {table.entry(*cell)!r}")
-    neg = table.negative_determined()
-    if neg:
-        problems.append(f"negative determined entries (would contradict positivity): {neg}")
+    for d, expected in expected_by_degree.items():
+        table = perverse.perverse_table(d, betti)
+        got = {c: table.entry(*c) for c in table.determined_cells() if table.entry(*c)}
+        if got != expected:
+            extra = sorted(got.items() - expected.items())
+            missing = sorted(expected.items() - got.items())
+            problems.append(f"d={d}: determined cells {extra} where {missing} expected")
+        neg = table.negative_determined()
+        if neg:
+            problems.append(f"d={d}: negative determined entries (would contradict positivity): {neg}")
+        unknown = [(0, j) for j in table.cols()] if d >= 2 else []
+        if table.unknown_cells() != unknown:
+            problems.append(f"d={d}: unknowns {table.unknown_cells()}, expected {unknown}")
     return problems
 
 
 def check_table1(betti, q_order=8, **_):
-    table = perverse.perverse_table(0, betti)
-    problems = _grid_matches(table, TABLE_D0)
-    if table.unknown_cells():
-        problems.append(f"unexpected unknowns {table.unknown_cells()}")
+    problems = _table_problems(betti, {0: TABLE_D0})
     # independent back-solve of the derived d=0 Betti input: the degree-0
     # slice of the identity forces it
     t1 = perverse.ph_main_term(1).coefficient({"q": 0})
@@ -103,24 +109,12 @@ def check_table1(betti, q_order=8, **_):
 
 
 def check_table2(betti, q_order=8, **_):
-    table = perverse.perverse_table(1, betti)
-    problems = _grid_matches(table, TABLE_D1)
-    if table.unknown_cells():
-        problems.append(f"unexpected unknowns {table.unknown_cells()}")
+    problems = _table_problems(betti, {1: TABLE_D1})
     return _result("table2", not problems, "; ".join(problems))
 
 
 def check_tables34(betti, q_order=8, **_):
-    problems = []
-    for d, expected in ((2, TABLE_D2_DETERMINED), (3, TABLE_D3_DETERMINED)):
-        table = perverse.perverse_table(d, betti)
-        problems += [f"d={d} {p}" for p in _grid_matches(table, expected)]
-        unknown_rows = {i for i, _j in table.unknown_cells()}
-        if unknown_rows != {0}:
-            problems.append(f"d={d}: unknowns on rows {sorted(unknown_rows)}, expected row 0 only")
-        cols = {j for i, j in table.unknown_cells()}
-        if cols != set(range(-d, d + 1)):
-            problems.append(f"d={d}: unknown columns {sorted(cols)}")
+    problems = _table_problems(betti, {2: TABLE_D2_DETERMINED, 3: TABLE_D3_DETERMINED})
     return _result("tables34", not problems, "; ".join(problems))
 
 
@@ -277,7 +271,7 @@ def check_properties(betti, q_order=8, **_):
     # symbol cell sits just outside the table's support box)
     for d in range(4):
         cells = perverse.identity_cells(d, betti)
-        violations = perverse.PerverseTable(d, cells).duality_violations()
+        violations = perverse.flip_mismatches(cells, -1, -1)
         if violations:
             problems.append(f"d={d} duality violations {violations}")
         sums = {}

@@ -14,7 +14,7 @@ from math import ceil, comb, gcd
 from operator import add
 
 from .config import hodge_inputs, parse_hodge
-from .perverse import _main_prefactor
+from .perverse import _main_prefactor, flip_mismatches
 from .qfunc import inv_zero_mode, plethystic_exp, plethystic_log, quantum_integer, virtual_shift
 from .ring import qdiv, rat
 from .series import (
@@ -346,17 +346,17 @@ def rank0_dt(d, n):
 
     DT(0, beta, n) = sum_{k | gcd(beta, n)} DT(0, beta/k, 1)|_{adams k} / (k [k])
     with DT(0, d'f, 1) equal to 8 chi([E]^vir) for odd d' and chi([Q]^vir) for
-    even d'.
+    even d': the multiple-cover sum of :func:`bps_to_dt` over those values.
     """
     if d < 1 or n < 1:
         raise ValueError("rank-0 values need d, n >= 1")
     e_vir = elliptic_curve_chi_vir()
     q_vir = enriques_cy3_chi_vir()
-    acc = DTValue(Series.zero(FRAME_TS))
-    for k in _divisors(gcd(d, n)):
-        prim = e_vir * 8 if (d // k) % 2 else q_vir
-        acc = acc + DTValue(prim.adams(k), quantum_integer(k) * k)
-    return acc
+    omega = {
+        (0, d // k, n // k): DTValue(e_vir * 8 if (d // k) % 2 else q_vir)
+        for k in _divisors(gcd(d, n))
+    }
+    return bps_to_dt(omega, (0, d, n))
 
 
 def rank0_exp_argument(q_order, window, euler=False):
@@ -430,12 +430,10 @@ class GVPolynomial:
         return self.poly.is_zero()
 
     def symmetric_p(self):
-        flipped = {(-e[0], e[1]): c for e, c in self.poly.terms.items()}
-        return flipped == self.poly.terms
+        return not flip_mismatches(self.poly.terms, -1, 1)
 
     def symmetric_u(self):
-        flipped = {(e[0], -e[1]): c for e, c in self.poly.terms.items()}
-        return flipped == self.poly.terms
+        return not flip_mismatches(self.poly.terms, 1, -1)
 
     def __repr__(self):
         return f"GVPolynomial({self.poly!r})"
@@ -521,8 +519,7 @@ def ng_from_gv(poly, basis="standard"):
     """
     if poly.frame != FRAME_P0:
         poly = poly.embed(FRAME_P0)
-    flipped = {(-e[0],): c for e, c in poly.terms.items()}
-    if flipped != poly.terms:
+    if flip_mismatches({(e, 0): c for (e,), c in poly.terms.items()}, -1, 1):
         raise NotInBasisSpan("input is not invariant under p -> 1/p")
     rem = dict(poly.terms)
     coeffs = {}

@@ -10,6 +10,10 @@ A grid cell (i, j) is (-1)^{i+j} times the coefficient of p^i u^j q^d: every
 grid (tables, support reports, stabilization, fiber grids) is read by
 :func:`enrq.series.signed_cells`, fed the q^d slice of main - second by
 :func:`identity_cells`, at the truncation order d + 1 unless one is given.
+What those cells say about the degree-d grid is listed once, by
+:func:`grid_rows`; the support and extremal reports filter its rows, and
+every grid symmetry (table duality, the p and u inversions of a GV
+polynomial) is the one rule :func:`flip_mismatches`.
 Known Betti numbers make table entries Determined; missing ones enter as
 formal symbols and surface as "?" cells.  The module also carries the
 odd-class primitive stable-pair identity chain (the same data written as a
@@ -46,6 +50,8 @@ __all__ = [
     "ph_betti_term",
     "signed_cells",
     "identity_cells",
+    "grid_rows",
+    "flip_mismatches",
     "perverse_table",
     "support_report",
     "omega_half_integral_series",
@@ -67,9 +73,16 @@ class MissingBettiData(KeyError):
 
 
 def _degree(d):
-    if not isinstance(d, int):
+    if not isinstance(d, int) or isinstance(d, bool):
         raise ValueError(f"Betti degree d must be an integer, got {d!r}")
     return d
+
+
+def _betti_number(b):
+    """``exact(b)``; a ``bool`` is refused, though Python counts it an ``int``."""
+    if isinstance(b, bool):
+        raise TypeError(f"a Betti number must be an exact rational, got {b!r}")
+    return exact(b)
 
 
 class BettiTable:
@@ -81,9 +94,9 @@ class BettiTable:
     """
 
     def __init__(self, complete=None, prefixes=None):
-        self.complete = {_degree(d): [exact(b) for b in v] for d, v in (complete or {}).items()}
+        self.complete = {_degree(d): [_betti_number(b) for b in v] for d, v in (complete or {}).items()}
         self.prefixes = {
-            (None if d is None else _degree(d)): [exact(b) for b in v]
+            (None if d is None else _degree(d)): [_betti_number(b) for b in v]
             for d, v in (prefixes or {}).items()
         }
         for d, vec in self.complete.items():
@@ -246,11 +259,7 @@ class PerverseTable:
         return sorted(c for c, v in self.entries.items() if not isinstance(v, LinExpr))
 
     def duality_violations(self):
-        out = []
-        for (i, j), v in self.entries.items():
-            if self.entry(-i, -j) != v:
-                out.append((i, j))
-        return sorted(out)
+        return flip_mismatches(self.entries, -1, -1)
 
     def negative_determined(self):
         """Determined entries that are negative (reported loudly, not fatal)."""
@@ -261,10 +270,10 @@ class PerverseTable:
         )
 
     def rows(self):
-        return range(-(self.d + 1), self.d + 2)
+        return _box(self.d)[0]
 
     def cols(self):
-        return range(-self.d, self.d + 1)
+        return _box(self.d)[1]
 
     def to_markdown(self):
         return grid_to_markdown(self.entries, self.rows(), self.cols())
@@ -280,6 +289,27 @@ class PerverseTable:
                 for (i, j), v in sorted(self.entries.items())
             ],
         }
+
+
+def _box(d):
+    """Rows and columns of the degree-d table: the support box |i| <= d+1, |j| <= d."""
+    return range(-(d + 1), d + 2), range(-d, d + 1)
+
+
+def _unshift(d, i, j):
+    """The table cell of degree d at shifted position (i, j) = (i + d + 1, j + d)."""
+    return i - d - 1, j - d
+
+
+def flip_mismatches(cells, si, sj):
+    """The sorted cells (i, j) whose value differs from that at (si*i, sj*j).
+
+    The one rule behind every grid symmetry: a table is invariant under its
+    duality (i, j) -> (-i, -j), a GV polynomial in (p, u) under p -> 1/p and
+    under u -> 1/u apart.  A missing cell reads as 0; a cell is any pair of
+    numbers, such as the scaled exponents of a half-integral polynomial.
+    """
+    return sorted(c for c, v in cells.items() if cells.get((si * c[0], sj * c[1]), 0) != v)
 
 
 def _cell(v):
@@ -322,11 +352,38 @@ def _identity_terms(betti, q_order, main=None, second=None):
 
 
 def identity_cells(d, betti=None, q_order=None, main=None, second=None):
-    """Signed cells of the q^d slice of main - second, each term sliced before subtracting."""
+    """Signed cells of the q^d slice of main - second, each term sliced before subtracting.
+
+    An order that does not cover degree d is a ``ValueError``.
+    """
     if q_order is None:
         q_order = d + 1
+    if _as_order(q_order) <= d:
+        raise ValueError(f"q_order {q_order} does not cover degree {d}")
     _, main, second = _identity_terms(betti, q_order, main, second)
     return signed_cells(main.coefficient({"q": d}) - second.coefficient({"q": d}))
+
+
+def grid_rows(d, betti=None, q_order=None, main=None, second=None):
+    """What the degree-d identity cells say, as ``(source, (i, j), value, target)`` rows.
+
+    ``value`` is the table-signed cell of :func:`identity_cells` (a
+    ``LinExpr`` where a symbol survives), ``target`` what the source says it
+    must be.  Two sources:
+
+    - ``support``: every cell outside the box |i| <= d+1, |j| <= d has
+      target 0, in the order of :func:`identity_cells`;
+    - ``extremal``: every cell of the column j = -d has target 1 at even
+      shifted row i + d + 1 and 0 at odd (the conjectured parity pattern),
+      in the order of the shifted rows 0, ..., 2d + 2.
+    """
+    cells = identity_cells(d, betti, q_order, main, second)
+    rows, cols = _box(d)
+    out = [("support", c, v, 0) for c, v in cells.items() if c[0] not in rows or c[1] not in cols]
+    for s in range(len(rows)):
+        cell = _unshift(d, s, 0)
+        out.append(("extremal", cell, cells.get(cell, 0), 1 - s % 2))
+    return out
 
 
 def perverse_table(d, betti=None, q_order=None, main=None, second=None):
@@ -336,16 +393,13 @@ def perverse_table(d, betti=None, q_order=None, main=None, second=None):
     read by :func:`identity_cells` inside the box |i| <= d+1, |j| <= d;
     cells are Determined exactly when no Betti symbol survives.
     """
-    if q_order is None:
-        q_order = d + 1
-    if _as_order(q_order) <= d:
-        raise ValueError(f"q_order {q_order} does not cover degree {d}")
+    rows, cols = _box(d)
     cells = identity_cells(d, betti, q_order, main, second)
-    return PerverseTable(d, {(i, j): c for (i, j), c in cells.items() if abs(i) <= d + 1 and abs(j) <= d})
+    return PerverseTable(d, {(i, j): c for (i, j), c in cells.items() if i in rows and j in cols})
 
 
 def support_report(d, betti=None, q_order=None, main=None, second=None):
-    """Inspect the slice outside the expected support box |i| <= d+1, |j| <= d.
+    """Inspect the slice outside the support box (the ``support`` rows of :func:`grid_rows`).
 
     Values are table-signed, (-1)^{i+j} times the coefficient, as in
     :func:`perverse_table`.  Determined leakage is a genuine violation.
@@ -353,8 +407,8 @@ def support_report(d, betti=None, q_order=None, main=None, second=None):
     of the identity forces the symbol to the value making the cell vanish.
     """
     violations, implied, conflicts = [], {}, []
-    for (i, j), c in identity_cells(d, betti, q_order, main, second).items():
-        if abs(i) <= d + 1 and abs(j) <= d:
+    for source, (i, j), c, _ in grid_rows(d, betti, q_order, main, second):
+        if source != "support":
             continue
         if isinstance(c, LinExpr):
             if len(c.terms) == 1:
@@ -537,7 +591,7 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
         cells = signed_cells(ms[d] - ss[d])
         for i in range((d - 1) // 2 + 1):
             for j in range((d - 1) // 2):
-                got = cells.get((i - d - 1, j - d), 0)
+                got = cells.get(_unshift(d, i, j), 0)
                 if isinstance(got, LinExpr):
                     report["ok"] = False
                     report["shifted"].append({"d": d, "i": i, "j": j, "error": "symbolic"})
@@ -563,7 +617,7 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
             # onset: one degree beyond 3(i+j)/4 (the tighter bound misses by
             # one at e.g. (3,3), where d=5 still differs from the limit)
             d_start = (3 * (i + j)) // 4 + 2
-            vals = [main_cells[d].get((i - d - 1, j - d), 0) for d in range(d_start, d_hi + 1)]
+            vals = [main_cells[d].get(_unshift(d, i, j), 0) for d in range(d_start, d_hi + 1)]
             stable = len(set(map(str, vals))) == 1
             match = stable and vals[0] == gf.coeff({"x": i, "y": j})
             report["ok"] &= match
@@ -576,18 +630,16 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
 def extremal_report(d_max, betti=None, main=None, second=None):
     """Status of the extremal column (unshifted j = -d) against the parity pattern.
 
-    The conjectured pattern for shifted entries (i~, 0) is 1 at even i~ in
-    [0, 2d+2] and 0 otherwise.  Unknown cells are reported, never judged.
+    The ``extremal`` rows of :func:`grid_rows`: the conjectured pattern for
+    shifted entries (i~, 0) is 1 at even i~ in [0, 2d+2] and 0 otherwise.
+    Unknown cells are reported, never judged.
     """
     q_order = d_max + 1
     betti, main, second = _identity_terms(betti, q_order, main, second)
     records = []
     for d in range(d_max + 1):
-        table = perverse_table(d, betti, q_order, main, second)
-        for i in table.rows():
-            shifted = i + d + 1
-            v = table.entry(i, -d)
-            want = 1 if shifted % 2 == 0 else 0
+        column = [r for r in grid_rows(d, betti, q_order, main, second) if r[0] == "extremal"]
+        for shifted, (_, _, v, want) in enumerate(column):
             if isinstance(v, LinExpr):
                 status = "unknown"
             else:

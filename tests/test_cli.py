@@ -243,6 +243,20 @@ class TestUsageErrors:
             path.write_text(text)
             self.usage_error(["expand", "keyeq-rhs2", "--betti-file", str(path)], capsys)
 
+    def test_betti_file_booleans(self, tmp_path, capsys):
+        # JSON true is an int to Python; it is neither a degree nor a Betti number
+        path = tmp_path / "betti.json"
+        generic = '{"d": null, "betti": [1, 0, 11]}'
+        for record in (
+            '{"d": true, "betti": [1, 0, 10, 22, 10, 0, 1], "complete": true}',
+            '{"d": 0, "betti": [1, true, 1], "complete": true}',
+            '{"d": true, "betti": [1, 0, 11]}',
+        ):
+            path.write_text(f"[{record}, {generic}]")
+            self.usage_error(["tables", "--d", "0:1", "--betti-file", str(path)], capsys)
+        path.write_text('[{"d": null, "betti": [1, false, 11]}]')
+        self.usage_error(["tables", "--d", "0:1", "--betti-file", str(path)], capsys)
+
     def test_out_names_a_file(self, tmp_path, capsys):
         path = tmp_path / "afile"
         path.write_text("kept")

@@ -56,3 +56,11 @@ def test_only_series_reads_packed_keys(name):
 def test_only_perverse_names_its_identity_terms(name):
     names, attrs = _used_names(name)
     assert "_identity_terms" not in names | attrs
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "enrq.perverse"])
+def test_only_perverse_builds_grid_tables(name):
+    # other modules read a grid through perverse's readers (identity_cells,
+    # grid_rows, flip_mismatches), never by building a table of their own
+    names, attrs = _used_names(name)
+    assert "PerverseTable" not in names | attrs

@@ -10,8 +10,12 @@ from enrq.perverse import (
     asymptotic_ph_gf,
     check_primitive_chain,
     extremal_report,
+    flip_mismatches,
+    grid_rows,
+    identity_cells,
     omega_half_integral_series,
     omega_integral_series,
+    PerverseTable,
     perverse_table,
     ph_betti_term,
     ph_main_term,
@@ -25,7 +29,7 @@ from enrq.perverse import (
 from enrq import perverse
 from enrq.qfunc import eta, theta
 from enrq.ring import BettiSymbol, LinExpr, betti_symbol, coeff_to_json, rat
-from enrq.series import FRAME_PU, FRAME_QPU, FRAME_QPUTS, FRAME_XY, Series, Window, divide_exact
+from enrq.series import FRAME_PU, FRAME_PU0, FRAME_QPU, FRAME_QPUTS, FRAME_XY, Series, Window, divide_exact
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +60,17 @@ class TestBettiTable:
     def test_duality_validation(self):
         with pytest.raises(ValueError):
             BettiTable({1: [1, 0, 10, 22, 9, 0, 1]}, {})
+
+    def test_booleans_refused(self):
+        # bool is an int to Python, but neither a degree nor a Betti number
+        with pytest.raises(ValueError, match="integer"):
+            BettiTable({True: [1, 0, 10, 22, 10, 0, 1]})
+        with pytest.raises(ValueError, match="integer"):
+            BettiTable({}, {False: [1, 2, 1]})
+        with pytest.raises(TypeError, match="exact rational"):
+            BettiTable({0: [1, True, 1]})
+        with pytest.raises(TypeError, match="exact rational"):
+            BettiTable({}, {None: [1, 0, True]})
 
     def test_out_of_range_is_zero(self, betti):
         assert betti.entry(1, -1) == 0 and betti.entry(1, 7) == 0
@@ -178,6 +193,17 @@ class TestTables:
         with pytest.raises(ValueError):
             perverse_table(2, betti, q_order=2)
 
+    def test_every_grid_reader_rejects_an_order_below_the_degree(self, betti):
+        # the check lives in identity_cells, which every reader goes through,
+        # so all raise it before slicing a term
+        readers = (perverse_table, support_report, grid_rows, identity_cells)
+        messages = set()
+        for read in readers:
+            with pytest.raises(ValueError) as exc:
+                read(2, betti, q_order=2)
+            messages.add(str(exc.value))
+        assert messages == {"q_order 2 does not cover degree 2"}
+
     def test_markdown_layout(self, betti, main5, second5):
         md = perverse_table(1, betti, 5, main5, second5).to_markdown()
         lines = md.strip().splitlines()
@@ -289,6 +315,128 @@ class TestSupport:
             sl = diff.coefficient({"q": d})
             ps = sl.p_support()
             assert ps is None or (ps[0] >= -2 * (d + 1) and ps[1] <= 2 * (d + 1))
+
+
+class TestGridRows:
+    @pytest.fixture(scope="class")
+    def terms8(self, betti):
+        return ph_main_term(8), ph_betti_term(betti, 8)
+
+    def test_sources_at_q8(self, betti, terms8):
+        main, second = terms8
+        for d in range(8):
+            rows = grid_rows(d, betti, 8, main, second)
+            cells = identity_cells(d, betti, 8, main, second)
+            support = [(c, v, t) for s, c, v, t in rows if s == "support"]
+            inside = {c for c in cells if abs(c[0]) <= d + 1 and abs(c[1]) <= d}
+            assert support == [(c, v, 0) for c, v in cells.items() if c not in inside]
+            extremal = [(c, v, t) for s, c, v, t in rows if s == "extremal"]
+            column = [(i, -d) for i in range(-(d + 1), d + 2)]
+            assert extremal == [
+                (c, cells.get(c, 0), 1 if (c[0] + d + 1) % 2 == 0 else 0) for c in column
+            ]
+            assert len(rows) == len(support) + len(extremal)  # no other source
+
+    def test_reports_are_filters_over_the_rows(self, betti, terms8):
+        main, second = terms8
+        for d in range(8):
+            rows = grid_rows(d, betti, 8, main, second)
+            violations, implied = [], {}
+            for s, c, v, _ in rows:
+                if s != "support":
+                    continue
+                if isinstance(v, LinExpr) and len(v.terms) == 1:
+                    (sym, coef), = v.terms.items()
+                    implied[sym] = -Fraction(v.const) / coef
+                elif v:
+                    violations.append((c, coeff_to_json(v)))
+            rep = support_report(d, betti, 8, main, second)
+            assert (rep["violations"], rep["implied_betti"], rep["conflicts"]) == (violations, implied, [])
+        want = []
+        for d in range(8):
+            for s, (i, _), v, t in grid_rows(d, betti, 8, main, second):
+                if s == "extremal":
+                    status = "unknown" if isinstance(v, LinExpr) else ("match" if v == t else "mismatch")
+                    want.append((d, i + d + 1, coeff_to_json(v), str(t), status))
+        recs = extremal_report(7, betti, main, second)
+        assert [(r["d"], r["i_shifted"], r["value"], r["expected"], r["status"]) for r in recs] == want
+
+    def test_reports_read_cells_only_through_the_rows(self, betti, monkeypatch):
+        b = betti_symbol(4, 3)
+        fake = [
+            ("support", (6, 0), 3, 0),
+            ("support", (0, 5), b - 2, 0),
+            ("extremal", (-2, -1), 1, 1),
+            ("extremal", (-1, -1), 5, 0),
+            ("extremal", (0, -1), b, 1),
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a report read the identity cells past grid_rows")
+
+        monkeypatch.setattr(perverse, "identity_cells", refuse)
+        monkeypatch.setattr(perverse, "grid_rows", lambda *args: fake)
+        rep = support_report(1, betti)
+        assert rep["violations"] == [((6, 0), "3")] and rep["implied_betti"] == {BettiSymbol(4, 3): 2}
+        recs = extremal_report(0, betti)
+        assert [(r["i_shifted"], r["value"], r["expected"], r["status"]) for r in recs] == [
+            (0, "1", "1", "match"),
+            (1, "5", "0", "mismatch"),
+            (2, coeff_to_json(b), "1", "unknown"),
+        ]
+
+    def test_extremal_report_builds_no_table(self, betti, monkeypatch):
+        want = extremal_report(3, betti)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("extremal_report built a table")
+
+        monkeypatch.setattr(perverse, "perverse_table", refuse)
+        monkeypatch.setattr(perverse, "PerverseTable", refuse)
+        assert extremal_report(3, betti) == want
+
+
+def _dict_flip_violations(entries):
+    return sorted((i, j) for (i, j), v in entries.items() if entries.get((-i, -j), 0) != v)
+
+
+def _dict_flip_symmetric(terms, si, sj):
+    return {(si * e[0], sj * e[1]): c for e, c in terms.items()} == terms
+
+
+class TestFlipRule:
+    """Table duality and the GV inversions are one rule; each keeps the old dict-flip answer."""
+
+    b = betti_symbol(2, 3)
+    GRIDS = {
+        "symmetric": {(-1, 0): 1, (0, 0): 2, (1, 0): 1, (2, -1): 9, (-2, 1): 9},
+        "asymmetric": {(-1, 0): 1, (1, 0): 2, (0, 1): 5, (3, 3): rat(1, 2)},
+        "linexpr": {(0, 0): b, (1, 2): b + 1, (-1, -2): b + 1, (2, 0): 3, (-2, 0): b},
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_duality(self, name):
+        grid = self.GRIDS[name]
+        got = PerverseTable(1, grid).duality_violations()
+        assert got == _dict_flip_violations(grid) == flip_mismatches(grid, -1, -1)
+        assert bool(got) == (name != "symmetric")
+
+    @pytest.mark.parametrize(
+        "poly, sym_p, sym_u",
+        [
+            (({"u": Fraction(1, 2)}, {"u": Fraction(-1, 2)}), True, True),
+            (({"p": 1, "u": Fraction(1, 2)}, {"p": -1, "u": Fraction(1, 2)}), True, False),
+            (({"p": 1}, {"u": Fraction(1, 2)}), False, False),
+            (({"p": 1, "u": 1}, {"p": 1, "u": -1}), False, True),
+        ],
+        ids=["half-integral", "p-only", "neither", "u-only"],
+    )
+    def test_gv_inversions(self, poly, sym_p, sym_u):
+        series = sum((Series.monomial(FRAME_PU0, m) for m in poly), Series.zero(FRAME_PU0))
+        gv = GVPolynomial(series)
+        terms = gv.poly.terms
+        assert (gv.symmetric_p(), gv.symmetric_u()) == (sym_p, sym_u)
+        assert (sym_p, sym_u) == (_dict_flip_symmetric(terms, -1, 1), _dict_flip_symmetric(terms, 1, -1))
 
 
 class TestPrimitiveChain:
