@@ -159,23 +159,38 @@ def _build_series(name, args):
     return _SERIES[name][0](args)
 
 
+@functools.cache
+def _sha256():
+    """The interpreter's built-in SHA-256 constructor: the same digest as
+    ``hashlib.sha256`` without loading ``hashlib``, which maps OpenSSL's
+    libcrypto into the process (CPython's ``random`` takes its SHA-512 the
+    same way).  ``hashlib`` serves only an interpreter built without either
+    module."""
+    try:
+        from _sha2 import sha256  # CPython >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython < 3.12
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def _cache_path(cache_dir, name, args):
     """The cache entry of ``name`` under ``cache_dir``, content-addressed by
     only what the id reads, so equal text shares one entry (of a window only
     its top, of a Betti file the sha256 of its bytes), plus the version and
-    backends.  ``hashlib`` is imported here and nowhere else, so a command
-    that builds no key never loads it."""
-    import hashlib
-
+    backends."""
+    sha256 = _sha256()
     reads = _SERIES[name][1]
     betti = args.betti_file if "betti_file" in reads else None
-    key = hashlib.sha256(
+    key = sha256(
         json.dumps(
             {
                 "id": name,
                 "q_order": str(args.q_order),
                 "p_hi": args.p_window[1] if "p_window" in reads else None,
-                "betti_sha256": betti and hashlib.sha256(betti.data).hexdigest(),
+                "betti_sha256": betti and sha256(betti.data).hexdigest(),
                 "version": __version__,
                 "kernel": BACKEND,
                 "rational": RATIONAL_BACKEND,
@@ -244,8 +259,7 @@ def cmd_tables(args):
             _emit(json_text(table.to_json_dict(), 2) + "\n", args, f"table_d{d}.json")
     for parity in ("odd", "even"):
         grid = enriques.fiber_ph_grid(parity)
-        i_range = range(-1, 2)
-        j_range = range(-2, 3) if parity == "even" else range(0, 1)
+        i_range, j_range = perverse.grid_box(grid)
         if args.format == "md":
             _emit(perverse.grid_to_markdown(grid, i_range, j_range), args, f"table_fiber_{parity}.md")
         elif args.format == "csv":

@@ -38,8 +38,6 @@ from .series import (
     signed_cells,
 )
 
-FRAME_UTS = Frame(("u", "t", "s"), (2, 2, 2), (0, 0, 0))
-
 __all__ = [
     "MissingDivisor",
     "UnstableWindow",
@@ -117,10 +115,14 @@ def _hodge_entry(name):
 
 
 def betti_realization(ts_series):
-    """Specialize t = s = u; accepts any frame containing t and s."""
+    """Specialize t = s = u; accepts any frame containing t and s.
+
+    A frame without u is first extended by it (denominator 2, weight 0), so
+    its other variables, q and p included, carry over to the result.
+    """
     f = ts_series.frame
     if "u" not in f.index:
-        ts_series = ts_series.embed(FRAME_UTS)
+        ts_series = ts_series.embed(Frame((*f.names, "u"), (*f.denoms, 2), (*f.weights, 0)))
     return ts_series.specialize({"t": {"u": 1}, "s": {"u": 1}})
 
 

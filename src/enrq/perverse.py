@@ -52,6 +52,7 @@ __all__ = [
     "identity_cells",
     "grid_rows",
     "flip_mismatches",
+    "grid_box",
     "perverse_table",
     "support_report",
     "omega_half_integral_series",
@@ -294,6 +295,12 @@ class PerverseTable:
 def _box(d):
     """Rows and columns of the degree-d table: the support box |i| <= d+1, |j| <= d."""
     return range(-(d + 1), d + 2), range(-d, d + 1)
+
+
+def grid_box(cells):
+    """Rows and columns of the bounding box of a grid's cells {(i, j): value}."""
+    rows, cols = zip(*cells)
+    return range(min(rows), max(rows) + 1), range(min(cols), max(cols) + 1)
 
 
 def _unshift(d, i, j):

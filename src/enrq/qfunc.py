@@ -13,7 +13,6 @@ scaled exponent by k).
 
 from fractions import Fraction
 
-from .ring import exact, rat
 from .series import (
     FRAME_Q,
     FRAME_TS,
@@ -183,23 +182,12 @@ def plethystic_exp(f):
 def plethystic_log(F):
     """Log(F): plethystic inverse of Exp, via Moebius inversion over Adams ops.
 
-    Rational coefficients of the Moebius sum come back as ``int`` when
-    integral, as do the rational parts of a symbol-carrying coefficient.
+    ``Log F = sum_k mu(k)/k adams_k(log F)``, run by
+    :func:`enrq.series.log_series` on the Euler derivative of ``log F``:
+    the coefficients are ints for an integer F, ``Fraction`` only where not
+    integral, and the rational parts of a symbol-carrying coefficient alike.
     """
-    L = log_series(F)
-    if L.is_zero():
-        return L
-    if L.q_order is None:
-        return L
-    acc = Series.zero(L.frame, L.q_order, L.window)
-    wmin = L.wmin()
-    k = 1
-    while k * wmin < L.q_order:
-        m = mobius(k)
-        if m:
-            acc = acc + L.adams(k) * rat(m, k)
-        k += 1
-    return acc.map_coeffs(exact)
+    return log_series(F, mobius)
 
 
 def virtual_shift(f, dim):

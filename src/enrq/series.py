@@ -441,6 +441,15 @@ def _guard(frame, bounds, op):
             )
 
 
+def _adams_slice(frame, s, k):
+    """The packed slice ``s`` with every monomial raised to the k-th power."""
+    # key(k*e) = base + k*(key(e) - base); the symbol field, scaled along, is set back
+    shift = (k - 1) * frame.base
+    if s.symbolic():
+        return PackedSlice({k * key - shift - (k - 1) * (key & FIELD_MASK): c for key, c in s.items()})
+    return PackedSlice({k * key - shift: c for key, c in s.items()})
+
+
 class Series:
     """A truncated Laurent series: packed weight slices plus truncation state.
 
@@ -663,13 +672,7 @@ class Series:
         frame = self.frame
         if self.slices:
             _guard(frame, [k * a for a in _amax(frame, self.slices)], "adams")
-        # key(k*e) = base + k*(key(e) - base), and the weight scales by k; the
-        # symbol field, scaled along, is set back
-        shift = (k - 1) * frame.base
-        slices = {k * W: PackedSlice({k * key - shift - (k - 1) * (key & FIELD_MASK): c
-                                      for key, c in s.items()} if s.symbolic()
-                                     else {k * key - shift: c for key, c in s.items()})
-                  for W, s in self.slices.items()}
+        slices = {k * W: _adams_slice(frame, s, k) for W, s in self.slices.items()}
         q_order = None if self.q_order is None else self.q_order * k
         window = None if self.window is None else self.window.scaled(k)
         return Series._from_slices(frame, slices, q_order, window)
@@ -1268,7 +1271,32 @@ def exp_series(f):
     return Series._from_slices(frame, slices, target, window)
 
 
-def log_series(f):
+def _log_derivative(f):
+    """``DL`` for ``L = log f``, by the recurrence of :func:`log_series`.
+
+    Returns ``({W: (DL)_W}, q_order, window)``: the solved slices, not yet
+    cut to the window, and the truncation order and window of ``L``.  For an
+    integral ``f`` every coefficient is an ``int``.
+    """
+    frame = f.frame
+    if [(W, s) for W, s in f.slices.items() if W <= 0] != [(0, {frame.base: 1})]:
+        raise BadConstantTerm("log argument must have constant slice 1")
+    h = f - 1
+    if h.slices and h.q_order is None:
+        raise BadConstantTerm("log of an exact series is infinite; set a truncation order")
+    target = h.q_order
+    if not h.slices:
+        return {}, target, _power_window(frame, f.window, 0)[0]
+    top = _top(frame, target)
+    hs = h.slices  # F - 1 by scaled weight, every weight > 0
+    _guard(frame, _cut_bounds(frame, ((_amax(frame, {l: t}), l) for l, t in hs.items()), top), "log")
+    window, keys = _power_window(frame, f.window, top // min(hs))
+    kernel = [(l, PackedSlice({k: -c for k, c in t.items()})) for l, t in hs.items()]
+    seed = {l: {k: l * c for k, c in t.items()} for l, t in hs.items()}
+    return _euler_solve(frame, kernel, seed, lambda W, acc: acc, min(hs), top, keys), target, window
+
+
+def log_series(f, mobius=None):
     """Ordinary formal logarithm; the constant slice must be exactly 1.
 
     ``L = log F`` is solved graded slice by graded slice with the weighted
@@ -1288,28 +1316,57 @@ def log_series(f):
     the windowed series ``sum (-1)^(n+1) (F-1)^n / n`` vanishes before the
     weight cut, that series claims a wider window, whose extra columns can
     hold wrong zeros; this result agrees with it on the narrower window.
+
+    With ``mobius``, the Moebius function ``k -> mu(k)``, the result is the
+    plethystic logarithm ``sum_k mu(k)/k adams_k(L)`` (see
+    :func:`enrq.qfunc.plethystic_log`), summed over the k with
+    ``k * wmin(L)`` below the order, as :func:`_plethystic_log` reads it.
     """
     frame = f.frame
-    if [(W, s) for W, s in f.slices.items() if W <= 0] != [(0, {frame.base: 1})]:
-        raise BadConstantTerm("log argument must have constant slice 1")
-    h = f - 1
-    if h.slices and h.q_order is None:
-        raise BadConstantTerm("log of an exact series is infinite; set a truncation order")
-    target = h.q_order
-    if not h.slices:
-        return Series.zero(frame, target, _power_window(frame, f.window, 0)[0])
-    top = _top(frame, target)
-    hs = h.slices  # F - 1 by scaled weight, every weight > 0
-    _guard(frame, _cut_bounds(frame, ((_amax(frame, {l: t}), l) for l, t in hs.items()), top), "log")
-    window, keys = _power_window(frame, f.window, top // min(hs))
-    kernel = [(l, PackedSlice({k: -c for k, c in t.items()})) for l, t in hs.items()]
-    seed = {l: {k: l * c for k, c in t.items()} for l, t in hs.items()}
-    dl = _euler_solve(frame, kernel, seed, lambda W, acc: acc, min(hs), top, keys)
+    dl, target, window = _log_derivative(f)
+    if mobius is not None:
+        return _plethystic_log(frame, _cut(frame, dl, target, window), target, window, mobius)
     slices = {}
     for W, s in dl.items():
         inv = rat(1, W)  # L_W = (DL)_W / W
         slices[W] = PackedSlice({k: c * inv for k, c in s.items()})
     return Series._from_slices(frame, slices, target, window)
+
+
+def _plethystic_log(frame, dl, q_order, window, mobius):
+    """``P = sum_k mu(k)/k adams_k(L)`` from the cut slices ``dl`` of ``DL``.
+
+    ``D adams_k(L) = k adams_k(DL)``, so ``(DP)_W = sum_k mu(k) adams_k(DL)_W``:
+    the Moebius sum adds the packed Adams images into the coefficients as they
+    come (all ``int`` for an integral argument), and each slice is divided
+    once by its weight with :func:`enrq.ring.qdiv`, a coefficient kept an
+    ``int`` while integral.  ``P`` has the order of ``L``; its window is the
+    sum's, lowest floor and lowest top over the ``k * window`` summed.
+    """
+    if not dl:
+        return Series._from_slices(frame, {}, q_order, window)
+    top = _top(frame, q_order)
+    ks = [(k, m) for k in range(1, top // min(dl) + 1) if (m := mobius(k))]
+    _guard(frame, [ks[-1][0] * a for a in _amax(frame, dl)], "adams")
+    sums = {}
+    for k, m in ks:
+        for W, s in dl.items():
+            if k * W > top:
+                break
+            acc = sums.setdefault(k * W, {})
+            for key, c in (_adams_slice(frame, s, k) if k > 1 else s).items():
+                acc[key] = acc.get(key, 0) + m * c
+    slices = {}
+    for W, acc in sums.items():
+        out = {}
+        for key, c in acc.items():
+            if c:
+                c = qdiv(c, W)
+                out[key] = c if type(c) is int or c.denominator != 1 else c.numerator
+        slices[W] = PackedSlice(out)
+    if window is not None:
+        window = Window(min(k * window.lo for k, _ in ks), min(k * window.hi for k, _ in ks), True)
+    return Series._from_slices(frame, slices, q_order, window)
 
 
 def product_expand(frame, factors, q_order, window=None):

@@ -5,9 +5,11 @@ replaced, and ``mul_oracle`` / ``divide_exact_oracle`` are ``Series.__mul__``
 and ``divide_exact`` as they were written on it.  ``exp_series_oracle`` is
 the power loop that the graded Euler solve replaced in ``exp_series``,
 ``plethystic_exp_oracle`` the Adams-sum route of ``plethystic_exp`` fed to
-it, and ``specialize_oracle`` is ``Series.specialize`` on ``Fraction``
-exponents.  Their products run on the tuple kernel.  ``agree_oracle`` is
-``agree`` as a scan of the tuple-keyed terms, before series stored slices.
+it, ``plethystic_log_oracle`` the Moebius sum of ``Fraction``-scaled Adams
+images of ``log_series`` that ``plethystic_log`` was, and
+``specialize_oracle`` is ``Series.specialize`` on ``Fraction`` exponents.
+Their products run on the tuple kernel.  ``agree_oracle`` is ``agree`` as a
+scan of the tuple-keyed terms, before series stored slices.
 
 A chain of oracle steps (the power loops, the product of binomials) keeps
 its intermediates as :class:`Terms`, tuple-keyed term dicts with the
@@ -17,7 +19,8 @@ truncation state of a series, and builds one ``Series`` at the end.
 from fractions import Fraction
 from math import gcd
 
-from enrq.ring import LinExpr, coeff_to_json, qdiv, rat
+from enrq.qfunc import mobius
+from enrq.ring import LinExpr, coeff_to_json, exact, qdiv, rat
 from enrq.series import (
     BadConstantTerm,
     InexactDivision,
@@ -32,6 +35,7 @@ from enrq.series import (
     _mul_order,
     _window_add,
     _window_mul,
+    log_series,
 )
 
 
@@ -307,6 +311,25 @@ def plethystic_exp_oracle(f):
         acc = acc + f.adams(k) * rat(1, k)
         k += 1
     return exp_series_oracle(acc)
+
+
+def plethystic_log_oracle(F):
+    """``plethystic_log`` as ``sum_k adams(log F, k) * mu(k)/k`` in ``Fraction``
+    coefficients, made ``int`` where integral at the end."""
+    L = log_series(F)
+    if L.is_zero():
+        return L
+    if L.q_order is None:
+        return L
+    acc = Series.zero(L.frame, L.q_order, L.window)
+    wmin = L.wmin()
+    k = 1
+    while k * wmin < L.q_order:
+        m = mobius(k)
+        if m:
+            acc = acc + L.adams(k) * rat(m, k)
+        k += 1
+    return acc.map_coeffs(exact)
 
 
 def specialize_oracle(f, mapping):

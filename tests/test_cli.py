@@ -446,14 +446,17 @@ print(json.dumps(seen))
 """
 
 
-def test_hashlib_loads_only_where_a_cache_key_is_built(tmp_path):
+def test_no_command_loads_hashlib(tmp_path):
+    # hashlib maps OpenSSL's libcrypto; the cache key uses the built-in SHA-256
     betti = tmp_path / "betti.json"
     betti.write_text(json.dumps(BETTI_RECORDS))
     commands = [
         ["check", "--checks", "table1"],
         ["tables", "--d", "0:1"],
         ["tables", "--d", "0:1", "--betti-file", str(betti)],
-        ["expand", "pt-fiber", "--q-order", "2"],  # the positive control: it builds a key
+        ["expand", "pt-fiber", "--q-order", "2"],  # builds a key and writes the entry
+        ["expand", "pt-fiber", "--q-order", "2"],  # builds it again and reads the entry
+        ["expand", "keyeq-rhs2", "--q-order", "2", "--betti-file", str(betti)],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "SERIES_CACHE_DIR": str(tmp_path / "cache")}
@@ -463,6 +466,50 @@ def test_hashlib_loads_only_where_a_cache_key_is_built(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen[:-1] == [["import", None, []]] + [[" ".join(argv), 0, []] for argv in commands[:-1]]
-    assert seen[-1] == [" ".join(commands[-1]), 0, ["_hashlib", "hashlib"]]
+    assert seen == [["import", None, []]] + [[" ".join(argv), 0, []] for argv in commands]
     assert len(list((tmp_path / "cache").glob("pt-fiber-*.json"))) == 1
+
+
+def _hashlib_cache_path(cache_dir, name, args):
+    """The cache entry name as ``hashlib.sha256`` derives it: the reference for the key."""
+    reads = cli._SERIES[name][1]
+    betti = args.betti_file if "betti_file" in reads else None
+    key = hashlib.sha256(
+        json.dumps(
+            {
+                "id": name,
+                "q_order": str(args.q_order),
+                "p_hi": args.p_window[1] if "p_window" in reads else None,
+                "betti_sha256": betti and hashlib.sha256(betti.data).hexdigest(),
+                "version": cli.__version__,
+                "kernel": cli.BACKEND,
+                "rational": cli.RATIONAL_BACKEND,
+            },
+            sort_keys=True,
+        ).encode()
+    ).hexdigest()[:24]
+    return Path(cache_dir) / f"{name}-{key}.json"
+
+
+@pytest.mark.parametrize("name", sorted(cli._SERIES))
+def test_cache_key_equals_the_hashlib_derivation(name, tmp_path):
+    betti = tmp_path / "betti.json"
+    betti.write_text(json.dumps(BETTI_RECORDS))
+    for extra in ([], ["--betti-file", str(betti)], ["--q-order", "7/2", "--p-window=-3:5"]):
+        args = cli._parser().parse_args(["expand", name, *extra])
+        got = cli._cache_path(tmp_path / "cache", name, args)
+        assert got == _hashlib_cache_path(tmp_path / "cache", name, args)
+
+
+def test_cache_key_falls_back_to_hashlib(tmp_path, monkeypatch):
+    # an interpreter built without the lean modules keys with hashlib: the same names
+    for module in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, module, None)
+    cli._sha256.cache_clear()
+    try:
+        assert cli._sha256() is hashlib.sha256
+        for name in ("pt-fiber", "pt-fiber-full"):
+            args = cli._parser().parse_args(["expand", name])
+            assert cli._cache_path(tmp_path, name, args) == _hashlib_cache_path(tmp_path, name, args)
+    finally:
+        cli._sha256.cache_clear()

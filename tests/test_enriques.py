@@ -43,6 +43,7 @@ from enrq.series import (
     FRAME_QPUTS,
     FRAME_QTS,
     FRAME_TS,
+    Frame,
     Series,
     Window,
     agree,
@@ -243,6 +244,28 @@ class TestGVExtraction:
         assert len(gv) == 6 and all(
             type(c) is int for p in gv.values() for c in p.poly.terms.values()
         )
+
+    @pytest.mark.parametrize("q_order", [3, 5])
+    def test_betti_realization_of_a_frame_without_u(self, q_order):
+        # a (q, t, s) series keeps q: realized directly and through its
+        # (q, p, u, t, s) embedding, whose p = 0 slice it is
+        Z = pt_fiber_series(q_order)
+        assert Z.frame == FRAME_QTS
+        direct = betti_realization(Z)
+        assert direct.frame == Frame(("q", "u"), (24, 2), (1, 0)) and direct.q_order == q_order
+        ref = {}
+        for (eq, et, es), c in Z.terms.items():  # t = s = u on the scaled exponents
+            ref[(eq, et + es)] = ref.get((eq, et + es), 0) + c
+        assert direct.terms == {e: c for e, c in ref.items() if c}
+        via = betti_realization(Z.embed(FRAME_QPUTS))
+        assert via.frame.names == ("q", "p", "u")
+        assert direct == via.coefficient({"p": 0}) and direct.q_order == via.q_order
+        assert via.terms == {(eq, 0, eu): c for (eq, eu), c in direct.terms.items()}
+
+    def test_betti_realization_of_a_ts_series(self):
+        H = betti_realization(enriques_cy3_chi_vir())
+        assert H.frame == Frame(("u",), (2,), (0,))
+        assert H.terms == {(-6,): -1, (-2,): -11, (0,): 24, (2,): -11, (6,): -1}
 
     def test_unstable_window_detected(self):
         narrow = Window(-8, 8, False)

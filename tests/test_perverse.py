@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_agree
-from enrq.enriques import GVPolynomial, gv_to_ph_grid
+from enrq.enriques import GVPolynomial, fiber_ph_grid, gv_to_ph_grid
 from enrq.perverse import (
     BettiTable,
     asymptotic_betti_gf,
@@ -11,6 +11,7 @@ from enrq.perverse import (
     check_primitive_chain,
     extremal_report,
     flip_mismatches,
+    grid_box,
     grid_rows,
     identity_cells,
     omega_half_integral_series,
@@ -437,6 +438,14 @@ class TestFlipRule:
         terms = gv.poly.terms
         assert (gv.symmetric_p(), gv.symmetric_u()) == (sym_p, sym_u)
         assert (sym_p, sym_u) == (_dict_flip_symmetric(terms, -1, 1), _dict_flip_symmetric(terms, 1, -1))
+
+
+def test_grid_box_is_the_bounding_box_of_the_cells():
+    # the fiber grids' rows and columns, once written out in the CLI
+    assert grid_box(fiber_ph_grid("odd")) == (range(-1, 2), range(0, 1))
+    assert grid_box(fiber_ph_grid("even")) == (range(-1, 2), range(-2, 3))
+    assert grid_box({(3, -1): 1, (-2, 4): 5}) == (range(-2, 4), range(-1, 5))
+    assert grid_box({(0, 0): 7}) == (range(0, 1), range(0, 1))
 
 
 class TestPrimitiveChain:

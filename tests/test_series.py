@@ -20,6 +20,7 @@ from oracles import (
     mul_oracle,
     mul_terms,
     plethystic_exp_oracle,
+    plethystic_log_oracle,
     scale_terms,
     specialize_oracle,
     tuple_madd,
@@ -1675,3 +1676,64 @@ class TestPlethysticExpOracle:
     def test_rejected_inputs(self, f, exc):
         with pytest.raises(exc):
             qfunc.plethystic_exp(_built(f))
+
+
+class TestPlethysticLogOracle:
+    """The integer Moebius route of ``plethystic_log`` is bit-identical to the
+    ``Fraction`` sum of Adams images it replaced: coefficients and their types,
+    ``q_order`` and window."""
+
+    def test_random_exp_images(self, rng):
+        for frame in (FRAME_QP, FRAME_QTS, FRAME_XY):  # on FRAME_XY a weight meets the cut
+            for _ in range(20):
+                f = random_series(rng, frame, rng.randint(2, 6), min_weight=1)
+                for g in (f, f * rat(1, 2), f * rat(1, 3)):
+                    F = qfunc.plethystic_exp(g)
+                    got = qfunc.plethystic_log(F)
+                    assert_identical(got, plethystic_log_oracle(F))
+                    if g is f:
+                        assert all(type(c) is int for c in got.terms.values())
+
+    def test_windowed_inputs(self, rng):
+        for _ in range(20):
+            f = random_series(rng, FRAME_QP, rng.randint(2, 6), min_weight=1)
+            terms = {e: c for e, c in f.terms.items() if e[1] >= 1}
+            F = qfunc.plethystic_exp(Series(FRAME_QP, terms, f.q_order, Window(1, rng.randint(1, 8), True)))
+            for lo in (0, -2):
+                G = Series(FRAME_QP, F.terms, F.q_order, Window(lo, F.window.hi, True))
+                assert_identical(qfunc.plethystic_log(G), plethystic_log_oracle(G))
+
+    def test_symbol_carrying_inputs(self):
+        b, c = betti_symbol(1, 2), betti_symbol(2, 3)
+        cases = [
+            1 + mono(FRAME_QPU, {"q": 1}) + Series.const(FRAME_QPU, b) * mono(FRAME_QPU, {"q": 2}),
+            1
+            + mono(FRAME_QPU, {"q": 1, "p": 1}, rat(1, 2))
+            + mono(FRAME_QPU, {"q": 2, "u": -1}, 3)
+            + Series.const(FRAME_QPU, 2 + b - c) * mono(FRAME_QPU, {"q": Fraction(5, 2), "u": 1}),
+        ]
+        for f in cases:
+            for q_order in (3, Fraction(7, 2)):
+                for window in (None, Window(0, 4, True), Window(-2, 4, True)):
+                    g = Series(f.frame, f.terms, q_order, window)
+                    got = qfunc.plethystic_log(g)
+                    assert got.has_symbols() or (window is not None and window.lo < 0)  # the top narrows
+                    assert_identical(got, plethystic_log_oracle(g))
+
+    def test_edge_cases(self):
+        cases = [
+            Series.one(FRAME_QP),
+            Series.one(FRAME_QP, q_order=3, window=Window(-4, 6, True)),
+            (1 + mono(FRAME_QP, {"q": 3})).with_q_order(3),
+            Series(FRAME_QP, {(0, 0): rat(1), (24, 1): rat(1)}, 3, Window(-2, 4, True)),
+        ]
+        for f in cases:
+            assert_identical(qfunc.plethystic_log(f), plethystic_log_oracle(f))
+
+    @pytest.mark.parametrize("q_order", [3, 5, 7])
+    def test_fiber_series(self, q_order):
+        Z = enriques.pt_fiber_full(q_order, Window(-20, 20, False))
+        for F in (Z, enriques.betti_realization(Z)):
+            got = qfunc.plethystic_log(F)
+            assert_identical(got, plethystic_log_oracle(F))
+            assert all(type(c) is int for c in got.terms.values())
