@@ -42,18 +42,24 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_window(text):
     lo, _, hi = text.partition(":")
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a window {text!r}: need integers LO:HI") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty window {text!r}: need LO <= HI")
     return lo, hi
 
 
 def _parse_range(text):
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+    lo, colon, hi = text.partition(":")
+    try:
+        lo = int(lo)
+        hi = int(hi) if colon else lo
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a degree range {text!r}: need a degree D or integers LO:HI"
+        ) from None
     if not 0 <= lo <= hi:
         raise argparse.ArgumentTypeError(f"bad degree range {text!r}: need 0 <= LO <= HI")
     return lo, hi

@@ -141,23 +141,26 @@ class BettiTable:
 
     def signed_sum(self, d, frame):
         """q^d u^{-(2d+1)} sum_i b_{i,d} (-u)^i as a Series in the given frame."""
+        return Series(frame, self._signed_terms(d, frame, {}), None, None)
+
+    def _signed_terms(self, d, frame, terms):
+        """Add the terms of :meth:`signed_sum` to the dict ``terms`` and return it."""
         iq, iu = frame.index["q"], frame.index["u"]
-        terms = {}
         for i in range(4 * d + 3):
             b = self.entry(d, i)
             if b:
                 e = [0] * frame.nvars
                 e[iq], e[iu] = d * frame.denoms[iq], 2 * (i - (2 * d + 1))
                 terms[tuple(e)] = -b if i % 2 else b
-        return Series(frame, terms, None, None)
+        return terms
 
 
 def _betti_q_sum(betti, q_order, frame):
-    """sum_d q^d u^{-(2d+1)} sum_i b_{i,d} (-u)^i."""
+    """sum_d q^d u^{-(2d+1)} sum_i b_{i,d} (-u)^i, one term dict for every degree."""
     q_order = _as_order(q_order)
     terms = {}
     for d in range(ceil(q_order)):
-        terms.update(betti.signed_sum(d, frame).terms)
+        betti._signed_terms(d, frame, terms)
     return Series(frame, terms, q_order)
 
 
@@ -196,22 +199,33 @@ def ph_main_term(q_order):
     return _main_prefactor(FRAME_QPU) * product_expand(FRAME_QPU, factors, q_order)
 
 
+def _theta_ratio(x, q_order, frame):
+    """Theta(x, q^2) / Theta(x, q), one exact division in the variables of x."""
+    return divide_exact(theta(x, 2, q_order, frame), theta(x, 1, q_order, frame))
+
+
 def _jacobi_core(q_order):
     """Theta(u^2,q^2)/Theta(u^2,q) * eta(q^2)^8/eta(q)^16
-    * Theta(pu,q^2)Theta(p/u,q^2) / (Theta(pu,q)Theta(p/u,q)), in (q, p, u)."""
+    * Theta(pu,q^2)Theta(p/u,q^2) / (Theta(pu,q)Theta(p/u,q)), in (q, p, u).
+
+    Each theta quotient is divided on its own, in two variables, and the two
+    (p, u) quotients are multiplied together before the u^2 and eta
+    quotients join them: dividing
+    the three-variable product Theta(pu,q^2)Theta(p/u,q^2) by each theta in
+    turn makes the same series from far more term pairs.  The core is still
+    built from theta/eta blocks and exact division, never from the product
+    of :func:`ph_main_term`, so the two routes stay independent.
+    """
     frame = FRAME_QPU
     q_order = _as_order(q_order)
     # a theta divisor leads at weight 0 and costs no order; eta(q)^16 leads
     # at q^(2/3) with the prefactor, so only the eta quotient is padded (the
     # prefactors cancel, q^(8*2/24) / q^(16/24) = 1: no eta convention reaches the core)
-    A = divide_exact(theta({"u": 2}, 2, q_order, frame), theta({"u": 2}, 1, q_order, frame))
     e2 = eta(2, q_order + 1).embed(frame)
     e1 = eta(1, q_order + 1).embed(frame)
     B = divide_exact(e2**8, e1**16).with_q_order(q_order)
-    N = theta({"p": 1, "u": 1}, 2, q_order, frame) * theta({"p": 1, "u": -1}, 2, q_order, frame)
-    C = divide_exact(N, theta({"p": 1, "u": 1}, 1, q_order, frame))
-    C = divide_exact(C, theta({"p": 1, "u": -1}, 1, q_order, frame))
-    return (A * B * C).with_q_order(q_order)
+    pu, p_u = (_theta_ratio({"p": 1, "u": s}, q_order, frame) for s in (1, -1))
+    return (_theta_ratio({"u": 2}, q_order, frame) * B * (pu * p_u)).with_q_order(q_order)
 
 
 def ph_main_term_jacobi(q_order):
@@ -502,8 +516,10 @@ def primitive_pt_forms(betti, q_order, window, eta_prefactor=True):
     ip1 = inv_theta_pair(x, y, 1, q_order, frame, window)
     ip2 = inv_theta_pair(x, y, 2, q_order, frame, window)
 
-    first_block = pair2 * e2_8 * e1_4_inv * ip1
-    second_term = oi * th_ts * ip2
+    # symbol-free factors first, so the symbol-carrying Omega series (oi)
+    # enters one product, not each intermediate of a left-to-right chain
+    first_block = pair2 * (e2_8 * e1_4_inv) * ip1
+    second_term = oi * (th_ts * ip2)
     form2 = oh * th_ts * first_block - second_term
 
     t3den = (e1**12) * theta_product({"t": 1, "s": 1}, 1, pad, frame)
@@ -534,7 +550,7 @@ def primitive_betti_display(betti, q_order, window):
     th_u = theta_product({"u": 2}, 2, pad, frame)
     ip2 = inv_theta_pair({"p": 1}, {"u": 1}, 2, q_order, frame, window)
     oi = omega_integral_series(betti, q_order, frame)
-    return first - oi * th_u * ip2
+    return first - oi * (th_u * ip2)
 
 
 def check_primitive_chain(betti=None, q_order=6, eta_prefactor=True):

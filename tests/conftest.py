@@ -11,6 +11,15 @@ def assert_agree(a, b, msg=""):
     assert ok, f"{msg or 'series disagree'}: first mismatch {info}"
 
 
+def assert_identical(a, b):
+    """Bit-identical series: frame, terms, coefficient types, q_order and window (with types)."""
+    assert a.frame == b.frame
+    assert a.q_order == b.q_order and type(a.q_order) is type(b.q_order)
+    assert a.window == b.window and type(a.window) is type(b.window)
+    assert a.terms == b.terms
+    assert {e: type(c) for e, c in a.terms.items()} == {e: type(c) for e, c in b.terms.items()}
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260811)

@@ -11,6 +11,13 @@ images of ``log_series`` that ``plethystic_log`` was, and
 Their products run on the tuple kernel.  ``agree_oracle`` is ``agree`` as a
 scan of the tuple-keyed terms, before series stored slices.
 
+``jacobi_core_oracle``, ``ph_main_term_jacobi_oracle``,
+``primitive_pt_forms_oracle`` and ``primitive_betti_display_oracle`` are the
+perverse-Hodge assemblies in the order they were first written: the
+three-variable theta numerator divided by each theta in turn, and the Omega
+series multiplied into the large factor first.  Only the bracketing changed,
+so they run on the library's own series arithmetic.
+
 A chain of oracle steps (the power loops, the product of binomials) keeps
 its intermediates as :class:`Terms`, tuple-keyed term dicts with the
 truncation state of a series, and builds one ``Series`` at the end.
@@ -19,9 +26,12 @@ truncation state of a series, and builds one ``Series`` at the end.
 from fractions import Fraction
 from math import gcd
 
-from enrq.qfunc import mobius
+from enrq.perverse import _bracket, _main_prefactor, omega_half_integral_series, omega_integral_series
+from enrq.qfunc import eta, inv_theta_pair, mobius, theta, theta_pair, theta_product
 from enrq.ring import LinExpr, coeff_to_json, exact, qdiv, rat
 from enrq.series import (
+    FRAME_QPU,
+    FRAME_QPUTS,
     BadConstantTerm,
     InexactDivision,
     OffLattice,
@@ -35,6 +45,7 @@ from enrq.series import (
     _mul_order,
     _window_add,
     _window_mul,
+    divide_exact,
     log_series,
 )
 
@@ -399,3 +410,72 @@ def agree_oracle(a, b):
     mono = {n: str(Fraction(e[i], frame.denoms[i])) for i, n in enumerate(frame.names) if e[i]}
     return False, {"monomial": mono, "left": coeff_to_json(ca), "right": coeff_to_json(cb),
                    "count": len(mismatches)}
+
+
+def jacobi_core_oracle(q_order):
+    """``perverse._jacobi_core`` dividing Theta(pu,q^2)Theta(p/u,q^2) by each theta in turn."""
+    frame = FRAME_QPU
+    q_order = _as_order(q_order)
+    A = divide_exact(theta({"u": 2}, 2, q_order, frame), theta({"u": 2}, 1, q_order, frame))
+    e2 = eta(2, q_order + 1).embed(frame)
+    e1 = eta(1, q_order + 1).embed(frame)
+    B = divide_exact(e2**8, e1**16).with_q_order(q_order)
+    N = theta({"p": 1, "u": 1}, 2, q_order, frame) * theta({"p": 1, "u": -1}, 2, q_order, frame)
+    C = divide_exact(N, theta({"p": 1, "u": 1}, 1, q_order, frame))
+    C = divide_exact(C, theta({"p": 1, "u": -1}, 1, q_order, frame))
+    return (A * B * C).with_q_order(q_order)
+
+
+def ph_main_term_jacobi_oracle(q_order):
+    """``perverse.ph_main_term_jacobi`` on :func:`jacobi_core_oracle`."""
+    q_order = _as_order(q_order)
+    return (_main_prefactor(FRAME_QPU) * jacobi_core_oracle(q_order)).with_q_order(q_order)
+
+
+def primitive_pt_forms_oracle(betti, q_order, window, eta_prefactor=True):
+    """``perverse.primitive_pt_forms`` multiplying left to right, the Omega series first."""
+    frame = FRAME_QPUTS
+    q_order = _as_order(q_order)
+    pad = q_order + 1
+    ext = q_order + Fraction(1, 2)
+
+    oh = omega_half_integral_series(q_order)
+    oi = omega_integral_series(betti, q_order, frame)
+
+    form1 = oh * _bracket(1, ext, frame) - oi * _bracket(0, ext, frame, window)
+
+    y = {"t": Fraction(1, 2), "s": Fraction(1, 2)}
+    x = {"p": 1}
+    th_ts = theta_product({"t": 1, "s": 1}, 2, pad, frame)
+    pair2 = theta_pair(x, y, 2, pad, frame)
+    e2 = eta(2, pad, prefactor=eta_prefactor).embed(frame)
+    e1 = eta(1, pad, prefactor=eta_prefactor).embed(frame)
+    e2_8 = e2**8
+    e1_4_inv = (e1**4).invert()
+    ip1 = inv_theta_pair(x, y, 1, q_order, frame, window)
+    ip2 = inv_theta_pair(x, y, 2, q_order, frame, window)
+
+    first_block = pair2 * e2_8 * e1_4_inv * ip1
+    second_term = oi * th_ts * ip2
+    form2 = oh * th_ts * first_block - second_term
+
+    t3den = (e1**12) * theta_product({"t": 1, "s": 1}, 1, pad, frame)
+    f3_head = divide_exact(th_ts, t3den) * 8
+    form3 = f3_head * first_block - second_term
+    return {
+        "sum_form": form1.truncated(q_order),
+        "theta_form": form2.truncated(q_order),
+        "eta_form": form3.truncated(q_order),
+    }
+
+
+def primitive_betti_display_oracle(betti, q_order, window):
+    """``perverse.primitive_betti_display`` multiplying the Omega series in first."""
+    frame = FRAME_QPU
+    q_order = _as_order(q_order)
+    pad = q_order + 1
+    first = jacobi_core_oracle(q_order) * 8
+    th_u = theta_product({"u": 2}, 2, pad, frame)
+    ip2 = inv_theta_pair({"p": 1}, {"u": 1}, 2, q_order, frame, window)
+    oi = omega_integral_series(betti, q_order, frame)
+    return first - oi * th_u * ip2

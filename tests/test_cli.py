@@ -276,6 +276,18 @@ class TestUsageErrors:
         for argv in (["expand", "pt-fiber"], ["tables", "--d", "0:1"]):
             assert "--q-order" in self.usage_error([*argv, "--q-order", "30000"], capsys)
 
+    def test_malformed_p_window_names_the_form(self, capsys):
+        for argv in (["--p-window", "3"], ["--p-window=a:b"], ["--p-window", "1:2:3"]):
+            err = self.usage_error(["expand", "pt-fiber", *argv], capsys)
+            assert "argument --p-window: not a window" in err and "integers LO:HI" in err
+            assert "_parse" not in err and "invalid" not in err
+
+    def test_malformed_degree_names_the_form(self, capsys):
+        for d in ("1:", "x", ":2"):
+            err = self.usage_error(["tables", "--d", d], capsys)
+            assert "argument --d: not a degree range" in err and "a degree D or integers LO:HI" in err
+            assert "_parse" not in err and "invalid" not in err
+
     def test_degree_range_spellings(self, capsys):
         spaced = run(["tables", "--d", "0:1", "--q-order", "3"], capsys)
         joined = run(["tables", "--d=0:1", "--q-order", "3"], capsys)

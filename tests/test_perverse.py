@@ -1,8 +1,16 @@
+import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
-from conftest import assert_agree
+from conftest import assert_agree, assert_identical
+from oracles import (
+    jacobi_core_oracle,
+    ph_main_term_jacobi_oracle,
+    primitive_betti_display_oracle,
+    primitive_pt_forms_oracle,
+)
 from enrq.enriques import GVPolynomial, fiber_ph_grid, gv_to_ph_grid
 from enrq.perverse import (
     BettiTable,
@@ -28,6 +36,7 @@ from enrq.perverse import (
     support_report,
 )
 from enrq import perverse
+from enrq.config import betti_defaults
 from enrq.qfunc import eta, theta
 from enrq.ring import BettiSymbol, LinExpr, betti_symbol, coeff_to_json, rat
 from enrq.series import FRAME_PU, FRAME_PU0, FRAME_QPU, FRAME_QPUTS, FRAME_XY, Series, Window, divide_exact
@@ -36,6 +45,18 @@ from enrq.series import FRAME_PU, FRAME_PU0, FRAME_QPU, FRAME_QPUTS, FRAME_XY, S
 @pytest.fixture(scope="module")
 def betti():
     return BettiTable.default()
+
+
+def withheld_betti(seed, d_max=16):
+    """Bundled Betti records with the last known entry withheld at two seeded
+    degrees of the upper half of 0..d_max, so those entries become symbols."""
+    cut = random.Random(seed).sample(range(d_max // 2 + 1, d_max + 1), 2)
+    records = betti_defaults() + [{"d": d, "betti": [1, 0], "complete": False} for d in cut]
+    return BettiTable.from_records(records)
+
+
+BETTI_TABLES = {"bundled": BettiTable.default(), "seeded": withheld_betti(27)}
+ASSEMBLY_ORDERS = [1, Fraction(5, 2), 4, 8, 9, 16]
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +107,14 @@ class TestBettiTable:
                 FRAME_QPU.exps({"u": 1}): rat(1),
             },
         )
+
+    @pytest.mark.parametrize("name", sorted(BETTI_TABLES))
+    @pytest.mark.parametrize("frame", [FRAME_QPU, FRAME_QPUTS], ids=["qpu", "qputs"])
+    @pytest.mark.parametrize("q_order", [Fraction(5, 2), 8, 16])
+    def test_betti_q_sum_is_the_sum_of_the_signed_sums(self, name, frame, q_order):
+        betti = BETTI_TABLES[name]
+        want = sum((betti.signed_sum(d, frame) for d in range(ceil(q_order))), Series.zero(frame))
+        assert_identical(perverse._betti_q_sum(betti, q_order, frame), want.with_q_order(q_order))
 
 
 class TestMainTerm:
@@ -474,6 +503,44 @@ class TestPrimitiveChain:
         rep = check_primitive_chain(betti, q_order=4, eta_prefactor=False)
         assert not rep["ok"]
         assert rep["sum_vs_theta"]["mismatch"]["monomial"]
+
+
+class TestAssemblyOrder:
+    """The cheaper bracketings give bit for bit the assemblies they replaced
+    (``tests/oracles.py``): coefficients and their types, q_order and window."""
+
+    @pytest.mark.parametrize("q_order", ASSEMBLY_ORDERS)
+    def test_jacobi_core(self, q_order):
+        assert_identical(perverse._jacobi_core(q_order), jacobi_core_oracle(q_order))
+
+    @pytest.mark.parametrize("q_order", ASSEMBLY_ORDERS)
+    def test_main_term_jacobi(self, q_order):
+        assert_identical(ph_main_term_jacobi(q_order), ph_main_term_jacobi_oracle(q_order))
+
+    @pytest.mark.parametrize("name", sorted(BETTI_TABLES))
+    @pytest.mark.parametrize("q_order", ASSEMBLY_ORDERS)
+    def test_primitive_forms_and_display(self, name, q_order):
+        betti = BETTI_TABLES[name]
+        wide = 2 * (int(q_order) + 4)
+        for window in (Window(-wide, wide, False), Window(0, 3, False)):
+            for eta_prefactor in (True, False):
+                got = primitive_pt_forms(betti, q_order, window, eta_prefactor)
+                want = primitive_pt_forms_oracle(betti, q_order, window, eta_prefactor)
+                assert got.keys() == want.keys()
+                for form in got:
+                    assert_identical(got[form], want[form])
+            assert_identical(
+                primitive_betti_display(betti, q_order, window),
+                primitive_betti_display_oracle(betti, q_order, window),
+            )
+
+    def test_the_seeded_table_reaches_the_chain(self):
+        # the withheld entries turn into symbols the bundled table does not carry
+        window = Window(-40, 40, False)
+        seeded, bundled = (
+            primitive_betti_display(BETTI_TABLES[name], 16, window) for name in ("seeded", "bundled")
+        )
+        assert seeded.terms != bundled.terms
 
 
 class TestAsymptotics:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_identical
 from oracles import agree_oracle, divide_exact_oracle, mul_oracle
 from enrq import perverse, series
 from enrq.kernel import FIELD_MASK
@@ -76,12 +77,6 @@ def assert_plain_slices(f):
     for s in f.slices.values():
         assert all(type(c) in (int, Fraction) for c in s.values())
         assert s.symbolic() == any(k & FIELD_MASK for k in s)
-
-
-def assert_identical(a, b):
-    assert a.frame == b.frame and a.q_order == b.q_order and a.window == b.window
-    assert a.terms == b.terms
-    assert {e: type(c) for e, c in a.terms.items()} == {e: type(c) for e, c in b.terms.items()}
 
 
 def test_symbol_ids_are_the_fixed_injective_formula():
