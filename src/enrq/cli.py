@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 failed check, 2 usage error: unknown id,
 malformed argument, a Betti file without data for a degree the command
 needs, an ``--out`` that cannot be written, or a ``SERIES_CACHE_DIR`` that
 cannot be read or written, such as one naming a file, or a ``--q-order``
-too large for a packed exponent field (a one-line message on stderr, never a
-traceback), 3 insufficient truncation order for the requested tables.
+or ``--p-window`` too large for a packed exponent field (a one-line message on
+stderr, never a traceback), 3 insufficient truncation order for the requested
+tables.
 """
 
 import argparse
@@ -14,16 +15,14 @@ import functools
 import json
 import os
 import sys
-import tempfile
 from collections import namedtuple
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__, enriques, perverse
 from .checks import CHECKS, run_checks
 from .kernel import BACKEND
 from .ring import RATIONAL_BACKEND
-from .series import FieldOverflow, Window, json_text
+from .series import FieldOverflow, Window, WindowOverflow, json_text
 
 # flags whose value may start with "-", which argparse would take for an option
 SIGNED_FLAGS = ("--p-window", "--d", "--q-order")
@@ -77,7 +76,8 @@ def _parse_order(text):
 
 def _read_betti_file(path):
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc.strerror or exc}") from None
     try:
@@ -132,14 +132,15 @@ def _cache_errors(cache_dir):
 
 def _emit(text, args, filename):
     if args.out:
-        path = Path(args.out)
+        path = os.path.join(args.out, filename)
         try:
-            path.mkdir(parents=True, exist_ok=True)
-            (path / filename).write_text(text, encoding="utf-8")
+            os.makedirs(args.out, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
         except OSError as exc:
             msg = f"cannot write {filename} into {args.out!r}: {exc.strerror or exc}"
             raise UsageError(f"enrq: error: argument --out: {msg}") from None
-        print(str(path / filename))
+        print(path)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -204,7 +205,7 @@ def _cache_path(cache_dir, name, args):
             sort_keys=True,
         ).encode()
     ).hexdigest()[:24]
-    return Path(cache_dir) / f"{name}-{key}.json"
+    return os.path.join(cache_dir, f"{name}-{key}.json")
 
 
 def cmd_expand(args):
@@ -218,7 +219,8 @@ def cmd_expand(args):
     if cache_path is not None:
         with _cache_errors(cache_dir):
             try:
-                text = cache_path.read_text(encoding="utf-8")
+                with open(cache_path, encoding="utf-8") as fh:
+                    text = fh.read()
             except FileNotFoundError:  # a miss, also when the entry went since it was keyed
                 pass
     if text is None:
@@ -232,8 +234,11 @@ def cmd_expand(args):
 
 def _write_atomic(path, text):
     """Write via a temp file in the same directory, so readers never see a partial file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    import tempfile  # only a cache miss writes
+
+    parent, name = os.path.split(path)
+    os.makedirs(parent, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=parent)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -281,7 +286,7 @@ def cmd_check(args):
     if names:
         unknown = [n for n in names if n not in CHECKS]
         if unknown:
-            print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
+            print(f"unknown checks: {', '.join(map(repr, unknown))}", file=sys.stderr)
             return 2
     results = run_checks(
         names,
@@ -325,7 +330,8 @@ def _add_common(parser):
 
 @functools.cache
 def _parser():
-    """The argument parser, built on first use and shared by later calls."""
+    """The argument parser, built on first use and shared by later calls; its
+    ``commands`` maps each command name to its subparser."""
     parser = _Parser(
         prog="enrq",
         description="Exact q-series engine for refined curve counting on Enriques Calabi-Yau threefolds",
@@ -349,14 +355,30 @@ def _parser():
         help="negative control: drop the q^(scale/24) eta prefactor",
     )
     _add_common(p_check)
+    parser.commands = {"expand": p_expand, "tables": p_tables, "check": p_check}
     return parser
+
+
+def _parse(argv):
+    """``_parser().parse_args`` of ``argv``, in one pass where ``argv`` starts
+    with a command name: that command's subparser reads the rest, which is what
+    the full parser hands it.  Any other input, and leftover arguments, go
+    through the full parser, so every help, usage and error text is its own."""
+    argv = _join_signed_values(argv)
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(_join_signed_values(argv))
+        args = _parse(argv)
         if args.command == "expand":
             return cmd_expand(args)
         if args.command == "tables":
@@ -366,6 +388,8 @@ def main(argv=None):
         print(exc, file=sys.stderr)
     except perverse.MissingBettiData as exc:
         print(f"enrq: error: argument --betti-file: {exc.args[0]}", file=sys.stderr)
+    except WindowOverflow as exc:
+        print(f"enrq: error: argument --p-window: too large ({exc})", file=sys.stderr)
     except FieldOverflow as exc:
         print(f"enrq: error: argument --q-order: too large ({exc})", file=sys.stderr)
     return 2

@@ -10,10 +10,11 @@ and a derived d=0 vector.
 """
 
 import json
-from importlib import resources
 
 
 def _load(name):
+    from importlib import resources  # only a bundled-data load reads the package files
+
     with resources.files("enrq.data").joinpath(name).open("r", encoding="utf-8") as fh:
         return json.load(fh)
 

@@ -18,8 +18,10 @@ from .series import (
     FRAME_TS,
     BadConstantTerm,
     Series,
+    WindowOverflow,
     WindowUnderflow,
     Window,
+    _guard,
     log_series,
     product_expand,
 )
@@ -126,12 +128,17 @@ def inv_zero_mode(x, y, q_order, frame, window):
     The inverse of the zero mode x - y - 1/y + 1/x of :func:`theta_pair`,
     expanded ascending in x, which must raise p.  Only the top of the
     requested ``window`` is read: the result carries the window floored at
-    x^1.  With ``y = {}`` the coefficient of x^m is m.
+    x^1.  With ``y = {}`` the coefficient of x^m is m.  A window top that
+    puts the last term beyond a packed field raises :class:`WindowOverflow`
+    before any term is built.
     """
     ex, ey = frame.exps(x), frame.exps(y)
     if window is None or frame.p_index < 0 or ex[frame.p_index] <= 0:
         raise WindowUnderflow("inv_zero_mode needs x raising p and a p-window")
     step = ex[frame.p_index]
+    top = max(window.hi // step, 1)  # the last m; its terms reach m|x| + (m-1)|y|
+    bounds = [top * abs(u) + (top - 1) * abs(v) for u, v in zip(ex, ey)]
+    _guard(frame, bounds, "inv_zero_mode", WindowOverflow)
     terms = {}
     m = 1
     while m * step <= window.hi:

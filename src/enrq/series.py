@@ -83,6 +83,7 @@ __all__ = [
     "OutsideValidWindow",
     "OffLattice",
     "FieldOverflow",
+    "WindowOverflow",
     "divide_exact",
     "exp_series",
     "log_series",
@@ -142,6 +143,10 @@ class OffLattice(SeriesError):
 
 class FieldOverflow(SeriesError):
     """An exponent of a packed operation could leave its fixed-width key field."""
+
+
+class WindowOverflow(FieldOverflow):
+    """A requested p-window whose top lies beyond a packed exponent field."""
 
 
 class Window(tuple):
@@ -432,11 +437,11 @@ def _cut_bounds(frame, factors, top):
     return bounds
 
 
-def _guard(frame, bounds, op):
-    """Raise :class:`FieldOverflow` unless every per-variable bound fits a field."""
+def _guard(frame, bounds, op, error=FieldOverflow):
+    """Raise ``error`` (a :class:`FieldOverflow`) unless every per-variable bound fits a field."""
     for name, b in zip(frame.names, bounds):
         if b >= BIAS:
-            raise FieldOverflow(
+            raise error(
                 f"{op}: scaled exponent of {name} may reach {b}; a packed field holds |e| < {BIAS}"
             )
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -34,6 +35,41 @@ def run(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def oracle_parse(argv):
+    """The parse the one-pass dispatch replaces: the full parser reads every argv."""
+    return cli._parser().parse_args(cli._join_signed_values(argv))
+
+
+def parsed(parse, argv, capsys):
+    """What one parse of ``argv`` shows a user and hands a command: the exit
+    code of help or of a usage error, stdout, stderr, and the parsed options."""
+    code = options = None
+    try:
+        options = vars(parse(argv))
+        if options.get("betti_file"):  # its table is built from its bytes alone
+            options["betti_file"] = options["betti_file"].data
+    except cli.UsageError as exc:
+        code = 2
+        print(exc, file=sys.stderr)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, options
+
+
+def run_both(argv, capsys):
+    """``run`` through the dispatch and through the oracle parse: both results."""
+    results = []
+    for parse in (cli._parse, oracle_parse):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_parse", parse)
+            try:
+                results.append(run(argv, capsys))
+            except SystemExit as exc:  # help
+                results.append((exc.code, *capsys.readouterr()))
+    return results
 
 
 class TestExpand:
@@ -105,15 +141,16 @@ class TestExpand:
         monkeypatch.setenv("SERIES_CACHE_DIR", str(cache))
         argv = ["expand", "ky-logZ", "--q-order", "4"]
         cold = run(argv, capsys)
-        read_text, removed = Path.read_text, []
+        cache_path, removed = cli._cache_path, []
 
-        def removed_first(path, *args, **kwargs):
-            if path.parent == cache:  # another process clears the cache just before the read
-                path.unlink()
-                removed.append(path.name)
-            return read_text(path, *args, **kwargs)
+        def removed_once_keyed(*args):
+            path = cache_path(*args)
+            if os.path.exists(path):  # another process clears the cache between key and read
+                os.unlink(path)
+                removed.append(os.path.basename(path))
+            return path
 
-        monkeypatch.setattr(Path, "read_text", removed_first)
+        monkeypatch.setattr(cli, "_cache_path", removed_once_keyed)
         assert run(argv, capsys) == cold
         assert len(removed) == 1 and [p.name for p in cache.iterdir()] == removed
 
@@ -200,11 +237,74 @@ class TestParserReuse:
         assert {code for code, _, _ in shared} == {0, 2}
 
 
+class TestOneParse:
+    """A command's subparser alone reads what follows the command name; the
+    full parser reads all else.  Either way a user sees what the two-level
+    parse shows, and a command gets the same options."""
+
+    CORPUS = [
+        *TestParserReuse.SESSION,
+        [],
+        ["-h"],
+        ["--help"],
+        ["expand", "-h"],
+        ["tables", "--help"],
+        ["check", "-h", "--checks", "nope"],
+        ["bogus"],
+        ["expan", "pt-fiber"],
+        ["--bogus"],
+        ["--", "expand", "pt-fiber"],
+        ["expand"],
+        ["expand", "pt-fiber", "extra"],
+        ["expand", "pt-fiber", "--bogus", "3"],
+        ["tables", "--d", "0:1", "stray", "--q-order", "1"],
+        ["check", "--eta-no-prefactor", "x"],
+        ["expand", "--q-order", "3", "pt-fiber"],
+        ["expand", "--p-window", "-4:4", "--q-order", "2", "pt-fiber-full"],
+        ["expand", "pt-fiber", "--q-ord", "2"],
+        ["expand", "pt-fiber", "--q-order"],
+        ["expand", "--", "pt-fiber"],
+        ["expand", "pt-fiber", "--", "extra"],
+        ["tables", "--format", "xml"],
+        ["tables", "--d", "2", "--d", "0:1", "--q-order", "2"],
+        ["check", "--checks", "table1,,table2"],
+        ["expand", "pt-fiber-full", "--q-order", "2", "--p-window", "-300000:300000"],
+    ]
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_parse_matches_the_full_parser(self, argv, capsys):
+        assert parsed(cli._parse, argv, capsys) == parsed(oracle_parse, argv, capsys)
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_main_matches_the_full_parser(self, argv, capsys):
+        dispatched, oracle = run_both(argv, capsys)
+        assert dispatched == oracle
+
+    def test_every_command_parses_once(self, capsys, monkeypatch):
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        for argv in (["expand", "pt-fiber", "--q-order", "2"], ["tables", "--d", "0", "--q-order", "1"]):
+            assert run(argv, capsys)[0] == 0
+        assert calls == ["enrq expand", "enrq tables"]
+        calls.clear()
+        assert run(["expand", "pt-fiber", "extra"], capsys)[0] == 2  # the full parser names the extras
+        assert calls == ["enrq expand", "enrq", "enrq expand"]
+
+
 class TestUsageErrors:
     """Malformed input: exit 2 and one line on stderr, no traceback."""
 
     def usage_error(self, argv, capsys):
-        code, out, err = run(argv, capsys)
+        # the one-pass dispatch parses as the full parser does, to the byte
+        assert parsed(cli._parse, argv, capsys) == parsed(oracle_parse, argv, capsys)
+        (code, out, err), oracle = run_both(argv, capsys)
+        assert (code, out, err) == oracle
         assert code == 2 and not out
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         return err
@@ -276,6 +376,13 @@ class TestUsageErrors:
         for argv in (["expand", "pt-fiber"], ["tables", "--d", "0:1"]):
             assert "--q-order" in self.usage_error([*argv, "--q-order", "30000"], capsys)
 
+    def test_p_window_too_large(self, capsys):
+        # a window top whose scaled p exponent leaves the packed field: refused
+        # before the sum over p^m up to the top begins
+        argv = ["expand", "pt-fiber-full", "--q-order", "2", "--p-window", "-300000:300000"]
+        err = self.usage_error(argv, capsys)
+        assert err.startswith("enrq: error: argument --p-window: too large (")
+
     def test_malformed_p_window_names_the_form(self, capsys):
         for argv in (["--p-window", "3"], ["--p-window=a:b"], ["--p-window", "1:2:3"]):
             err = self.usage_error(["expand", "pt-fiber", *argv], capsys)
@@ -314,8 +421,10 @@ class TestTables:
         assert code == 3 and "q-order" in err
 
     def test_output_directory(self, tmp_path, capsys):
-        code, _, _ = run(["tables", "--d", "0:1", "--q-order", "4", "--out", str(tmp_path)], capsys)
+        code, out, _ = run(["tables", "--d", "0:1", "--q-order", "4", "--out", str(tmp_path)], capsys)
         assert code == 0
+        written = ["table_d0.md", "table_d1.md", "table_fiber_odd.md", "table_fiber_even.md"]
+        assert out.splitlines() == [os.path.join(str(tmp_path), name) for name in written]
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [
             "table_d0.md",
@@ -356,6 +465,10 @@ class TestCheck:
     def test_unknown_check_exit_2(self, capsys):
         code, _, err = run(["check", "--checks", "nope"], capsys)
         assert code == 2 and "unknown checks" in err
+
+    def test_unknown_check_names_are_quoted(self, capsys):
+        code, out, err = run(["check", "--checks", "table1,,nope,table2"], capsys)
+        assert (code, out, err) == (2, "", "unknown checks: '', 'nope'\n")
 
     def test_negative_control_fails(self, capsys):
         code, out, _ = run(
@@ -509,8 +622,8 @@ def test_cache_key_equals_the_hashlib_derivation(name, tmp_path):
     betti.write_text(json.dumps(BETTI_RECORDS))
     for extra in ([], ["--betti-file", str(betti)], ["--q-order", "7/2", "--p-window=-3:5"]):
         args = cli._parser().parse_args(["expand", name, *extra])
-        got = cli._cache_path(tmp_path / "cache", name, args)
-        assert got == _hashlib_cache_path(tmp_path / "cache", name, args)
+        got = cli._cache_path(str(tmp_path / "cache"), name, args)
+        assert os.fspath(got) == os.fspath(_hashlib_cache_path(tmp_path / "cache", name, args))
 
 
 def test_cache_key_falls_back_to_hashlib(tmp_path, monkeypatch):
@@ -522,6 +635,7 @@ def test_cache_key_falls_back_to_hashlib(tmp_path, monkeypatch):
         assert cli._sha256() is hashlib.sha256
         for name in ("pt-fiber", "pt-fiber-full"):
             args = cli._parser().parse_args(["expand", name])
-            assert cli._cache_path(tmp_path, name, args) == _hashlib_cache_path(tmp_path, name, args)
+            got = cli._cache_path(str(tmp_path), name, args)
+            assert os.fspath(got) == os.fspath(_hashlib_cache_path(tmp_path, name, args))
     finally:
         cli._sha256.cache_clear()

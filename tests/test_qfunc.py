@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_agree, random_series
+from enrq import qfunc
+from enrq.kernel import BIAS
 from enrq.qfunc import (
     eta,
     inv_theta_pair,
@@ -24,8 +26,10 @@ from enrq.series import (
     FRAME_QTS,
     FRAME_TS,
     BadConstantTerm,
+    FieldOverflow,
     Series,
     Window,
+    WindowOverflow,
     WindowUnderflow,
     divide_exact,
     product_expand,
@@ -140,6 +144,27 @@ class TestTheta:
                 inv_zero_mode(x, {"u": 1}, 3, FRAME_QPU, Window(0, 8, True))
         with pytest.raises(WindowUnderflow):
             inv_zero_mode({"p": 1}, {"u": 1}, 3, FRAME_QPU, None)
+
+    def test_inv_zero_mode_refuses_an_out_of_field_top_before_building_terms(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("inv_zero_mode built its terms")
+
+        monkeypatch.setattr(qfunc, "Series", refuse)
+        half = {"t": Fraction(1, 2), "s": Fraction(1, 2)}
+        # the CLI's --p-window -300000:300000: summing m up to 300000 never ends
+        with pytest.raises(WindowOverflow, match="scaled exponent of p may reach 600000"):
+            inv_zero_mode({"p": 1}, half, 2, FRAME_QPUTS, Window(-600000, 600000))
+        # three terms, the last with (m - 1)|y| = 2 * 2 * 131072 = BIAS: refused before packing
+        with pytest.raises(WindowOverflow, match=f"scaled exponent of t may reach {BIAS}"):
+            inv_zero_mode({"p": 1}, {"t": BIAS // 4}, 2, FRAME_QPUTS, Window(0, 6))
+        assert issubclass(WindowOverflow, FieldOverflow)
+
+    def test_inv_zero_mode_packs_a_top_just_inside_the_field(self):
+        # the last term p^3 y^{+-2} reaches 2 * (BIAS - 2) / 2 scaled units of t
+        inv = inv_zero_mode({"p": 1}, {"t": Fraction(BIAS - 2, 4)}, 2, FRAME_QPUTS, Window(0, 6))
+        assert inv.coeff({"p": 3, "t": Fraction(BIAS - 2, 2)}) == 1
+        with pytest.raises(WindowOverflow):
+            inv_zero_mode({"p": 1}, {"t": Fraction(BIAS, 4)}, 2, FRAME_QPUTS, Window(0, 6))
 
     def test_theta_ratio_remainder_free_to_q8(self):
         q = Fraction(9)
