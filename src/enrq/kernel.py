@@ -28,8 +28,10 @@ when a product could leave it, so a field never wraps into its neighbour.
 
 ``madd`` multiplies one weight slice by one weight slice.  The truncation
 cut is the caller's loop bound (slices are graded by weight), so the kernel
-sees only the p-window, which it applies by bisecting the p-sorted ``g``.
-Slices are dicts, so an unwindowed product never sorts.
+sees only a key range, which it applies by bisecting the sorted ``g``: the
+p-window, or the upper half of a slice whose lower half the caller fills by
+reflection (see ``enrq.series._parity``).  Slices are dicts, so a product
+without a key range never sorts.
 
 ``BACKEND`` names the kernel for the series cache key and benchmark records;
 it is the constant ``"py"``.
@@ -69,8 +71,9 @@ def madd(out, f, g, base, lo, hi):
     """Accumulate the term products of slices ``f`` and ``g`` into ``out``.
 
     ``out`` maps packed keys to coefficients.  A product key ``e`` is kept
-    only if ``lo <= e < hi``; ``lo = None`` keeps every product.  Zero
-    coefficients are pruned, so ``out`` never stores cancellations.
+    only if ``lo <= e < hi``; ``lo = None`` keeps every product, and
+    ``hi = None`` leaves the range open above.  Zero coefficients are
+    pruned, so ``out`` never stores cancellations.
     """
     get = out.get
     if lo is None:
@@ -81,7 +84,7 @@ def madd(out, f, g, base, lo, hi):
         kf -= base
         if lo is not None:
             i = bisect_left(gkeys, lo - kf)
-            span = gitems[i:bisect_left(gkeys, hi - kf, i)]
+            span = gitems[i:] if hi is None else gitems[i:bisect_left(gkeys, hi - kf, i)]
         for kg, cg in span:
             e = kf + kg
             c = get(e)

@@ -182,21 +182,32 @@ def _main_prefactor(frame):
 _Q1, _Q2 = {"q": 1}, {"q": 2}
 
 
+def _odd_pair_product(x, q_order):
+    """G(x) = prod_{m odd} [(1 - x q^m)(1 - x^{-1} q^m)]^{-1}, x a (p, u) monomial."""
+    inv = {v: -e for v, e in x.items()}
+    factors = [(dict(x, q=1), -1, _Q2), (dict(inv, q=1), -1, _Q2)]
+    return product_expand(FRAME_QPU, factors, q_order)
+
+
 def ph_main_term(q_order):
     """(1-p/u)(1-up)/(-p) prod_m (1-q^m)^{-8}
     prod_{m odd} [(1-u^{-2}q^m)(1-u^2 q^m)(1-upq^m)(1-up^{-1}q^m)
-                  (1-u^{-1}pq^m)(1-u^{-1}p^{-1}q^m)(1-q^m)^2]^{-1}."""
-    factors = [
+                  (1-u^{-1}pq^m)(1-u^{-1}p^{-1}q^m)(1-q^m)^2]^{-1}.
+
+    The product is built as ``rest * (G(pu) * G(p/u))`` (:func:`_odd_pair_product`),
+    ``rest`` the (1-q^m)^{-8}, u^{+-2} and (1-q^m)^2 families: each factor
+    lives in fewer variables than the whole, so the three solves and two
+    products take about half the term pairs of one solve of all eight
+    families, with the same coefficients.
+    """
+    rest = [
         (_Q1, -8, _Q1),
         ({"q": 1, "u": -2}, -1, _Q2),
         ({"q": 1, "u": 2}, -1, _Q2),
-        ({"q": 1, "u": 1, "p": 1}, -1, _Q2),
-        ({"q": 1, "u": 1, "p": -1}, -1, _Q2),
-        ({"q": 1, "u": -1, "p": 1}, -1, _Q2),
-        ({"q": 1, "u": -1, "p": -1}, -1, _Q2),
         (_Q1, -2, _Q2),
     ]
-    return _main_prefactor(FRAME_QPU) * product_expand(FRAME_QPU, factors, q_order)
+    pairs = _odd_pair_product({"p": 1, "u": 1}, q_order) * _odd_pair_product({"p": 1, "u": -1}, q_order)
+    return _main_prefactor(FRAME_QPU) * (product_expand(FRAME_QPU, rest, q_order) * pairs)
 
 
 def _theta_ratio(x, q_order, frame):

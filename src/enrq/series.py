@@ -26,9 +26,17 @@ view, is built from the slices on first read and then kept.
 Products run on the stored slices: every step multiplies one weight slice by
 one weight slice with :func:`enrq.kernel.madd` into the accumulator of their
 summed weight (the truncation cut is the loop bound), and the accumulators
-are the result's slices.  Besides ``Series.__mul__``, one graded solve
-(:func:`_euler_solve`, ``S_W = finish(W, seed_W + sum_l K_l * S_{W-l})``)
-multiplies slices, and its solved slices are the result's: it runs
+are the result's slices.  Half path: in a frame with one weighted variable
+``q``, the inversion ``rho`` that negates every other exponent maps the slice
+of weight W onto itself as the key map ``k -> 2 c_W - k`` (``c_W`` the key of
+the pure q-power of weight W).  When both operands of an unwindowed product
+are even or odd under ``rho`` (:func:`_parity`) and its slice products are
+wide (:data:`_HALF_MIN_PAIRS`), each accumulator collects only the keys at
+or above ``c_W`` and the rest are filled by reflection; the perverse-Hodge
+tables' duality ``(i, j) -> (-i, -j)`` is this symmetry.
+Besides ``Series.__mul__``, one graded solve (:func:`_euler_solve`,
+``S_W = finish(W, seed_W + sum_l K_l * S_{W-l})``) multiplies slices, and
+its solved slices are the result's: it runs
 :func:`product_expand`, :func:`exp_series`, :func:`log_series` and
 :func:`divide_exact`.  A key is one int of fixed-width biased fields with
 ``p`` most significant (layout in :mod:`enrq.kernel`), so a p-window is a key
@@ -188,8 +196,8 @@ class Frame:
     """Variable layout: names, exponent denominators and truncation weights."""
 
     __slots__ = (
-        "names", "denoms", "weights", "nvars", "index", "p_index", "wden", "wnum", "shifts", "base",
-        "_key",
+        "names", "denoms", "weights", "nvars", "index", "p_index", "q_index", "wden", "wnum", "shifts",
+        "base", "_key",
     )
 
     def __init__(self, names, denoms, weights):
@@ -206,14 +214,16 @@ class Frame:
         self.index = {n: i for i, n in enumerate(self.names)}
         if len(self.index) != self.nvars:
             raise ValueError("duplicate variable names")
-        weighted = [self.denoms[i] for i in range(self.nvars) if self.weights[i]]
-        self.wden = lcm(*weighted) if weighted else 1
+        weighted = [i for i in range(self.nvars) if self.weights[i]]
+        self.wden = lcm(*(self.denoms[i] for i in weighted))
         self.wnum = tuple(
             self.weights[i] * self.wden // self.denoms[i] for i in range(self.nvars)
         )
         # windowing applies to an unweighted variable named p
         i = self.index.get("p")
         self.p_index = i if (i is not None and self.weights[i] == 0) else -1
+        # the one weighted variable, if only one is, which the inversion rho keeps (see _parity)
+        self.q_index = weighted[0] if len(weighted) == 1 else -1
         # packed keys: the symbol field lowest, then the variables in tuple
         # order, p in the most significant field
         order = [j for j in range(self.nvars) if j != self.p_index]
@@ -615,6 +625,7 @@ class Series:
             _guard(frame, map(add, _amax(frame, self.slices), _amax(frame, other.slices)), "product")
             top = _top(frame, q_order)
             lo, hi = (None, None) if window is None else _p_keys(frame, window.lo, window.hi)
+            sign = 0 if window is not None else _product_parity(frame, self.slices, other.slices)
             both = self.has_symbols() and other.has_symbols()
             acc = {}
             for wf, sf in self.slices.items():
@@ -625,7 +636,12 @@ class Series:
                     if both and sf.symbolic() and sg.symbolic():
                         raise SymbolDegreeOverflow(f"product of symbol-carrying slices at weights {wf}, {wg}")
                     a, b = (sf, sg) if len(sf) <= len(sg) else (sg, sf)
+                    if sign:
+                        lo = _center(frame, w)
                     madd(acc.setdefault(w, PackedSlice()), a, b, frame.base, lo, hi)
+            if sign:
+                for w, t in acc.items():
+                    _mirror(t, _center(frame, w), sign)
             return Series._from_slices(frame, acc, q_order, window)
         if isinstance(other, LinExpr):
             return self * Series.const(self.frame, other)
@@ -1010,7 +1026,7 @@ def _window_mul(f, g):
     return Window(fl + gl, hi, True)
 
 
-def _euler_solve(frame, kernel, seed, finish, first, top, keys=(None, None), solved=None):
+def _euler_solve(frame, kernel, seed, finish, first, top, keys=(None, None), solved=None, mirror=False):
     """``S_W = finish(W, seed_W + sum_l K_l * S_{W-l})`` for ascending W in first..top.
 
     ``kernel`` lists packed ``(l, K_l)``, ascending in ``l > 0``; ``seed``
@@ -1018,6 +1034,15 @@ def _euler_solve(frame, kernel, seed, finish, first, top, keys=(None, None), sol
     series' stored slices may seed it); ``solved`` holds slices known
     beforehand.  Products run through ``madd`` cut to the p-key
     range ``keys``.  Returns the nonempty slices as ``{W: PackedSlice}``.
+
+    ``mirror`` (with an empty ``seed``, no ``keys`` and even ``solved``
+    slices) asks for the half path.  At the first step wide enough for it
+    (:data:`_HALF_MIN_PAIRS` term pairs for an average kernel slice times
+    the last solved slice) the kernel's parity under ``rho`` is read; if the
+    kernel is even, so is every product ``K_l * S_{W-l}``, and each wide
+    step collects the keys at or above the center ``c_W`` and fills the rest
+    by reflection before ``finish``, which must act key by key (see
+    :func:`_parity`).
 
     Only the weights that can hold a slice are visited: every ``K_l`` has
     ``l`` a multiple of ``g``, the gcd of the kernel weights, so a solved
@@ -1029,8 +1054,17 @@ def _euler_solve(frame, kernel, seed, finish, first, top, keys=(None, None), sol
     solved = dict(solved or {})
     low = min(solved, default=first)
     kernel = [(l, k, k.symbolic()) for l, k in kernel]
+    wide = _HALF_MIN_PAIRS * len(kernel)
+    kernel_terms = sum(len(k) for _, k, _ in kernel)
+    last = max(map(len, solved.values()), default=0)
+    even = None if mirror else False  # None: the kernel's parity is not read yet
     for W in _reachable(first, top, gcd(*(l for l, _, _ in kernel)), seed.keys() | solved.keys()):
         acc = dict(seed.get(W, ()))
+        half = kernel_terms * last >= wide
+        if half and even is None:
+            even = _parity(frame, {l: k for l, k, _ in kernel}) == 1
+        half = half and even
+        cut = (_center(frame, W), None) if half else keys
         for l, k, ksym in kernel:
             if W - l < low:
                 break
@@ -1040,12 +1074,75 @@ def _euler_solve(frame, kernel, seed, finish, first, top, keys=(None, None), sol
                     raise SymbolDegreeOverflow(f"solve step {W}: symbol-carrying kernel slice {l} "
                                                f"times a symbol-carrying slice")
                 a, b = (k, s) if len(k) <= len(s) else (s, k)
-                madd(acc, a, b, frame.base, *keys)
+                madd(acc, a, b, frame.base, *cut)
+        if half:
+            _mirror(acc, cut[0], 1)
         if acc:
             out = finish(W, acc)
             if out:
                 solved[W] = PackedSlice(out)
+                last = len(out)
     return solved
+
+
+def _center(frame, W):
+    """``c_W``: the key of the monomial of weight W with only its weighted variable nonzero."""
+    i = frame.q_index
+    return frame.base + ((W // frame.wnum[i]) << frame.shifts[i])
+
+
+# The half path skips about half of the term pairs of each slice product, but
+# it checks every stored slice of both operands and reflects every output
+# slice: it pays only when an average slice product has at least this many
+# term pairs.  Timed product by product (2-core Xeon, Python 3.11), the
+# narrower products of the perverse-identity and cli-session workloads in
+# perfbench ran slower on the half path than on the full one.
+_HALF_MIN_PAIRS = 64
+
+
+def _product_parity(frame, f, g):
+    """The parity under ``rho`` of the product of the ``{W: PackedSlice}``
+    slices ``f`` and ``g`` if both have one (:func:`_parity`) and an average
+    slice product has at least :data:`_HALF_MIN_PAIRS` term pairs, else 0."""
+    if frame.q_index < 0 or (sum(map(len, f.values())) * sum(map(len, g.values()))
+                             < _HALF_MIN_PAIRS * len(f) * len(g)):
+        return 0
+    sign = _parity(frame, f)
+    return sign and sign * _parity(frame, g)
+
+
+def _parity(frame, slices):
+    """+1 (-1) when the ``{W: PackedSlice}`` slices are even (odd) under ``rho``, else 0.
+
+    In a frame whose only weighted variable is ``q`` (``frame.q_index``),
+    ``rho`` negates every other exponent; on the slice of weight W it is the
+    key map ``k -> 2 c_W - k`` (:func:`_center`).  The slices are even (odd)
+    when every entry's image is stored with the same (negated) value.  A
+    symbol entry or a coefficient other than an ``int`` gives 0: a sum of
+    ``Fraction`` products takes its type from the order of summation, which
+    a reflected half would not repeat.  A product of operands of parities
+    ``a`` and ``b`` has parity ``a * b``, and an odd one an empty center.
+    """
+    if frame.q_index < 0:
+        return 0
+    sign = 0
+    for W, s in slices.items():
+        vals = list(s.values())
+        if not _INT_ONLY.issuperset(map(type, vals)) or s.symbolic():
+            return 0
+        image = list(map(s.get, map((2 * _center(frame, W)).__sub__, s)))
+        t = 1 if image == vals else -1 if image == list(map(neg, vals)) else 0
+        if not t or (sign and t != sign):
+            return 0
+        sign = t
+    return sign
+
+
+def _mirror(acc, center, sign):
+    """Fill a slice that holds its keys at or above ``center`` with their
+    ``rho``-images: ``acc[2 center - k] = sign * acc[k]``."""
+    vals = list(acc.values() if sign > 0 else map(neg, acc.values()))
+    acc.update(zip(map((2 * center).__sub__, list(acc)), vals))
 
 
 def _reachable(first, top, g, starts):
@@ -1404,6 +1501,10 @@ def product_expand(frame, factors, q_order, window=None):
     J. ACM 25 (1978); Knuth, TAOCP vol. 2, section 4.7).  For integer
     exponents every division by W is exact, so every coefficient is an
     ``int``; otherwise the divisions go through :func:`enrq.ring.qdiv`.
+    Without a window, an even ``DA`` (a factor list closed under the
+    inversion ``rho``, integer exponents) makes ``F`` even, and once its
+    slices are wide the solve collects half of each and reflects the rest
+    (see :func:`_parity`).
 
     Window contract: the only accepted p-window is ``Window(0, hi, True)``
     with every kept factor of p-exponent >= 0.  All products then stay at
@@ -1467,7 +1568,7 @@ def product_expand(frame, factors, q_order, window=None):
     kernel = [(l, PackedSlice({k: c for k, c in t.items() if c})) for l, t in sorted(da.items())]
     integral = all(type(e) is int for _, _, e in kept)
     slices = _euler_solve(frame, kernel, {}, _divide_by_weight if integral else _qdiv_by_weight,
-                          1, top, keys, {0: PackedSlice({base: 1})})
+                          1, top, keys, {0: PackedSlice({base: 1})}, mirror=pi < 0)
     return Series._from_slices(frame, slices, q_order, window)
 
 

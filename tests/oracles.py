@@ -11,12 +11,13 @@ images of ``log_series`` that ``plethystic_log`` was, and
 Their products run on the tuple kernel.  ``agree_oracle`` is ``agree`` as a
 scan of the tuple-keyed terms, before series stored slices.
 
-``jacobi_core_oracle``, ``ph_main_term_jacobi_oracle``,
+``ph_main_term_oracle``, ``jacobi_core_oracle``, ``ph_main_term_jacobi_oracle``,
 ``primitive_pt_forms_oracle`` and ``primitive_betti_display_oracle`` are the
-perverse-Hodge assemblies in the order they were first written: the
-three-variable theta numerator divided by each theta in turn, and the Omega
-series multiplied into the large factor first.  Only the bracketing changed,
-so they run on the library's own series arithmetic.
+perverse-Hodge assemblies in the order they were first written: the main
+term's eight factor families expanded in one product, the three-variable
+theta numerator divided by each theta in turn, and the Omega series
+multiplied into the large factor first.  Only the bracketing changed, so
+they run on the library's own series arithmetic.
 
 A chain of oracle steps (the power loops, the product of binomials) keeps
 its intermediates as :class:`Terms`, tuple-keyed term dicts with the
@@ -47,6 +48,7 @@ from enrq.series import (
     _window_mul,
     divide_exact,
     log_series,
+    product_expand,
 )
 
 
@@ -410,6 +412,22 @@ def agree_oracle(a, b):
     mono = {n: str(Fraction(e[i], frame.denoms[i])) for i, n in enumerate(frame.names) if e[i]}
     return False, {"monomial": mono, "left": coeff_to_json(ca), "right": coeff_to_json(cb),
                    "count": len(mismatches)}
+
+
+def ph_main_term_oracle(q_order):
+    """``perverse.ph_main_term`` expanding all eight factor families in one product."""
+    q1, q2 = {"q": 1}, {"q": 2}
+    factors = [
+        (q1, -8, q1),
+        ({"q": 1, "u": -2}, -1, q2),
+        ({"q": 1, "u": 2}, -1, q2),
+        ({"q": 1, "u": 1, "p": 1}, -1, q2),
+        ({"q": 1, "u": 1, "p": -1}, -1, q2),
+        ({"q": 1, "u": -1, "p": 1}, -1, q2),
+        ({"q": 1, "u": -1, "p": -1}, -1, q2),
+        (q1, -2, q2),
+    ]
+    return _main_prefactor(FRAME_QPU) * product_expand(FRAME_QPU, factors, q_order)
 
 
 def jacobi_core_oracle(q_order):

@@ -55,3 +55,24 @@ def test_cancellation_pruned():
 
 def test_selected_backend_reported():
     assert BACKEND == "py"
+
+
+def test_open_upper_end_keeps_every_product_from_lo():
+    rng = random.Random(11)
+    for frame in (FRAME_QPU, FRAME_QPUTS):
+        for _ in range(60):
+            f = _packed(frame, _random_terms(rng, frame.nvars, rng.randint(1, 12)))
+            g = _packed(frame, _random_terms(rng, frame.nvars, rng.randint(1, 12)))
+            full = madd({}, f, g, frame.base, None, None)
+            lo = rng.choice(sorted(full)) if full else frame.base
+            got = madd({}, f, g, frame.base, lo, None)
+            assert got == {k: c for k, c in full.items() if k >= lo}
+
+
+def test_open_upper_end_prunes_cancellations():
+    # (1 - x)(1 + x) = 1 - x^2: the x^1 products cancel above lo = key(x^1)
+    f = _packed(FRAME_X, {(0,): rat(1), (1,): rat(-1)})
+    g = _packed(FRAME_X, {(0,): rat(1), (1,): rat(1)})
+    lo = next(iter(_packed(FRAME_X, {(1,): rat(1)})))
+    out = madd({}, f, g, FRAME_X.base, lo, None)
+    assert _unpack(FRAME_X, out) == {(2,): rat(-1)}

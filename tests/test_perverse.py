@@ -8,6 +8,7 @@ from conftest import assert_agree, assert_identical
 from oracles import (
     jacobi_core_oracle,
     ph_main_term_jacobi_oracle,
+    ph_main_term_oracle,
     primitive_betti_display_oracle,
     primitive_pt_forms_oracle,
 )
@@ -508,6 +509,10 @@ class TestPrimitiveChain:
 class TestAssemblyOrder:
     """The cheaper bracketings give bit for bit the assemblies they replaced
     (``tests/oracles.py``): coefficients and their types, q_order and window."""
+
+    @pytest.mark.parametrize("q_order", ASSEMBLY_ORDERS + [24])
+    def test_main_term(self, q_order):
+        assert_identical(ph_main_term(q_order), ph_main_term_oracle(q_order))
 
     @pytest.mark.parametrize("q_order", ASSEMBLY_ORDERS)
     def test_jacobi_core(self, q_order):

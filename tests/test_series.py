@@ -1,4 +1,5 @@
 import json
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
@@ -26,9 +27,10 @@ from oracles import (
     tuple_madd,
 )
 from enrq import cli, enriques, perverse, qfunc
+from enrq import series as series_module
 from enrq.cli import SERIES_IDS
 from enrq.cli import main as cli_main
-from enrq.kernel import BIAS
+from enrq.kernel import BIAS, FIELD_MASK, madd
 from enrq.ring import LinExpr, betti_symbol, exact, is_rational, rat
 from enrq.series import (
     FRAME_P0,
@@ -54,6 +56,8 @@ from enrq.series import (
     TruncationLoss,
     Window,
     WindowUnderflow,
+    _p_keys,
+    _parity,
     _unpack,
     agree,
     divide_exact,
@@ -1152,6 +1156,247 @@ class TestProductExpandWindows:
     def test_rejected_windows(self, window, factors):
         with pytest.raises(WindowUnderflow):
             product_expand(FRAME_QP, factors, 4, window)
+
+
+def _rho(frame, e):
+    """The exponent tuple with every unweighted exponent negated."""
+    return tuple(x if w else -x for x, w in zip(e, frame.weights))
+
+
+def _symmetric_operand(rng, frame, kind, parity, q_order=None, window=None, max_terms=8):
+    """Random terms closed under ``_rho``: the image of ``c*m`` carries ``parity * c``
+    (an odd operand drops its rho-fixed terms)."""
+    terms = {}
+    for e, c in _random_operand(rng, frame, kind, q_order, max_terms=max_terms).terms.items():
+        r = _rho(frame, e)
+        if e in terms or (r == e and parity < 0):
+            continue
+        terms[e], terms[r] = c, c * parity
+    return Series(frame, terms, q_order, window)
+
+
+def _expected_parity(frame, f, parity):
+    """``parity`` where the half path applies to ``f``: a frame with one weighted
+    variable, a nonempty series of ``int`` coefficients without symbols."""
+    ints = all(type(c) is int for t in f.slices.values() for c in t.values())
+    return parity if frame.q_index >= 0 and f.slices and ints and not f.has_symbols() else 0
+
+
+def _closed_families(rng, frame, q_order, n, rational=False):
+    """Factor families with the image of each one under ``_rho`` added: an even D log F."""
+    out = []
+    for mono, e, *step in _random_families(rng, frame, q_order, n, rational=rational):
+        out.append((mono, e, *step))
+        flip = [_rho(frame, frame.exps(m)) for m in (mono, *step)]
+        out.append((flip[0], e, *flip[1:]))
+    return out
+
+
+def _is_center(base, key):
+    """Whether ``key`` is the key of a pure power of the one weighted variable of
+    the frame (``FRAME_Q``, ``FRAME_QPU`` or ``FRAME_QPUTS``) whose all-bias key is ``base``."""
+    frame = {f.base: f for f in (FRAME_Q, FRAME_QPU, FRAME_QPUTS)}[base]
+    (e,) = _unpack(frame, {key: 1})
+    return not key & FIELD_MASK and not any(x for x, w in zip(e, frame.weights) if not w)
+
+
+@contextmanager
+def madd_calls(monkeypatch):
+    """Record ``(caller, caller's caller, base, lo, hi)`` of every ``madd`` call of ``enrq.series``."""
+    calls = []
+
+    def recording(out, f, g, base, lo, hi):
+        up = sys._getframe(1)
+        calls.append((up.f_code.co_name, up.f_back.f_code.co_name, base, lo, hi))
+        return madd(out, f, g, base, lo, hi)
+
+    monkeypatch.setattr(series_module, "madd", recording)
+    yield calls
+
+
+def full_path(monkeypatch, fn, *args):
+    """``fn(*args)`` with every operand's parity read as 0: the path the half path replaced."""
+    with monkeypatch.context() as m:
+        m.setattr(series_module, "_parity", lambda frame, slices: 0)
+        return fn(*args)
+
+
+class TestInversionHalfPath:
+    """Operands even or odd under rho (every unweighted exponent negated) multiply
+    on half the keys of each slice; every result is bit-identical to the oracles.
+    The width gate is opened so that these small operands take the half path."""
+
+    @pytest.fixture(autouse=True)
+    def every_width(self, monkeypatch):
+        monkeypatch.setattr(series_module, "_HALF_MIN_PAIRS", 0)
+
+    PARITIES = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
+    KIND_PAIRS = [("int", "int"), ("rat", "rat"), ("int", "rat"), ("lin_int", "int"), ("int", "lin_rat")]
+
+    @pytest.mark.parametrize("frame", [FRAME_QPU, FRAME_QPUTS, FRAME_QTS, FRAME_XY])
+    @pytest.mark.parametrize("parities", PARITIES)
+    def test_products_match_the_oracle(self, rng, frame, parities):
+        taken = 0
+        for _ in range(25):
+            for ka, kb in self.KIND_PAIRS:
+                size = rng.choice((3, 8, 20))
+                a, b = (
+                    _symmetric_operand(rng, frame, k, p, _random_order(rng), max_terms=size)
+                    for k, p in zip((ka, kb), parities)
+                )
+                got = assert_same_outcome(Series.__mul__, mul_oracle, a, b)
+                want = [_expected_parity(frame, x, p) for x, p in zip((a, b), parities)]
+                assert [_parity(frame, x.slices) for x in (a, b)] == want
+                if want[0] * want[1] and got.slices:
+                    assert _parity(frame, got.slices) == want[0] * want[1]
+                    taken += 1
+        assert taken > 10 or frame is FRAME_XY
+
+    def test_theta_zero_mode_times_theta_product(self):
+        for x in ({"p": 1, "u": 1}, {"u": 2}):
+            half = {v: Fraction(e, 2) for v, e in x.items()}
+            zero_mode = mono(FRAME_QPU, half) - mono(FRAME_QPU, {v: -e for v, e in half.items()})
+            for q_order in (1, Fraction(7, 2), 9):
+                tp = qfunc.theta_product(x, 1, q_order, FRAME_QPU)
+                assert (_parity(FRAME_QPU, zero_mode.slices), _parity(FRAME_QPU, tp.slices)) == (-1, 1)
+                assert_identical(zero_mode * tp, mul_oracle(zero_mode, tp))
+                assert_identical(tp * zero_mode, mul_oracle(tp, zero_mode))
+
+    @pytest.mark.parametrize("parity", [1, -1])
+    def test_a_broken_mirror_takes_the_full_path(self, rng, parity):
+        seen = 0
+        for frame in (FRAME_QPU, FRAME_QPUTS):
+            for _ in range(40):
+                a = _symmetric_operand(rng, frame, "int", parity, _random_order(rng), max_terms=10)
+                b = _symmetric_operand(rng, frame, "int", 1, _random_order(rng), max_terms=10)
+                off = [e for e in a.terms if _rho(frame, e) != e]
+                if not off:
+                    continue
+                terms = dict(a.terms)
+                e = rng.choice(off)
+                if rng.random() < 0.5:
+                    del terms[e]
+                else:
+                    terms[e] += rng.choice((-1, 1))
+                    if not terms[e]:
+                        terms[e] = 7
+                a = Series(frame, terms, a.q_order)
+                assert _parity(frame, a.slices) == 0
+                assert_identical(a * b, mul_oracle(a, b))
+                assert_identical(b * a, mul_oracle(b, a))
+                seen += 1
+        assert seen > 40
+
+    def test_mixed_int_and_fraction_operands_take_the_full_path(self, monkeypatch):
+        # a sum of int and Fraction products takes its type from the order of
+        # summation, so a reflected half would not repeat the types of the full path
+        h, t = Fraction(1, 3), Fraction(3, 2)
+        a = Series(FRAME_QPU, {
+            (0, 0, -1): -h, (0, 0, 1): -h, (24, 1, 1): 3, (24, -1, -1): 3, (24, 1, 2): 1, (24, -1, -2): 1,
+            (24, -3, -2): 1, (24, 3, 2): 1, (48, 2, -1): -1, (48, -2, 1): -1,
+        }, 3)
+        b = Series(FRAME_QPU, {
+            (0, 3, 0): 3, (0, -3, 0): -3, (24, -1, 2): 1, (24, 1, -2): -1, (24, 0, 2): -t / 3,
+            (24, 0, -2): t / 3, (24, 3, 2): -2, (24, -3, -2): 2, (48, -2, -1): Fraction(3),
+            (48, 2, 1): Fraction(-3), (48, 2, -2): t, (48, -2, 2): -t,
+        }, 3)
+        assert _parity(FRAME_QPU, a.slices) == _parity(FRAME_QPU, b.slices) == 0
+        for x, y in ((a, b), (b, a)):
+            assert_identical(x * y, full_path(monkeypatch, Series.__mul__, x, y))
+
+    def test_windowed_operands_take_the_full_path(self, rng):
+        for frame in (FRAME_QPU, FRAME_QPUTS):
+            for _ in range(30):
+                win = Window(-4, rng.randint(0, 6), True)
+                a = _symmetric_operand(rng, frame, "int", 1, rng.randint(1, 4), win, max_terms=8)
+                b = _symmetric_operand(rng, frame, "int", rng.choice((1, -1)), rng.randint(1, 4), max_terms=8)
+                assert_same_outcome(Series.__mul__, mul_oracle, a, b)
+                assert_same_outcome(Series.__mul__, mul_oracle, b, a)
+
+    @pytest.mark.parametrize("frame", [FRAME_QPU, FRAME_QPUTS, FRAME_XY])
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_product_expand_of_closed_factor_lists(self, rng, monkeypatch, frame, rational):
+        # the oracle's coefficients are all Fraction: the path replaced pins the types
+        taken = 0
+        for _ in range(12):
+            q_order = rng.choice((2, Fraction(7, 2), 5))
+            factors = _closed_families(rng, frame, q_order, rng.randint(1, 3), rational)
+            # one family without its image
+            drop = rng.randrange(len(factors))
+            closed = True
+            for fs in (factors, factors[:drop] + factors[drop + 1:]):
+                got = product_expand(frame, fs, q_order)
+                assert_identical(got, full_path(monkeypatch, product_expand, frame, fs, q_order))
+                assert_equivalent(got, product_expand_oracle(frame, fs, q_order))
+                if closed and _expected_parity(frame, got, 1) and len(got.slices) > 1:
+                    assert _parity(frame, got.slices) == 1
+                    taken += 1
+                closed = False
+        assert taken > 3 or frame is FRAME_XY or rational
+
+    def test_product_expand_windowed_closed_list(self, monkeypatch):
+        factors = [({"q": 1, "u": 1}, -2, {"q": 1}), ({"q": 1, "u": -1}, -2, {"q": 1}), ({"q": 1, "p": 1}, -1)]
+        for hi in (0, 3):
+            window = Window(0, hi, True)
+            got = product_expand(FRAME_QPU, factors, 5, window)
+            assert_identical(got, full_path(monkeypatch, product_expand, FRAME_QPU, factors, 5, window))
+            assert_integral_equivalent(got, product_expand_oracle(FRAME_QPU, factors, 5, window))
+
+
+class TestHalfPathSelection:
+    """Which products and solve steps take the half path at the shipped width gate."""
+
+    def test_main_term_cuts_its_products_and_its_wide_solve_steps(self, monkeypatch):
+        with madd_calls(monkeypatch) as calls:
+            perverse.ph_main_term(16)
+        assert {name for name, *_ in calls} == {"__mul__", "_euler_solve"}
+        products = [(base, lo, hi) for name, _, base, lo, hi in calls if name == "__mul__"]
+        steps = [(base, lo, hi) for name, _, base, lo, hi in calls if name == "_euler_solve"]
+        assert products and all(hi is None and _is_center(base, lo) for base, lo, hi in products)
+        assert any(lo is not None for _, lo, _ in steps)
+        assert all((lo, hi) == (None, None) or (hi is None and _is_center(base, lo)) for base, lo, hi in steps)
+
+    def test_jacobi_core_cuts_its_wide_products_and_not_its_divisions(self, monkeypatch):
+        widths = []
+        real = series_module._product_parity
+
+        def recording(frame, f, g):
+            sign = real(frame, f, g)
+            widths.append((sum(map(len, f.values())) * sum(map(len, g.values())) / (len(f) * len(g)), sign))
+            return sign
+
+        monkeypatch.setattr(series_module, "_product_parity", recording)
+        with madd_calls(monkeypatch) as calls:
+            perverse._jacobi_core(16)
+        products = [(base, lo, hi) for name, up, base, lo, hi in calls if name == "__mul__" and up == "_jacobi_core"]
+        divisions = [(lo, hi) for _, up, _, lo, hi in calls if up == "divide_exact"]
+        assert divisions and all(lo is None and hi is None for lo, hi in divisions)
+        assert any(lo is not None for _, lo, _ in products)
+        assert all(lo is None or (hi is None and _is_center(base, lo)) for base, lo, hi in products)
+        # the theta quotients are wide; every narrow product stays whole
+        assert any(sign for _, sign in widths)
+        assert not any(sign for w, sign in widths if w < series_module._HALF_MIN_PAIRS)
+
+    @pytest.mark.parametrize("center, cut", [(True, False), (False, True)])
+    def test_the_gate_is_the_average_pairs_per_slice_product(self, monkeypatch, center, cut):
+        # one slice each: 8 x 7 = 56 term pairs take the full path, 8 x 8 = 64 the half path
+        a = Series(FRAME_QPU, {(0, 0, s * k): 1 for k in range(1, 5) for s in (1, -1)})
+        b = {(0, s * k, 0): k for k in range(1, 4 if center else 5) for s in (1, -1)}
+        b = Series(FRAME_QPU, {**b, (0, 0, 0): 2} if center else b)
+        assert (len(a.terms), len(b.terms)) == (8, 7 if center else 8)
+        with madd_calls(monkeypatch) as calls:
+            got = a * b
+        assert calls and all((lo is not None) == cut for *_, lo, _ in calls)
+        assert_identical(got, mul_oracle(a, b))
+
+    def test_a_windowed_product_passes_its_window_keys(self, rng, monkeypatch):
+        win = Window(-4, 4, True)
+        a = _symmetric_operand(rng, FRAME_QPU, "int", 1, 4, win, max_terms=12)
+        b = _symmetric_operand(rng, FRAME_QPU, "int", 1, 4, max_terms=12)
+        with madd_calls(monkeypatch) as calls:
+            got = a * b
+        keys = _p_keys(FRAME_QPU, got.window.lo, got.window.hi)
+        assert calls and all((lo, hi) == keys for *_, lo, hi in calls)
 
 
 def log_series_oracle(f):
