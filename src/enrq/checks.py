@@ -6,6 +6,7 @@ and the acceptance test suite.
 """
 
 from fractions import Fraction
+from math import ceil
 
 from . import enriques, perverse
 from .ring import rat
@@ -132,7 +133,7 @@ def _default_window():
 
 
 def check_gv_closed_forms(betti=None, q_order=8, **_):
-    q_order = min(_as_order(q_order), Fraction(7))
+    q_order = _as_order(q_order)
     window = _default_window()
     Z = enriques.pt_fiber_full(q_order, window)
     Zb = enriques.betti_realization(Z)
@@ -168,9 +169,7 @@ def check_jacobi_vs_product(betti=None, q_order=9, **_):
 
 
 def check_chain_three_forms(betti, q_order=6, eta_prefactor=True, **_):
-    rep = perverse.check_primitive_chain(
-        betti, q_order=min(_as_order(q_order), Fraction(6)), eta_prefactor=eta_prefactor
-    )
+    rep = perverse.check_primitive_chain(betti, _as_order(q_order), eta_prefactor)
     detail = "" if rep["ok"] else str({k: v for k, v in rep.items() if k != "ok"})
     return _result("chain-three-forms", rep["ok"], detail)
 
@@ -230,7 +229,7 @@ def check_smooth_curve(betti=None, q_order=8, **_):
 
 
 def check_euler_specialization(betti=None, q_order=6, **_):
-    q_order = min(_as_order(q_order), Fraction(6))
+    q_order = _as_order(q_order)
     window = _default_window()
     refined = enriques.pt_fiber_full(q_order, window)
     specialized = refined.specialize({"t": 1, "s": 1})
@@ -261,16 +260,13 @@ def check_dt_special_value(betti=None, q_order=8, **_):
 
 def check_properties(betti, q_order=8, **_):
     problems = []
-    # GV inversion symmetry on every extracted polynomial
-    window = _default_window()
-    Zb = enriques.betti_realization(enriques.pt_fiber_full(5, window))
-    for d, gv in enriques.gv_refined_extract(Zb, 5).items():
-        if not (gv.symmetric_p() and gv.symmetric_u()):
-            problems.append(f"GV degree {d} asymmetric")
-    # duality and Betti recovery, both over the full slice (for d >= 3 a
-    # symbol cell sits just outside the table's support box)
-    for d in range(4):
-        cells = perverse.identity_cells(d, betti)
+    # duality and Betti recovery for every degree the order covers, both over
+    # the full slice (for d >= 3 a symbol cell sits just outside the table's
+    # support box), from one pair of terms
+    q_order = _as_order(q_order)
+    main, second = perverse.ph_main_term(q_order), perverse.ph_betti_term(betti, q_order)
+    for d in range(ceil(q_order)):
+        cells = perverse.identity_cells(d, betti, q_order, main, second)
         violations = perverse.flip_mismatches(cells, -1, -1)
         if violations:
             problems.append(f"d={d} duality violations {violations}")

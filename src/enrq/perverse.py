@@ -11,9 +11,11 @@ grid (tables, support reports, stabilization, fiber grids) is read by
 :func:`enrq.series.signed_cells`, fed the q^d slice of main - second by
 :func:`identity_cells`, at the truncation order d + 1 unless one is given.
 What those cells say about the degree-d grid is listed once, by
-:func:`grid_rows`; the support and extremal reports filter its rows, and
-every grid symmetry (table duality, the p and u inversions of a GV
-polynomial) is the one rule :func:`flip_mismatches`.
+:func:`grid_rows`, from three sources (``support``, ``extremal`` and
+``asymptotic``); the support and extremal reports and the shifted part of
+the stabilization check filter its rows, and every grid symmetry (table
+duality, the p and u inversions of a GV polynomial) is the one rule
+:func:`flip_mismatches`.
 Known Betti numbers make table entries Determined; missing ones enter as
 formal symbols and surface as "?" cells.  The module also carries the
 odd-class primitive stable-pair identity chain (the same data written as a
@@ -407,7 +409,10 @@ def grid_rows(d, betti=None, q_order=None, main=None, second=None):
       target 0, in the order of :func:`identity_cells`;
     - ``extremal``: every cell of the column j = -d has target 1 at even
       shifted row i + d + 1 and 0 at odd (the conjectured parity pattern),
-      in the order of the shifted rows 0, ..., 2d + 2.
+      in the order of the shifted rows 0, ..., 2d + 2;
+    - ``asymptotic``: every cell at shifted position (i + d + 1, j + d) with
+      i <= (d-1)//2 and j < (d-1)//2 has target the x^i y^j coefficient of
+      :func:`asymptotic_ph_gf`, in ascending shifted (i, j) order.
     """
     cells = identity_cells(d, betti, q_order, main, second)
     rows, cols = _box(d)
@@ -415,7 +420,19 @@ def grid_rows(d, betti=None, q_order=None, main=None, second=None):
     for s in range(len(rows)):
         cell = _unshift(d, s, 0)
         out.append(("extremal", cell, cells.get(cell, 0), 1 - s % 2))
-    return out
+    return out + _asymptotic_rows(d, cells)
+
+
+def _asymptotic_rows(d, cells):
+    """The ``asymptotic`` rows of :func:`grid_rows`, read from the degree-d cells.
+
+    The limit series is built at the order d, which covers every i + j < d,
+    and only for d >= 3: below that the region is empty.
+    """
+    half = (d - 1) // 2
+    gf = asymptotic_ph_gf(d) if half > 0 else None
+    shifted = [(i, j, _unshift(d, i, j)) for i in range(half + 1) for j in range(half)]
+    return [("asymptotic", c, cells.get(c, 0), gf.coeff({"x": i, "y": j})) for i, j, c in shifted]
 
 
 def perverse_table(d, betti=None, q_order=None, main=None, second=None):
@@ -607,7 +624,8 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
     """Verify the large-d behaviour of shifted table entries.
 
     (a) shifted entries (i, j) with i < d/2, j < d/2 - 1 for d in [d_lo, d_hi]
-        agree with the asymptotic generating function;
+        agree with the asymptotic generating function (the ``asymptotic``
+        rows of :func:`grid_rows`);
     (b) the Betti-dependent term contributes nothing at unshifted (i, j) with
         i, j < -d/2 - 1 for any d <= d_hi;
     (c) the main term's shifted coefficients stabilize in d beyond 3(i+j)/4
@@ -615,27 +633,23 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
     """
     q_order = d_hi + 1
     _, main, second = _identity_terms(betti, q_order, main, second)
-    gf = asymptotic_ph_gf(q_order)
     report = {"shifted": [], "vanishing": [], "stable": [], "ok": True}
     # each term sliced once per degree: (a) reads both from d_lo, (b) second from 1, (c) main from 2
     ms = {d: main.coefficient({"q": d}) for d in range(min(d_lo, 2), d_hi + 1)}
     ss = {d: second.coefficient({"q": d}) for d in range(min(d_lo, 1), d_hi + 1)}
 
     for d in range(d_lo, d_hi + 1):
-        cells = signed_cells(ms[d] - ss[d])
-        for i in range((d - 1) // 2 + 1):
-            for j in range((d - 1) // 2):
-                got = cells.get(_unshift(d, i, j), 0)
-                if isinstance(got, LinExpr):
-                    report["ok"] = False
-                    report["shifted"].append({"d": d, "i": i, "j": j, "error": "symbolic"})
-                    continue
-                want = gf.coeff({"x": i, "y": j})
-                ok = got == want
-                report["ok"] &= ok
-                report["shifted"].append(
-                    {"d": d, "i": i, "j": j, "got": str(got), "want": str(want), "ok": ok}
-                )
+        for _, (ci, cj), got, want in _asymptotic_rows(d, signed_cells(ms[d] - ss[d])):
+            i, j = ci + d + 1, cj + d
+            if isinstance(got, LinExpr):
+                report["ok"] = False
+                report["shifted"].append({"d": d, "i": i, "j": j, "error": "symbolic"})
+                continue
+            ok = got == want
+            report["ok"] &= ok
+            report["shifted"].append(
+                {"d": d, "i": i, "j": j, "got": str(got), "want": str(want), "ok": ok}
+            )
 
     for d in range(1, d_hi + 1):
         cells = signed_cells(ss[d])
@@ -645,6 +659,7 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
                 report["ok"] &= ok
                 report["vanishing"].append({"d": d, "i": i, "j": j, "ok": ok})
 
+    gf = asymptotic_ph_gf(q_order)
     main_cells = {d: signed_cells(ms[d]) for d in range(2, d_hi + 1)}
     for i in range(4):
         for j in range(4):

@@ -8,7 +8,7 @@ orders are fixed here, never tuned.
 import random
 
 from conftest import random_series
-from enrq import checks
+from enrq import checks, enriques
 from enrq.qfunc import plethystic_exp, plethystic_log
 from enrq.series import FRAME_QP, FRAME_QTS, agree
 
@@ -115,3 +115,19 @@ def test_criterion_14_property_suites():
         "property-suites",
         {"name": "property-suites", "passed": not failures, "detail": "; ".join(failures)},
     )
+
+
+def test_every_check_runs_at_the_order_it_is_asked_for(monkeypatch):
+    # no check caps its order (toda-vs-prop and jacobi-vs-product only raise
+    # it to 9), and at q = 12 only the literal dt-special-value target fails
+    orders = []
+    build = enriques.pt_fiber_full
+
+    def recording(q_order, *args, **kwargs):
+        orders.append(q_order)
+        return build(q_order, *args, **kwargs)
+
+    monkeypatch.setattr(enriques, "pt_fiber_full", recording)
+    failed = [r["name"] for r in checks.run_checks(q_order=12) if not r["passed"]]
+    assert failed == ["dt-special-value"]
+    assert orders == [12, 12, 12]  # gv-closed-forms once, euler-specialization twice

@@ -355,6 +355,7 @@ class TestGridRows:
 
     def test_sources_at_q8(self, betti, terms8):
         main, second = terms8
+        gf = asymptotic_ph_gf(8)
         for d in range(8):
             rows = grid_rows(d, betti, 8, main, second)
             cells = identity_cells(d, betti, 8, main, second)
@@ -366,7 +367,19 @@ class TestGridRows:
             assert extremal == [
                 (c, cells.get(c, 0), 1 if (c[0] + d + 1) % 2 == 0 else 0) for c in column
             ]
-            assert len(rows) == len(support) + len(extremal)  # no other source
+            asymptotic = [(c, v, t) for s, c, v, t in rows if s == "asymptotic"]
+            shifted = [(i, j) for i in range((d - 1) // 2 + 1) for j in range((d - 1) // 2)]
+            assert asymptotic == [
+                ((i - d - 1, j - d), cells.get((i - d - 1, j - d), 0), gf.coeff({"x": i, "y": j}))
+                for i, j in shifted
+            ]
+            assert len(rows) == len(support) + len(extremal) + len(asymptotic)  # no other source
+
+    def test_asymptotic_rows_through_d16_are_determined_and_hold(self, betti):
+        main, second = ph_main_term(17), ph_betti_term(betti, 17)
+        rows = [r for d in range(17) for r in grid_rows(d, betti, 17, main, second) if r[0] == "asymptotic"]
+        assert len(rows) == 336
+        assert [r for r in rows if isinstance(r[2], LinExpr) or r[2] != r[3]] == []
 
     def test_reports_are_filters_over_the_rows(self, betti, terms8):
         main, second = terms8
@@ -598,25 +611,43 @@ class TestStabilization:
         assert seen.count(True) == d_hi + 1 - min(d_lo, 2)
 
     def test_properties_check_slices_each_term_once_per_degree(self, betti, monkeypatch):
+        # one main term and one Betti term, both at the check's order, each
+        # sliced once for every degree d < q_order
         from enrq import checks
 
-        terms, seen = [], []
-        identity_terms = perverse._identity_terms
+        built, seen = [], []
+        main_term, betti_term = perverse.ph_main_term, perverse.ph_betti_term
         coefficient = Series.coefficient
 
-        def keeping(*args):
-            out = identity_terms(*args)
-            terms.extend(out[1:])
-            return out
+        def build_main(q_order):
+            built.append(("main", q_order, main_term(q_order)))
+            return built[-1][2]
+
+        def build_second(b, q_order):
+            built.append(("second", q_order, betti_term(b, q_order)))
+            return built[-1][2]
 
         def counting(self, *args, **kwargs):
-            seen.append(any(self is t for t in terms))
+            seen.append(next((name for name, _, t in built if t is self), None))
             return coefficient(self, *args, **kwargs)
 
-        monkeypatch.setattr(perverse, "_identity_terms", keeping)
+        monkeypatch.setattr(perverse, "ph_main_term", build_main)
+        monkeypatch.setattr(perverse, "ph_betti_term", build_second)
         monkeypatch.setattr(Series, "coefficient", counting)
+        assert checks.check_properties(betti, q_order=8)["passed"]
+        assert [(name, q) for name, q, _ in built] == [("main", 8), ("second", 8)]
+        assert (seen.count("main"), seen.count("second")) == (8, 8)
+
+    def test_properties_check_builds_no_fiber_series(self, betti, monkeypatch):
+        # the GV inversion symmetries are gv-closed-forms' to assert
+        from enrq import checks, enriques
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the properties check built a fiber series")
+
+        monkeypatch.setattr(enriques, "pt_fiber_full", refuse)
+        monkeypatch.setattr(enriques, "gv_refined_extract", refuse)
         assert checks.check_properties(betti)["passed"]
-        assert seen.count(True) == 2 * 4  # main and second at d = 0..3
 
     def test_specific_shifted_values(self, betti):
         main = ph_main_term(9)
