@@ -313,13 +313,6 @@ def _add_common(parser):
         help="truncation order (positive rational, default 8)",
     )
     parser.add_argument(
-        "--p-window",
-        type=_parse_window,
-        default=(-10, 10),
-        metavar="LO:HI",
-        help="validity window for p exponents (default -10:10)",
-    )
-    parser.add_argument(
         "--betti-file",
         type=_read_betti_file,
         default=None,
@@ -341,6 +334,13 @@ def _parser():
     p_expand = sub.add_parser("expand", help="expand a named series to canonical JSON")
     p_expand.add_argument("series_id", help=f"one of: {', '.join(SERIES_IDS)}")
     _add_common(p_expand)
+    p_expand.add_argument(
+        "--p-window",
+        type=_parse_window,
+        default=(-10, 10),
+        metavar="LO:HI",
+        help="validity window for p exponents (default -10:10)",
+    )
 
     p_tables = sub.add_parser("tables", help="emit perverse-Hodge number tables")
     p_tables.add_argument("--d", type=_parse_range, default=(0, 4), help="degree or LO:HI range (default 0:4)")

@@ -136,7 +136,10 @@ def enriques_cy3_chi_vir():
 
 
 def rational_elliptic_surface_vir():
-    """(ts)^(-1) + 10 + ts."""
+    """(ts)^(-1) + 10 + ts.
+
+    A reference route: ``test_fixed_point_calibration`` compares against it.
+    """
     return chi_vir(*_hodge_entry("rational_elliptic_surface"))
 
 
@@ -167,6 +170,7 @@ def equivariant_hilb_vir_series(fixed_points, resolution_vir, q_order):
     prod_i ((1-q^{2i})^2/(1-q^i))^fixed_points * Exp(sum_i q^{2i} R) where R is
     the weight-shifted class of the resolved quotient surface.  The Exp is the
     family prod_i (1 - m q^{2i})^{-c} of each term c*m of R.
+    A reference route: ``test_fixed_point_calibration`` compares against it.
     """
     q2 = FRAME_QTS.exps(_Q2)
     res = resolution_vir.embed(FRAME_QTS).items_sorted()
@@ -239,7 +243,10 @@ def dt_fiber(r, d):
 
 
 def omega_fiber(r, d):
-    """Omega(r, d*f, 0): 8 for r=1; -[2] for r=2 with d even; zero otherwise."""
+    """Omega(r, d*f, 0): 8 for r=1; -[2] for r=2 with d even; zero otherwise.
+
+    A reference route: ``test_bps_inversion_reconstructs_dt`` compares against it.
+    """
     r = int(r)
     if r < 1:
         raise ValueError("rank must be >= 1")
@@ -392,6 +399,7 @@ def rank0_ordinary_log_from_dt(q_order, window):
     Its ordinary exponential must agree with the plethystic exponential of
     :func:`rank0_exp_argument`; that equality is exactly the refined
     chi-independence wiring of the rank-0 column.
+    A reference route: ``test_chi_independence_wiring`` compares against it.
     """
     q_order = _as_order(q_order)
     terms = {}

@@ -7,15 +7,14 @@ minus a Betti-dependent correction:
     main_term(q, p, u) - betti_sum(u; q) * correction_product(q, p, u).
 
 A grid cell (i, j) is (-1)^{i+j} times the coefficient of p^i u^j q^d: every
-grid (tables, support reports, stabilization, fiber grids) is read by
+grid (tables, stabilization, fiber grids) is read by
 :func:`enrq.series.signed_cells`, fed the q^d slice of main - second by
 :func:`identity_cells`, at the truncation order d + 1 unless one is given.
-What those cells say about the degree-d grid is listed once, by
+What the degree-d cells say about the grid is listed once, by
 :func:`grid_rows`, from three sources (``support``, ``extremal`` and
-``asymptotic``); the support and extremal reports and the shifted part of
-the stabilization check filter its rows, and every grid symmetry (table
-duality, the p and u inversions of a GV polynomial) is the one rule
-:func:`flip_mismatches`.
+``asymptotic``); the shifted part of the stabilization check filters its
+rows, and every grid symmetry (table duality, the p and u inversions of a GV
+polynomial) is the one rule :func:`flip_mismatches`.
 Known Betti numbers make table entries Determined; missing ones enter as
 formal symbols and surface as "?" cells.  The module also carries the
 odd-class primitive stable-pair identity chain (the same data written as a
@@ -28,7 +27,7 @@ from math import ceil
 
 from .config import betti_defaults
 from .qfunc import eta, inv_theta_pair, inv_zero_mode, quantum_integer, theta, theta_pair, theta_product
-from .ring import LinExpr, betti_symbol, coeff_to_json, exact, qdiv
+from .ring import LinExpr, betti_symbol, coeff_to_json, exact
 from .series import (
     FRAME_QPU,
     FRAME_QPUTS,
@@ -56,7 +55,6 @@ __all__ = [
     "flip_mismatches",
     "grid_box",
     "perverse_table",
-    "support_report",
     "omega_half_integral_series",
     "omega_integral_series",
     "primitive_pt_forms",
@@ -65,7 +63,6 @@ __all__ = [
     "asymptotic_ph_gf",
     "asymptotic_betti_gf",
     "stabilization_check",
-    "extremal_report",
     "grid_to_markdown",
     "grid_to_csv",
 ]
@@ -138,11 +135,12 @@ class BettiTable:
             return prefix[ii]
         return betti_symbol(d, ii)
 
-    def vector(self, d):
-        return [self.entry(d, i) for i in range(4 * d + 3)]
-
     def signed_sum(self, d, frame):
-        """q^d u^{-(2d+1)} sum_i b_{i,d} (-u)^i as a Series in the given frame."""
+        """q^d u^{-(2d+1)} sum_i b_{i,d} (-u)^i as a Series in the given frame.
+
+        A reference route: ``test_betti_q_sum_is_the_sum_of_the_signed_sums``
+        compares ``_betti_q_sum`` against it.
+        """
         return Series(frame, self._signed_terms(d, frame, {}), None, None)
 
     def _signed_terms(self, d, frame, terms):
@@ -398,41 +396,37 @@ def identity_cells(d, betti=None, q_order=None, main=None, second=None):
     return signed_cells(main.coefficient({"q": d}) - second.coefficient({"q": d}))
 
 
-def grid_rows(d, betti=None, q_order=None, main=None, second=None):
-    """What the degree-d identity cells say, as ``(source, (i, j), value, target)`` rows.
+def grid_rows(d, cells):
+    """What the degree-d cells say, as ``(source, (i, j), value, target)`` rows.
 
-    ``value`` is the table-signed cell of :func:`identity_cells` (a
-    ``LinExpr`` where a symbol survives), ``target`` what the source says it
-    must be.  Two sources:
+    ``cells`` are the table-signed cells of the q^d slice of main - second,
+    from :func:`identity_cells` or :func:`signed_cells` of a slice already
+    taken; ``value`` is a cell (a ``LinExpr`` where a symbol survives),
+    ``target`` what the source says it must be.  Three sources:
 
     - ``support``: every cell outside the box |i| <= d+1, |j| <= d has
-      target 0, in the order of :func:`identity_cells`;
+      target 0, in the order of ``cells``;
     - ``extremal``: every cell of the column j = -d has target 1 at even
       shifted row i + d + 1 and 0 at odd (the conjectured parity pattern),
       in the order of the shifted rows 0, ..., 2d + 2;
     - ``asymptotic``: every cell at shifted position (i + d + 1, j + d) with
       i <= (d-1)//2 and j < (d-1)//2 has target the x^i y^j coefficient of
-      :func:`asymptotic_ph_gf`, in ascending shifted (i, j) order.
+      :func:`asymptotic_ph_gf`, in ascending shifted (i, j) order.  The limit
+      series is built at the order d, which covers every i + j < d, and only
+      for d >= 3: below that the region is empty.
     """
-    cells = identity_cells(d, betti, q_order, main, second)
     rows, cols = _box(d)
     out = [("support", c, v, 0) for c, v in cells.items() if c[0] not in rows or c[1] not in cols]
     for s in range(len(rows)):
         cell = _unshift(d, s, 0)
         out.append(("extremal", cell, cells.get(cell, 0), 1 - s % 2))
-    return out + _asymptotic_rows(d, cells)
-
-
-def _asymptotic_rows(d, cells):
-    """The ``asymptotic`` rows of :func:`grid_rows`, read from the degree-d cells.
-
-    The limit series is built at the order d, which covers every i + j < d,
-    and only for d >= 3: below that the region is empty.
-    """
     half = (d - 1) // 2
     gf = asymptotic_ph_gf(d) if half > 0 else None
-    shifted = [(i, j, _unshift(d, i, j)) for i in range(half + 1) for j in range(half)]
-    return [("asymptotic", c, cells.get(c, 0), gf.coeff({"x": i, "y": j})) for i, j, c in shifted]
+    for i in range(half + 1):
+        for j in range(half):
+            cell = _unshift(d, i, j)
+            out.append(("asymptotic", cell, cells.get(cell, 0), gf.coeff({"x": i, "y": j})))
+    return out
 
 
 def perverse_table(d, betti=None, q_order=None, main=None, second=None):
@@ -445,32 +439,6 @@ def perverse_table(d, betti=None, q_order=None, main=None, second=None):
     rows, cols = _box(d)
     cells = identity_cells(d, betti, q_order, main, second)
     return PerverseTable(d, {(i, j): c for (i, j), c in cells.items() if i in rows and j in cols})
-
-
-def support_report(d, betti=None, q_order=None, main=None, second=None):
-    """Inspect the slice outside the support box (the ``support`` rows of :func:`grid_rows`).
-
-    Values are table-signed, (-1)^{i+j} times the coefficient, as in
-    :func:`perverse_table`.  Determined leakage is a genuine violation.
-    Symbol-carrying leakage is reported as an implied constraint: consistency
-    of the identity forces the symbol to the value making the cell vanish.
-    """
-    violations, implied, conflicts = [], {}, []
-    for source, (i, j), c, _ in grid_rows(d, betti, q_order, main, second):
-        if source != "support":
-            continue
-        if isinstance(c, LinExpr):
-            if len(c.terms) == 1:
-                (sym, coef), = c.terms.items()
-                value = qdiv(-c.const, coef)
-                if sym in implied and implied[sym] != value:
-                    conflicts.append((sym, implied[sym], value))
-                implied[sym] = value
-            else:
-                violations.append(((i, j), coeff_to_json(c)))
-        elif c:
-            violations.append(((i, j), coeff_to_json(c)))
-    return {"d": d, "violations": violations, "implied_betti": implied, "conflicts": conflicts}
 
 
 # -- odd-class primitive stable pairs: the three-form chain --------------------
@@ -624,8 +592,9 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
     """Verify the large-d behaviour of shifted table entries.
 
     (a) shifted entries (i, j) with i < d/2, j < d/2 - 1 for d in [d_lo, d_hi]
-        agree with the asymptotic generating function (the ``asymptotic``
-        rows of :func:`grid_rows`);
+        agree with the asymptotic generating function: the ``asymptotic``
+        rows of :func:`grid_rows` over the signed cells of the q^d slice of
+        main - second;
     (b) the Betti-dependent term contributes nothing at unshifted (i, j) with
         i, j < -d/2 - 1 for any d <= d_hi;
     (c) the main term's shifted coefficients stabilize in d beyond 3(i+j)/4
@@ -639,7 +608,9 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
     ss = {d: second.coefficient({"q": d}) for d in range(min(d_lo, 1), d_hi + 1)}
 
     for d in range(d_lo, d_hi + 1):
-        for _, (ci, cj), got, want in _asymptotic_rows(d, signed_cells(ms[d] - ss[d])):
+        for source, (ci, cj), got, want in grid_rows(d, signed_cells(ms[d] - ss[d])):
+            if source != "asymptotic":
+                continue
             i, j = ci + d + 1, cj + d
             if isinstance(got, LinExpr):
                 report["ok"] = False
@@ -674,32 +645,3 @@ def stabilization_check(betti=None, d_lo=5, d_hi=8, main=None, second=None):
                 {"i": i, "j": j, "values": [str(v) for v in vals], "ok": match}
             )
     return report
-
-
-def extremal_report(d_max, betti=None, main=None, second=None):
-    """Status of the extremal column (unshifted j = -d) against the parity pattern.
-
-    The ``extremal`` rows of :func:`grid_rows`: the conjectured pattern for
-    shifted entries (i~, 0) is 1 at even i~ in [0, 2d+2] and 0 otherwise.
-    Unknown cells are reported, never judged.
-    """
-    q_order = d_max + 1
-    betti, main, second = _identity_terms(betti, q_order, main, second)
-    records = []
-    for d in range(d_max + 1):
-        column = [r for r in grid_rows(d, betti, q_order, main, second) if r[0] == "extremal"]
-        for shifted, (_, _, v, want) in enumerate(column):
-            if isinstance(v, LinExpr):
-                status = "unknown"
-            else:
-                status = "match" if v == want else "mismatch"
-            records.append(
-                {
-                    "d": d,
-                    "i_shifted": shifted,
-                    "value": coeff_to_json(v),
-                    "expected": str(want),
-                    "status": status,
-                }
-            )
-    return records

@@ -40,7 +40,6 @@ __all__ = [
     "linexpr",
     "coeff_to_json",
     "coeff_entries_from_json",
-    "coeff_from_json",
 ]
 
 
@@ -247,18 +246,6 @@ class LinExpr:
     def __truediv__(self, other):
         return qdiv(self, other)
 
-    def substitute(self, values):
-        """Evaluate with concrete rationals for every symbol present."""
-        acc = self.const
-        for s, c in self.terms.items():
-            if s not in values:
-                raise KeyError(f"no value supplied for {s!r}")
-            acc = acc + c * rat(values[s])
-        return acc
-
-    def symbols(self):
-        return set(self.terms)
-
     def __repr__(self):
         parts = [] if not self.const and self.terms else [str(self.const)]
         for s in sorted(self.terms):
@@ -310,12 +297,3 @@ def coeff_entries_from_json(obj):
             entries.append((_ID_BY_PAIR[t["d"], t["i"]], v))
     const = _exact_text(obj["const"])
     return (const, entries) if entries else const
-
-
-def coeff_from_json(obj):
-    """Inverse of :func:`coeff_to_json`; integral values (also in a LinExpr) come back as ints."""
-    c = coeff_entries_from_json(obj)
-    if type(c) is tuple:
-        const, entries = c
-        return linexpr(const, {SYMBOL_BY_ID[sid]: v for sid, v in entries})
-    return c

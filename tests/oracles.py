@@ -19,6 +19,10 @@ theta numerator divided by each theta in turn, and the Omega series
 multiplied into the large factor first.  Only the bracketing changed, so
 they run on the library's own series arithmetic.
 
+``grid_reports`` derives the support report and the extremal records,
+once library functions, from the rows of ``perverse.grid_rows``; the golden
+support and extremal hashes are taken of its output.
+
 A chain of oracle steps (the power loops, the product of binomials) keeps
 its intermediates as :class:`Terms`, tuple-keyed term dicts with the
 truncation state of a series, and builds one ``Series`` at the end.
@@ -497,3 +501,45 @@ def primitive_betti_display_oracle(betti, q_order, window):
     ip2 = inv_theta_pair({"p": 1}, {"u": 1}, 2, q_order, frame, window)
     oi = omega_integral_series(betti, q_order, frame)
     return first - oi * th_u * ip2
+
+
+def grid_reports(d, rows):
+    """The degree-d support report and extremal records, read from the rows of
+    ``perverse.grid_rows``, in the document form of their golden hashes.
+
+    Support: a determined nonzero row, or one with several symbols, is a
+    violation ``[[i, j], value]``; a single-symbol row forces its symbol to the
+    value that makes the cell vanish (``implied_betti``), and a second,
+    different forced value for it is a conflict.  Extremal: one record per
+    shifted row, ``unknown`` where a symbol survives, else ``match`` or
+    ``mismatch`` against the target.
+    """
+    violations, implied, conflicts, column = [], {}, [], []
+    for source, cell, c, target in rows:
+        if source == "extremal":
+            column.append((c, target))
+        elif source == "support" and isinstance(c, LinExpr) and len(c.terms) == 1:
+            (sym, coef), = c.terms.items()
+            value = qdiv(-c.const, coef)
+            if sym in implied and implied[sym] != value:
+                conflicts.append([sym.d, sym.i, str(implied[sym]), str(value)])
+            implied[sym] = value
+        elif source == "support" and c:
+            violations.append([list(cell), coeff_to_json(c)])
+    support = {
+        "d": d,
+        "violations": sorted(violations),
+        "implied_betti": sorted([s.d, s.i, str(v)] for s, v in implied.items()),
+        "conflicts": conflicts,
+    }
+    extremal = [
+        {
+            "d": d,
+            "i_shifted": shifted,
+            "value": coeff_to_json(v),
+            "expected": str(t),
+            "status": "unknown" if isinstance(v, LinExpr) else ("match" if v == t else "mismatch"),
+        }
+        for shifted, (v, t) in enumerate(column)
+    ]
+    return support, extremal

@@ -269,6 +269,8 @@ class TestOneParse:
         ["tables", "--d", "2", "--d", "0:1", "--q-order", "2"],
         ["check", "--checks", "table1,,table2"],
         ["expand", "pt-fiber-full", "--q-order", "2", "--p-window", "-300000:300000"],
+        ["tables", "--p-window", "-6:6"],
+        ["check", "--p-window=0:4"],
     ]
 
     @pytest.mark.parametrize("argv", CORPUS, ids=lambda argv: " ".join(argv) or "(none)")

@@ -21,7 +21,10 @@ grids and the properties check); they were taken while each reader halved
 exponents and applied the sign (-1)^(i+j) on its own.  The support-report
 pin is the report of that code with each violation value multiplied by
 (-1)^(i+j): support reports became table-signed in the same change, and
-implied Betti values do not depend on the sign.
+implied Betti values do not depend on the sign.  Both reports are now
+derived from ``perverse.grid_rows`` by ``oracles.grid_reports``, with the
+same documents; the support pin keeps the forced value of every
+single-symbol support row.
 """
 
 import hashlib
@@ -30,6 +33,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import grid_reports
 from enrq import checks, cli, enriques, perverse
 from enrq.series import FRAME_QPUTS, Window
 
@@ -165,13 +169,12 @@ def test_sum_builders(name):
     assert sha(SUM_BUILDERS[name]().to_json_dict()) == SUM_GOLDEN[name]
 
 
-def _support_doc(rep):
-    return {
-        "d": rep["d"],
-        "violations": sorted([list(cell), v] for cell, v in rep["violations"]),
-        "implied_betti": sorted([s.d, s.i, str(v)] for s, v in rep["implied_betti"].items()),
-        "conflicts": [[s.d, s.i, str(a), str(b)] for s, a, b in rep["conflicts"]],
-    }
+def _grid_reports(d_max, q_order):
+    """``oracles.grid_reports`` of every degree d <= d_max, main and Betti term at ``q_order``."""
+    betti = perverse.BettiTable.default()
+    main, second = perverse.ph_main_term(q_order), perverse.ph_betti_term(betti, q_order)
+    cells = (perverse.identity_cells(d, betti, q_order, main, second) for d in range(d_max + 1))
+    return [grid_reports(d, perverse.grid_rows(d, c)) for d, c in enumerate(cells)]
 
 
 def test_stabilization_report():
@@ -180,14 +183,13 @@ def test_stabilization_report():
 
 
 def test_support_reports():
-    betti = perverse.BettiTable.default()
-    main, second = perverse.ph_main_term(8), perverse.ph_betti_term(betti, 8)
-    docs = [_support_doc(perverse.support_report(d, betti, 8, main, second)) for d in range(8)]
+    docs = [support for support, _ in _grid_reports(7, 8)]
     assert sha(docs) == GRID_GOLDEN["support"]
 
 
 def test_extremal_report():
-    assert sha(perverse.extremal_report(6)) == GRID_GOLDEN["extremal"]
+    records = [r for _, extremal in _grid_reports(6, 7) for r in extremal]
+    assert sha(records) == GRID_GOLDEN["extremal"]
 
 
 def test_fiber_grids():

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import assert_agree, assert_identical
 from oracles import (
+    grid_reports,
     jacobi_core_oracle,
     ph_main_term_jacobi_oracle,
     ph_main_term_oracle,
@@ -18,7 +19,6 @@ from enrq.perverse import (
     asymptotic_betti_gf,
     asymptotic_ph_gf,
     check_primitive_chain,
-    extremal_report,
     flip_mismatches,
     grid_box,
     grid_rows,
@@ -34,7 +34,6 @@ from enrq.perverse import (
     primitive_pt_forms,
     signed_cells,
     stabilization_check,
-    support_report,
 )
 from enrq import perverse
 from enrq.config import betti_defaults
@@ -72,9 +71,9 @@ def second5(betti):
 
 class TestBettiTable:
     def test_default_vectors(self, betti):
-        assert betti.vector(0) == [1, 2, 1]
-        assert betti.vector(1) == [1, 0, 10, 22, 10, 0, 1]
-        v2 = betti.vector(2)
+        assert [betti.entry(0, i) for i in range(3)] == [1, 2, 1]
+        assert [betti.entry(1, i) for i in range(7)] == [1, 0, 10, 22, 10, 0, 1]
+        v2 = [betti.entry(2, i) for i in range(11)]
         assert v2[:3] == [1, 0, 11] and v2[-3:] == [11, 0, 1]
         assert v2[3] == betti_symbol(2, 3)
         assert v2[7] == betti_symbol(2, 3)  # duality pre-applied
@@ -227,7 +226,7 @@ class TestTables:
     def test_every_grid_reader_rejects_an_order_below_the_degree(self, betti):
         # the check lives in identity_cells, which every reader goes through,
         # so all raise it before slicing a term
-        readers = (perverse_table, support_report, grid_rows, identity_cells)
+        readers = (perverse_table, identity_cells)
         messages = set()
         for read in readers:
             with pytest.raises(ValueError) as exc:
@@ -285,16 +284,25 @@ class TestTables:
         assert isinstance(cell["value"], dict) and cell["value"]["terms"]
 
 
+def support_rows(d, *args):
+    """The nonzero ``support`` rows of degree d as ``{(i, j): value}``; ``args``
+    go to :func:`identity_cells`."""
+    rows = grid_rows(d, identity_cells(d, *args))
+    return {c: v for s, c, v, _ in rows if s == "support" and v}
+
+
 class TestSupport:
     def test_no_leakage_below_degree_three(self, betti, main5, second5):
         for d in range(3):
-            rep = support_report(d, betti, 5, main5, second5)
-            assert not rep["violations"] and not rep["implied_betti"]
+            assert support_rows(d, betti, 5, main5, second5) == {}
 
     def test_degree_three_implies_vanishing_b3(self, betti, main5, second5):
-        rep = support_report(3, betti, 5, main5, second5)
-        assert not rep["violations"] and not rep["conflicts"]
-        assert rep["implied_betti"] == {BettiSymbol(3, 3): 0}
+        # every leaking cell is a multiple of b(3, 3) with constant 0, so the
+        # identity forces b(3, 3) = 0
+        leaks = support_rows(3, betti, 5, main5, second5)
+        assert leaks
+        for v in leaks.values():
+            assert isinstance(v, LinExpr) and v.const == 0 and set(v.terms) == {BettiSymbol(3, 3)}
 
     def test_slicing_before_subtracting_changes_nothing(self, betti):
         # main - second as the main term and a zero Betti term gives the
@@ -306,7 +314,7 @@ class TestSupport:
             new = perverse_table(d, betti, 8, main, second)
             old = perverse_table(d, betti, 8, diff, zero)
             assert new.to_json_dict() == old.to_json_dict()
-            assert support_report(d, betti, 8, main, second) == support_report(d, betti, 8, diff, zero)
+            assert support_rows(d, betti, 8, main, second) == support_rows(d, betti, 8, diff, zero)
 
     def test_half_integral_exponent_raises_in_every_grid_reader(self, betti):
         # p^(1/2) u^3 q: outside the d = 1 box, so a floored p exponent would
@@ -315,7 +323,7 @@ class TestSupport:
         zero = Series.zero(FRAME_QPU)
         readers = (
             lambda: perverse_table(1, betti, 2, bad, zero),
-            lambda: support_report(1, betti, 2, bad, zero),
+            lambda: grid_rows(1, identity_cells(1, betti, 2, bad, zero)),
             lambda: gv_to_ph_grid(GVPolynomial(bad.coefficient({"q": 1}))),
         )
         messages = set()
@@ -334,11 +342,9 @@ class TestSupport:
             {FRAME_QPU.exps({"q": 1, "p": i, "u": j}): c for (i, j), c in coeffs.items()},
             2,
         )
-        rep = support_report(1, betti, 2, main, Series.zero(FRAME_QPU))
-        assert sorted(rep["violations"], key=str) == sorted(
-            [((0, 3), "-5"), ((0, -4), "7"), ((1, 2), coeff_to_json(-(b3 + b5 + 3)))], key=str
-        )
-        assert rep["implied_betti"] == {BettiSymbol(2, 3): 2} and not rep["conflicts"]
+        leaks = support_rows(1, betti, 2, main, Series.zero(FRAME_QPU))
+        # the (-1, 2) cell 2 b(2, 3) - 4 forces b(2, 3) = 2
+        assert leaks == {(0, 3): -5, (0, -4): 7, (1, 2): -(b3 + b5 + 3), (-1, 2): 2 * b3 - 4}
 
     def test_structural_p_bound(self, betti, main5, second5):
         diff = main5 - second5
@@ -357,8 +363,8 @@ class TestGridRows:
         main, second = terms8
         gf = asymptotic_ph_gf(8)
         for d in range(8):
-            rows = grid_rows(d, betti, 8, main, second)
             cells = identity_cells(d, betti, 8, main, second)
+            rows = grid_rows(d, cells)
             support = [(c, v, t) for s, c, v, t in rows if s == "support"]
             inside = {c for c in cells if abs(c[0]) <= d + 1 and abs(c[1]) <= d}
             assert support == [(c, v, 0) for c, v in cells.items() if c not in inside]
@@ -377,67 +383,36 @@ class TestGridRows:
 
     def test_asymptotic_rows_through_d16_are_determined_and_hold(self, betti):
         main, second = ph_main_term(17), ph_betti_term(betti, 17)
-        rows = [r for d in range(17) for r in grid_rows(d, betti, 17, main, second) if r[0] == "asymptotic"]
+        cells = [identity_cells(d, betti, 17, main, second) for d in range(17)]
+        rows = [r for d in range(17) for r in grid_rows(d, cells[d]) if r[0] == "asymptotic"]
         assert len(rows) == 336
         assert [r for r in rows if isinstance(r[2], LinExpr) or r[2] != r[3]] == []
 
-    def test_reports_are_filters_over_the_rows(self, betti, terms8):
-        main, second = terms8
-        for d in range(8):
-            rows = grid_rows(d, betti, 8, main, second)
-            violations, implied = [], {}
-            for s, c, v, _ in rows:
-                if s != "support":
-                    continue
-                if isinstance(v, LinExpr) and len(v.terms) == 1:
-                    (sym, coef), = v.terms.items()
-                    implied[sym] = -Fraction(v.const) / coef
-                elif v:
-                    violations.append((c, coeff_to_json(v)))
-            rep = support_report(d, betti, 8, main, second)
-            assert (rep["violations"], rep["implied_betti"], rep["conflicts"]) == (violations, implied, [])
-        want = []
-        for d in range(8):
-            for s, (i, _), v, t in grid_rows(d, betti, 8, main, second):
-                if s == "extremal":
-                    status = "unknown" if isinstance(v, LinExpr) else ("match" if v == t else "mismatch")
-                    want.append((d, i + d + 1, coeff_to_json(v), str(t), status))
-        recs = extremal_report(7, betti, main, second)
-        assert [(r["d"], r["i_shifted"], r["value"], r["expected"], r["status"]) for r in recs] == want
-
-    def test_reports_read_cells_only_through_the_rows(self, betti, monkeypatch):
-        b = betti_symbol(4, 3)
-        fake = [
+    def test_reports_are_filters_over_the_rows(self):
+        # the derivation behind the support and extremal golden hashes
+        b, c = betti_symbol(4, 3), betti_symbol(4, 5)
+        rows = [
             ("support", (6, 0), 3, 0),
             ("support", (0, 5), b - 2, 0),
+            ("support", (5, 0), b + c, 0),
+            ("support", (0, 6), 3 * b - 3, 0),
+            ("asymptotic", (-2, -1), 7, 9),
             ("extremal", (-2, -1), 1, 1),
             ("extremal", (-1, -1), 5, 0),
             ("extremal", (0, -1), b, 1),
         ]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a report read the identity cells past grid_rows")
-
-        monkeypatch.setattr(perverse, "identity_cells", refuse)
-        monkeypatch.setattr(perverse, "grid_rows", lambda *args: fake)
-        rep = support_report(1, betti)
-        assert rep["violations"] == [((6, 0), "3")] and rep["implied_betti"] == {BettiSymbol(4, 3): 2}
-        recs = extremal_report(0, betti)
-        assert [(r["i_shifted"], r["value"], r["expected"], r["status"]) for r in recs] == [
+        support, extremal = grid_reports(1, rows)
+        assert support == {
+            "d": 1,
+            "violations": [[[5, 0], coeff_to_json(b + c)], [[6, 0], "3"]],
+            "implied_betti": [[4, 3, "1"]],
+            "conflicts": [[4, 3, "2", "1"]],
+        }
+        assert [(r["i_shifted"], r["value"], r["expected"], r["status"]) for r in extremal] == [
             (0, "1", "1", "match"),
             (1, "5", "0", "mismatch"),
             (2, coeff_to_json(b), "1", "unknown"),
         ]
-
-    def test_extremal_report_builds_no_table(self, betti, monkeypatch):
-        want = extremal_report(3, betti)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("extremal_report built a table")
-
-        monkeypatch.setattr(perverse, "perverse_table", refuse)
-        monkeypatch.setattr(perverse, "PerverseTable", refuse)
-        assert extremal_report(3, betti) == want
 
 
 def _dict_flip_violations(entries):
@@ -663,25 +638,23 @@ class TestStabilization:
         assert second.coeff({"q": 3, "p": -3, "u": -3}) == 0
 
 
+def extremal_rows(d, betti):
+    """``(value, target)`` of each ``extremal`` row of degree d, in shifted-row order."""
+    return [(v, t) for s, _, v, t in grid_rows(d, identity_cells(d, betti)) if s == "extremal"]
+
+
 class TestExtremal:
     def test_degree_one_column(self, betti):
-        recs = [r for r in extremal_report(1, betti) if r["d"] == 1]
-        assert [(r["i_shifted"], r["status"]) for r in recs] == [
-            (0, "match"), (1, "match"), (2, "match"), (3, "match"), (4, "match"),
-        ]
-        assert [r["value"] for r in recs] == ["1", "0", "1", "0", "1"]
+        assert extremal_rows(1, betti) == [(1, 1), (0, 0), (1, 1), (0, 0), (1, 1)]
 
     def test_degree_zero_center_reported_not_asserted(self, betti):
-        recs = [r for r in extremal_report(0, betti) if r["d"] == 0]
-        statuses = [r["status"] for r in recs]
-        assert statuses == ["match", "mismatch", "match"]  # table center is 2
+        # the table centre is 2 against the pattern's 0: a row, not a failure
+        assert extremal_rows(0, betti) == [(1, 1), (2, 0), (1, 1)]
 
     def test_unknowns_reported(self, betti):
-        recs = [r for r in extremal_report(2, betti) if r["d"] == 2]
-        assert any(r["status"] == "unknown" for r in recs)
-        assert not any(
-            r["status"] == "mismatch" for r in recs if r["status"] != "unknown" and r["d"] == 2
-        )
+        rows = extremal_rows(2, betti)
+        assert any(isinstance(v, LinExpr) for v, _ in rows)
+        assert all(v == t for v, t in rows if not isinstance(v, LinExpr))
 
 
 class TestRegressionStability:

@@ -10,11 +10,12 @@ from enrq.ring import (
     LinExpr,
     SymbolDegreeOverflow,
     betti_symbol,
-    coeff_from_json,
+    coeff_entries_from_json,
     coeff_to_json,
     exact,
     qdiv,
     rat,
+    symbol_id,
 )
 
 
@@ -99,32 +100,38 @@ def test_full_cancellation_demotes_to_rational():
     assert not isinstance(v, LinExpr) and v == 3
 
 
-def test_json_round_trip():
-    e = rat(1, 2) + 3 * betti_symbol(2, 3) - rat(7, 5) * betti_symbol(1, 2)
-    blob = coeff_to_json(e)
-    assert blob["const"] == "1/2"
-    assert coeff_from_json(blob) == e
-    assert coeff_from_json(coeff_to_json(rat(-5, 3))) == rat(-5, 3)
-
-
 def _read(reader, obj):
-    """Value and types of ``reader(obj)`` (a LinExpr's parts one by one), or the
+    """Value and type of ``reader(obj)`` (of a symbol-carrying record the
+    constant and each ``(symbol id, coefficient)`` entry one by one), or the
     type of the error it raises."""
     try:
         v = reader(obj)
     except (TypeError, ValueError) as exc:
         return type(exc)
-    if isinstance(v, LinExpr):
-        return v, type(v.const), [(s, type(c)) for s, c in v.terms.items()]
+    if type(v) is tuple:
+        const, entries = v
+        return const, type(const), [(sid, c, type(c)) for sid, c in entries]
     return v, type(v)
 
 
+def test_json_round_trip():
+    e = rat(1, 2) + 3 * betti_symbol(2, 3) - rat(7, 5) * betti_symbol(1, 2)
+    blob = coeff_to_json(e)
+    assert blob["const"] == "1/2"
+    b12, b23 = symbol_id(BettiSymbol(1, 2)), symbol_id(BettiSymbol(2, 3))
+    want = (rat(1, 2), Fraction, [(b12, rat(-7, 5), Fraction), (b23, 3, int)])
+    assert _read(coeff_entries_from_json, blob) == want
+    assert _read(coeff_entries_from_json, coeff_to_json(rat(-5, 3))) == (rat(-5, 3), Fraction)
+
+
 def _exact_record(obj):
-    """The reading of a coefficient record by ``exact`` alone."""
+    """The reading of a coefficient record by ``exact`` alone, in the form a series stores it."""
     if isinstance(obj, str):
         return exact(obj)
-    terms = {BettiSymbol(t["d"], t["i"]): exact(t["coef"]) for t in obj["terms"]}
-    return ring.linexpr(exact(obj["const"]), {s: c for s, c in terms.items() if c})
+    terms = [(symbol_id(BettiSymbol(t["d"], t["i"])), exact(t["coef"])) for t in obj["terms"]]
+    entries = [(sid, c) for sid, c in terms if c]
+    const = exact(obj["const"])
+    return (const, entries) if entries else const
 
 
 @pytest.mark.parametrize(
@@ -133,12 +140,12 @@ def _exact_record(obj):
 def test_json_reader_matches_exact(text):
     # the int shortcut takes only ASCII -?[0-9]+; every other string, a
     # non-ASCII digit included, is read by exact() as before
-    assert _read(coeff_from_json, text) == _read(_exact_record, text)
+    assert _read(coeff_entries_from_json, text) == _read(_exact_record, text)
     for record in (
         {"const": text, "terms": [{"d": 1, "i": 2, "coef": text}]},
         {"const": "1/2", "terms": [{"d": 1, "i": 2, "coef": text}, {"d": 2, "i": 0, "coef": "-5"}]},
     ):
-        assert _read(coeff_from_json, record) == _read(_exact_record, record)
+        assert _read(coeff_entries_from_json, record) == _read(_exact_record, record)
 
 
 _sym = st.tuples(st.integers(0, 3), st.integers(0, 6)).filter(lambda di: di[1] <= 4 * di[0] + 2)
@@ -172,11 +179,14 @@ def test_substitution_commutes(a, b, values):
     syms = set()
     for e in (a, b):
         if isinstance(e, LinExpr):
-            syms |= e.symbols()
+            syms |= set(e.terms)
     vals = {s: rat(values.draw(st.integers(-5, 5))) for s in syms}
 
     def ev(x):
-        return x.substitute(vals) if isinstance(x, LinExpr) else x
+        # x with every symbol replaced by its value
+        if not isinstance(x, LinExpr):
+            return x
+        return x.const + sum(c * vals[s] for s, c in x.terms.items())
 
     total = a + b
     assert ev(total) == ev(a) + ev(b)
